@@ -63,12 +63,15 @@ def _parse_grid(spec, n, need_step):
         parts = g.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad grid group {g!r}; expected lo:hi or lo:hi:step")
-        lo, hi = float(parts[0]), float(parts[1])
+        nums = [float(p) for p in parts]
+        if not all(math.isfinite(v) for v in nums):
+            raise ValueError(f"grid group {g!r} has a non-finite number")
+        lo, hi = nums[0], nums[1]
         if hi < lo:
             raise ValueError(f"grid group {g!r} has hi < lo")
         step = None
         if len(parts) == 3:
-            step = float(parts[2])
+            step = nums[2]
             if step <= 0:
                 raise ValueError(f"grid step must be positive in {g!r}")
         if step is None and need_step:

@@ -58,6 +58,10 @@ class FinitePoints:
     def distance(self, x):
         return float(np.min(np.linalg.norm(self.points - np.asarray(x, float), axis=1)))
 
+    def _contains(self, x):
+        """Exact membership: x equals one of the points coordinate by coordinate."""
+        return bool(np.any(np.all(self.points == np.asarray(x, float), axis=1)))
+
     def nearest(self, x):
         """A nearest point; ties break to the lexicographically smallest."""
         d2 = np.sum((self.points - np.asarray(x, float)) ** 2, axis=1)
@@ -94,6 +98,11 @@ class BoxUnion:
             gap = np.maximum(0.0, np.maximum(b[:, 0] - x, x - b[:, 1]))
             best = min(best, float(np.linalg.norm(gap)))
         return best
+
+    def _contains(self, x):
+        """Exact membership: lo <= x <= hi in some box."""
+        x = np.asarray(x, float)
+        return any(np.all((b[:, 0] <= x) & (x <= b[:, 1])) for b in self.boxes)
 
     def nearest(self, x):
         """Clamping x into each box gives that box's unique nearest point;
@@ -175,18 +184,6 @@ class WhitneyCube:
         return all(abs(xi - ci) < r for xi, ci in zip(x, self.center))
 
 
-def enlarged_cube_contains(cube, x):
-    return cube.enlarged_contains(x)
-
-
-def distance_to_set(x, A):
-    return A.distance(x)
-
-
-def cube_distance(cube, A):
-    return A.box_distance(np.array(cube.lo), np.array(cube.hi))
-
-
 # -- the decomposition --------------------------------------------------------
 
 
@@ -227,10 +224,13 @@ class Decomposition:
         """
         The unique cube of W containing x under the half-open convention
         [z/2^j, (z+1)/2^j): the dyadic ancestor of x at the smallest level
-        whose distance to A meets the threshold.
+        whose distance to A meets the threshold.  Membership in A is decided
+        exactly, so a query a subnormal distance away is not on the set.
         """
         j_max = self.j_max if j_max is None else j_max
-        if self.A.distance(x) == 0.0:
+        if not all(math.isfinite(xi) for xi in x):
+            raise ValueError(f"query point {tuple(x)} is not finite")
+        if self.A._contains(x):
             raise OnSet(x)
         for j in range(j_max + 1):
             corner = tuple(math.floor(math.ldexp(xi, j)) for xi in x)
@@ -347,22 +347,3 @@ def _iter_product(ranges):
     for first in ranges[0]:
         for rest in _iter_product(ranges[1:]):
             yield (first,) + rest
-
-
-# -- module-level conveniences (thin wrappers over a Decomposition) ----------
-
-
-def locate(x, A, j_max=52):
-    return Decomposition(A, j_max).locate(x)
-
-
-def neighbors(cube, A, j_max=52):
-    return Decomposition(A, j_max).neighbors(cube)
-
-
-def anchor(cube, A):
-    return Decomposition(A).anchor(cube)
-
-
-def supporting_cubes(x, A, j_max=52):
-    return Decomposition(A, j_max).supporting_cubes(x)

@@ -13,11 +13,16 @@ is exactly the prescribed one, it depends linearly on f, and it reproduces
 every polynomial of degree ≤ k whose jet induced f.
 
 Derivatives of F off A are computed by running the whole sum in Taylor
-arithmetic: each anchored Taylor polynomial is expanded as an explicit
-monomial series at the query point (exact — no nested evaluation scheme),
-each φ_C comes from ``pou``, and the products are truncated series
-products.  On A the derivatives are read from the jet, which the theorem
-guarantees is the restriction of F.
+arithmetic.  The series of each anchored Taylor polynomial at the query
+point x comes from the shift identity
+
+    ∂^β T^k_y f(x) = Σ_{|γ| ≤ k−|β|} (x−y)^γ/γ! · f_{β+γ}(y),
+
+which reads its coefficients straight off the jet (``jets.Jet.taylor_series``;
+its row 0 is the value the float path blends).  Each φ_C comes from
+``pou``, and the products are truncated series products.  On A the
+derivatives are read from the jet, which the theorem guarantees is the
+restriction of F.
 
 The adaptive variant assigns each cube a degree from a schedule of radii
 δ_1 > δ_2 > … (with δ_{i+1} < δ_i/2): the cube with center y_C uses the
@@ -107,37 +112,24 @@ class Extension:
 
     def eval(self, x):
         """F(x) as an (m,) array."""
+        return self._blend(x, lambda cube: self.k)
+
+    def eval_batch(self, xs):
+        """F on every row of xs, stacked; rows are independent."""
+        return np.array([self.eval(x) for x in np.asarray(xs, dtype=float)])
+
+    def _blend(self, x, degree):
+        """
+        F(x) with the cube C contributing its anchored Taylor polynomial of
+        degree `degree(C)`, weighted by phi_C(x).
+        """
         x = tuple(float(c) for c in x)
         pid = self._on_set(x)
         if pid is not None:
             return self.jet.values[pid][0].copy()
         out = np.zeros(self.m)
         for cube, w in pou.phi_weights_real(x, self.dec):
-            out += w * self.jet.taylor_poly(self._anchor_id(cube), self.k, x)
-        return out
-
-    def eval_batch(self, xs):
-        """F on every row of xs, stacked; rows are independent."""
-        return np.array([self.eval(x) for x in np.asarray(xs, dtype=float)])
-
-    def _poly_coeff_matrix(self, cube, x, upto):
-        """
-        T^k_{x_C} f expanded at the query point x, as the (ncoef, m)
-        Taylor-normalized coefficient matrix of an order-`upto` series.
-        """
-        aid = self._anchor_id(cube)
-        y = self.jet.coords[aid]
-        factors = [
-            taylorarith.seed_variable(x, i, self.n, upto) - y[i] for i in range(self.n)
-        ]
-        mons = taylorarith.monomial_products(factors, self.k)
-        vals = self.jet.values[aid]
-        ncoef = taylorarith.context(self.n, upto).ncoef
-        out = np.zeros((ncoef, self.m))
-        for i, a in enumerate(self.jet.indices):
-            if sum(a) > self.k:
-                break
-            out += np.outer(mons[a].coeffs, vals[i] / multiindex.factorial(a))
+            out += w * self.jet.taylor_poly(self._anchor_id(cube), degree(cube), x)
         return out
 
     def eval_derivs(self, x, upto=None):
@@ -158,7 +150,7 @@ class Extension:
         ctx = taylorarith.context(self.n, upto)
         total = np.zeros((ctx.ncoef, self.m))
         for cube, phi in pou.partition_taylor(x, self.dec, upto):
-            poly = self._poly_coeff_matrix(cube, x, upto)
+            poly = self.jet.taylor_series(self._anchor_id(cube), self.k, x, upto)
             for c in range(self.m):
                 col = taylorarith.TaylorValue(ctx, poly[:, c])
                 total[:, c] += (phi * col).coeffs
@@ -168,7 +160,10 @@ class Extension:
     # -- adaptive degree ------------------------------------------------------
 
     def _cube_degree(self, cube):
-        """Largest schedule index whose radius still exceeds d(y_C, A)."""
+        """
+        Largest schedule index whose radius still exceeds d(y_C, A); raises
+        ScheduleExhausted when that degree is beyond the stored jet.
+        """
         d = self.A.distance(np.asarray(cube.center))
         g = 0
         for i, delta in enumerate(self.schedule, start=1):
@@ -176,6 +171,8 @@ class Extension:
                 g = i
             else:
                 break
+        if g > self.jet.k:
+            raise ScheduleExhausted(g, self.jet.k)
         return g
 
     def eval_adaptive(self, x):
@@ -185,17 +182,7 @@ class Extension:
         """
         if self.schedule is None:
             raise ValueError("extension was built without a degree schedule")
-        x = tuple(float(c) for c in x)
-        pid = self._on_set(x)
-        if pid is not None:
-            return self.jet.values[pid][0].copy()
-        out = np.zeros(self.m)
-        for cube, w in pou.phi_weights_real(x, self.dec):
-            g = self._cube_degree(cube)
-            if g > self.jet.k:
-                raise ScheduleExhausted(g, self.jet.k)
-            out += w * self.jet.taylor_poly(self._anchor_id(cube), g, x)
-        return out
+        return self._blend(x, self._cube_degree)
 
     def supporting_count(self, x):
         """Number of cubes that actually contribute at x (locality probe)."""

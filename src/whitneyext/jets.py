@@ -18,27 +18,12 @@ import math
 
 import numpy as np
 
-from . import multiindex
+from . import multiindex, taylorarith
 from .exprlang import VectorExpr
 
 
 class GlueMismatch(ValueError):
     """Pieces disagree on an overlap point beyond tolerance."""
-
-
-class ValueSpace:
-    """The value space E = R^m with coordinate seminorms and their max."""
-
-    def __init__(self, m):
-        if m < 1:
-            raise ValueError("output dimension must be >= 1")
-        self.m = m
-
-    def q(self, which, v):
-        return apply_seminorm(which, v)
-
-    def seminorm_names(self):
-        return [f"q{i}" for i in range(self.m)] + ["max"]
 
 
 def apply_seminorm(which, v):
@@ -137,19 +122,37 @@ class Jet:
         """
         The order-l Taylor polynomial anchored at the stored point y,
         evaluated at an arbitrary point x: sum over |a| <= l of
-        (x-y)^a / a! * f_a(y).
+        (x-y)^a / a! * f_a(y), added in graded-lex order.
+        """
+        return self.taylor_series(y_id, l, x, 0)[0]
+
+    def taylor_series(self, y_id, l, x, upto):
+        """
+        T = T^l_y f, the order-l Taylor polynomial anchored at the stored
+        point y, expanded at x: the Taylor-normalized rows d^b T(x) / b!
+        for |b| <= upto <= l, as a (C(n+upto, n), m) array in graded-lex
+        order.
+
+        The rows come from the shift identity
+            d^b T^l_y f(x) = sum over |g| <= l - |b| of (x-y)^g / g! * f_{b+g}(y):
+        the pair table of ``taylorarith.context(n, l)`` lists every (b, g)
+        with |b| + |g| <= l, and its pairs with |b| <= upto gather the
+        monomials (x-y)^g / g! against the values f_{b+g}(y).  Row 0 is
+        T(x) itself, added in graded-lex order of g.
         """
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
-        y = self.coords[y_id]
-        h = tuple(xi - yi for xi, yi in zip(x, y))
-        vals = self.values[y_id]
-        out = np.zeros(self.m)
-        for i, a in enumerate(self.indices):
-            if sum(a) > l:
-                break
-            out += (multiindex.monomial(h, a) / multiindex.factorial(a)) * vals[i]
-        return out
+        if not 0 <= upto <= l:
+            raise ValueError(f"derivative order {upto} outside 0..{l}")
+        ctx = taylorarith.context(self.n, l)
+        h = tuple(xi - yi for xi, yi in zip(x, self.coords[y_id]))
+        mono = np.array([multiindex.monomial(h, g) for g in ctx.indices]) / ctx.factorials
+        rows = multiindex.count_upto(self.n, upto)
+        p = int(np.searchsorted(ctx.pair_i, rows))  # the pairs with |b| <= upto
+        terms = mono[ctx.pair_j[:p], None] * self.values[y_id][ctx.pair_t[:p]]
+        out = np.zeros((rows, self.m))
+        np.add.at(out, ctx.pair_i[:p], terms)
+        return out / ctx.factorials[:rows, None]
 
     def remainder(self, y_id, l, x_id):
         """f_0(x) - T^l_y f(x) for stored points x, y."""
@@ -338,8 +341,3 @@ def linear_combination(a, f, b, g):
         raise ValueError("jets live on different point sets")
     values = {pid: a * f.values[pid] + b * g.values[pid] for pid in f.ids}
     return Jet(f.n, f.k, f.m, [(p, f.coords[p]) for p in f.ids], values)
-
-
-def jet_from_expr(f, points, k):
-    """Module-level alias of Jet.from_expr."""
-    return Jet.from_expr(f, points, k)

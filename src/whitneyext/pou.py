@@ -15,9 +15,11 @@ for a cube C with center y_C and side l_C is
 which is identically 1 on C itself (the plateau covers sup-norm radius
 l_C/2) and supported in the enlarged box D_C (sup-norm radius (3/4) l_C).
 The partition functions are phi_C = psi_C / sum of psi over all cubes;
-only cubes touching the cube containing x contribute to the sum, and the
-denominator's constant term is at least 1 because x lies on its own
-cube's plateau.
+only the cubes whose enlarged box D_C holds x contribute to the sum
+(``Decomposition.supporting_cubes``), and the denominator's constant term
+is at least 1 because x lies on its own cube's plateau.  The float weights
+and the series weights share that cube search and normalization; only the
+cutoff differs (``psi_cube_real`` or ``psi_cube``).
 
 All derivatives are taken in Taylor arithmetic.  The piecewise branch of
 s is decided from the (exact) base point before any series is built: on
@@ -70,25 +72,6 @@ def bump_taylor(u):
     return up / (up + down)
 
 
-def psi_real(x):
-    """psi(x) = prod s(x_i)."""
-    out = 1.0
-    for xi in x:
-        out *= bump_real(xi)
-        if out == 0.0:
-            break
-    return out
-
-
-def psi(x, k):
-    """Order-k expansion of psi at the point x."""
-    n = len(x)
-    out = constant(1.0, n, k)
-    for i in range(n):
-        out = out * bump_taylor(taylorarith.seed_variable(x, i, n, k))
-    return out
-
-
 def psi_cube_real(cube, x):
     """psi_C(x) = psi((x - y_C) / l_C) as a float."""
     s = cube.side
@@ -111,43 +94,39 @@ def psi_cube(cube, x, k):
     return out
 
 
+def _normalize(pairs):
+    """[(cube, psi_C)] -> [(cube, psi_C / sum of the psi_C)], in order."""
+    total = pairs[0][1]
+    for _, p in pairs[1:]:
+        total = total + p
+    return [(c, p / total) for c, p in pairs]
+
+
 def phi_weights_real(x, dec):
     """
     The partition weights at x as floats: a list of (cube, phi_C(x)) over
     the cubes supporting x.  The weights are non-negative and sum to 1.
+    Cubes whose psi_C(x) underflows to 0 near the edge of D_C are left out.
     """
-    home = dec.locate(x)
-    cands = dec.neighbors(home)
-    psis = [psi_cube_real(c, x) for c in cands]
-    total = sum(psis)
-    return [(c, p / total) for c, p in zip(cands, psis) if p != 0.0]
+    pairs = [(c, psi_cube_real(c, x)) for c in dec.supporting_cubes(x)]
+    return _normalize([(c, p) for c, p in pairs if p != 0.0])
 
 
 def partition_taylor(x, dec, k):
     """
     Order-k expansions of every phi_C at x, as a list of (cube, series)
-    over the supporting cubes.  The series of the excluded cubes are
-    exactly zero, so the returned list carries the whole local partition:
-    the sum of the series is the constant-1 series up to rounding.
+    over the supporting cubes.  The series of all other cubes are exactly
+    zero, so the returned list carries the whole local partition: the sum
+    of the series is the constant-1 series up to rounding.
     """
-    home = dec.locate(x)
-    cands = dec.neighbors(home)
-    psis = [psi_cube(c, x, k) for c in cands]
-    total = psis[0]
-    for p in psis[1:]:
-        total = total + p
-    out = []
-    for c, p in zip(cands, psis):
-        if c.enlarged_contains(x):
-            out.append((c, p / total))
-    return out
+    return _normalize([(c, psi_cube(c, x, k)) for c in dec.supporting_cubes(x)])
 
 
 def phi_cube(cube, x, dec, k):
     """
     Order-k expansion of phi_C at x.  Exactly the zero series when x is
     outside the enlarged box D_C (the support of psi_C); otherwise
-    psi_C / sum psi over the cubes touching the cube containing x.
+    psi_C / sum psi over the cubes supporting x.
     """
     if not cube.enlarged_contains(x):
         dec.locate(x)  # raises on A or beyond resolution, as for any query

@@ -214,14 +214,6 @@ def seeds(x0, k):
 # -- ring operations ----------------------------------------------------
 
 
-def add(a, b):
-    return a + b
-
-
-def sub(a, b):
-    return a - b
-
-
 def mul(a, b):
     """Truncated product via the precomputed pair table."""
     ctx = a.ctx
@@ -370,8 +362,7 @@ def monomial_products(factors, degree):
 
     Each product is obtained from a previously computed one by a single
     multiplication, so the whole table costs one mul per index.  Used to
-    expand explicit polynomials (anchored Taylor polynomials of a jet) and
-    to compose an outer expansion with inner series.
+    compose an outer expansion with inner series.
     """
     s = len(factors)
     ctx = factors[0].ctx

@@ -174,6 +174,33 @@ def test_extend_numeric_error_exit(jetfile, tmp_path):
     assert rc == 3
 
 
+def test_extend_underflowing_distance_is_not_on_set(tmp_path, capsys):
+    # |x - 0| underflows to 0 in the norm, yet x is off A: exit 3, not 2
+    p = tmp_path / "jet0.json"
+    p.write_text(json.dumps({"dim": 1, "order": 2, "induce": {
+        "expr": ["exp(x0)"], "points": [{"id": "o", "x": [0.0]}]}}))
+    rc = run(["extend", "--input", str(p), "--grid=1e-200:1e-200:1",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "no admissible cube" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "nan:nan:1", "0:1:nan", "-inf:0:0.5"])
+def test_extend_non_finite_grid(jetfile, tmp_path, capsys, grid):
+    rc = run(["extend", "--input", jetfile, f"--grid={grid}",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: grid group {grid!r} has a non-finite number\n"
+    )
+
+
+def test_decompose_non_finite_grid(setfile, capsys):
+    rc = run(["decompose", "--input", setfile, "--grid=0:inf"])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_extend_determinism(jetfile, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

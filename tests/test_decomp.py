@@ -20,43 +20,61 @@ def test_make_closed_set_exactly_one_kind():
 
 
 def test_distance_point_set():
-    assert decomp.distance_to_set((3.0,), A0) == 3.0
+    assert A0.distance((3.0,)) == 3.0
     two = decomp.make_closed_set(points=[[0.0, 0.0], [3.0, 4.0]])
-    assert decomp.distance_to_set((3.0, 0.0), two) == 3.0
+    assert two.distance((3.0, 0.0)) == 3.0
 
 
 def test_distance_box_clamp():
     B = decomp.make_closed_set(boxes=[[[0.0, 1.0], [0.0, 1.0]]])
-    assert decomp.distance_to_set((2.0, 0.0), B) == 1.0
-    assert decomp.distance_to_set((0.5, 0.5), B) == 0.0
-    assert decomp.distance_to_set((2.0, 2.0), B) == pytest.approx(math.sqrt(2.0))
+    assert B.distance((2.0, 0.0)) == 1.0
+    assert B.distance((0.5, 0.5)) == 0.0
+    assert B.distance((2.0, 2.0)) == pytest.approx(math.sqrt(2.0))
 
 
 def test_cube_distance():
     c = decomp.WhitneyCube(0, (2,))  # [2, 3]
-    assert decomp.cube_distance(c, A0) == 2.0
+    assert decomp.Decomposition(A0).cube_distance(c) == 2.0
 
 
 def test_locate_level0():
-    c = decomp.locate((4.5,), A0)
+    c = decomp.Decomposition(A0).locate((4.5,))
     assert c.level == 0 and c.corner == (4,)
     assert c.lo == (4.0,) and c.hi == (5.0,)
 
 
 def test_locate_level1():
-    c = decomp.locate((2.25,), A0)
+    c = decomp.Decomposition(A0).locate((2.25,))
     assert c.level == 1 and c.side == 0.5
     assert c.lo == (2.0,) and c.hi == (2.5,)
 
 
 def test_locate_on_set_raises():
     with pytest.raises(decomp.OnSet):
-        decomp.locate((0.0,), A0)
+        decomp.Decomposition(A0).locate((0.0,))
 
 
 def test_locate_resolution_exceeded():
     with pytest.raises(decomp.ResolutionExceeded):
-        decomp.locate((1e-30,), A0, j_max=52)
+        decomp.Decomposition(A0, j_max=52).locate((1e-30,))
+
+
+def test_locate_on_set_is_exact_membership():
+    # |x - a| underflows to 0 in the Euclidean norm, yet x is not in A
+    with pytest.raises(decomp.ResolutionExceeded):
+        decomp.Decomposition(A0).locate((1e-170,))
+    B = decomp.make_closed_set(boxes=[[[0.0, 1.0], [0.0, 1.0]]])
+    with pytest.raises(decomp.OnSet):
+        decomp.Decomposition(B).locate((1.0, 0.5))
+    with pytest.raises(decomp.ResolutionExceeded):
+        decomp.Decomposition(B).locate((-1e-300, 0.5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_locate_rejects_non_finite_query(bad):
+    with pytest.raises(ValueError, match="not finite") as info:
+        decomp.Decomposition(A0).locate((bad,))
+    assert not isinstance(info.value, decomp.OnSet)
 
 
 def test_locate_maximality():
@@ -114,11 +132,11 @@ def test_anchor_tie_break_lexicographic():
 
 def test_enlarged_cube():
     c = decomp.WhitneyCube(1, (4,))  # [2, 2.5], center 2.25, half-width 3/8
-    assert decomp.enlarged_cube_contains(c, (2.6,))
-    assert not decomp.enlarged_cube_contains(c, (2.625,))  # boundary is out
-    assert decomp.enlarged_cube_contains(c, (1.876,))
-    assert not decomp.enlarged_cube_contains(c, (1.875,))
-    assert decomp.enlarged_cube_contains(c, tuple(c.center))
+    assert c.enlarged_contains((2.6,))
+    assert not c.enlarged_contains((2.625,))  # boundary is out
+    assert c.enlarged_contains((1.876,))
+    assert not c.enlarged_contains((1.875,))
+    assert c.enlarged_contains(tuple(c.center))
 
 
 def test_supporting_cubes_deep_interior():
@@ -230,7 +248,7 @@ def test_locate_determinism():
 def test_located_cube_side_comparable_to_distance(x):
     dec = decomp.Decomposition(A0)
     c = dec.locate((x,))
-    d = decomp.distance_to_set((x,), A0)
+    d = A0.distance((x,))
     assert dec.cube_distance(c) >= 4.0 * c.side
     # below level 0 the side tracks the distance; side-1 cubes cover the far field
     if c.level >= 1:
@@ -240,5 +258,5 @@ def test_located_cube_side_comparable_to_distance(x):
 def test_box_union_nearest_point():
     B = decomp.make_closed_set(boxes=[[[0.0, 1.0], [0.0, 1.0]], [[3.0, 4.0], [0.0, 2.0]]])
     assert B.nearest((2.0, 0.5)) in ((1.0, 0.5), (3.0, 0.5))
-    assert decomp.distance_to_set((2.0, 0.5), B) == 1.0
-    assert decomp.distance_to_set((3.5, 1.0), B) == 0.0
+    assert B.distance((2.0, 0.5)) == 1.0
+    assert B.distance((3.5, 1.0)) == 0.0

@@ -253,3 +253,12 @@ def test_continuity_ratio_homogeneous_under_scaling():
     r2 = extend.continuity_ratio(e2, sample)
     assert r1 > 0
     assert r2 == pytest.approx(r1, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_query_is_a_clear_value_error(bad):
+    j = jet_of("exp(x0)*sin(x1)", [(0.0, 0.0), (1.0, 0.5)], 2, n=2)
+    F = extend.Extension(j, schedule=[4.0, 1.5])
+    for evaluate in (F.eval, F.eval_derivs, F.eval_adaptive):
+        with pytest.raises(ValueError, match="not finite"):
+            evaluate((0.5, bad))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from whitneyext import exprlang as el
 from whitneyext import jets
 from whitneyext import multiindex as mi
+from whitneyext import taylorarith as ta
 
 
 def jet_of(src, pts, k, n=1):
@@ -270,6 +271,75 @@ def test_reanchoring_identity():
                 / mi.factorial(alpha) * rem
         scale = 1.0 + float(np.max(np.abs(left)))
         assert np.allclose(left, right, rtol=0, atol=1e-9 * scale)
+
+
+def _series_from_seeds(j, y_id, l, x, upto):
+    """Reference rows of T^l_y f at x: the polynomial sum over |a| <= l of
+    f_a(y)/a! * prod (x_i - y_i + t_i)^a_i, built from coordinate seeds in
+    Taylor arithmetic."""
+    y = j.coords[y_id]
+    factors = [ta.seed_variable(x, i, j.n, upto) - y[i] for i in range(j.n)]
+    mons = ta.monomial_products(factors, l)
+    out = np.zeros((mi.count_upto(j.n, upto), j.m))
+    for a in mi.enumerate_upto(j.n, l):
+        out += np.outer(mons[a].coeffs, j.value(y_id, a) / mi.factorial(a))
+    return out
+
+
+def _series_scale(j, y_id, l, x, upto):
+    """Row b: sum over |g| <= l - |b| of |x-y|^g / g! * |f_{b+g}(y)| / b!."""
+    h = tuple(abs(xi - yi) for xi, yi in zip(x, j.coords[y_id]))
+    rows = []
+    for b in mi.enumerate_upto(j.n, upto):
+        s = np.zeros(j.m)
+        for g in mi.enumerate_upto(j.n, l - mi.order(b)):
+            s += mi.monomial(h, g) / mi.factorial(g) * np.abs(j.value(y_id, mi.add(b, g)))
+        rows.append(s / mi.factorial(b))
+    return np.array(rows)
+
+
+def test_taylor_series_matches_seeded_series():
+    rng = np.random.default_rng(10)
+    eps = np.finfo(float).eps
+    for n in (1, 2, 3):
+        for k in range(5):
+            j = random_jet(rng, n, k, 2, 2)
+            y = j.ids[0]
+            for l in range(k + 1):
+                for upto in range(l + 1):
+                    for scale in (1e-3, 1.0, 10.0):
+                        x = tuple(float(v) for v in
+                                  np.array(j.coords[y]) + scale * rng.standard_normal(n))
+                        got = j.taylor_series(y, l, x, upto)
+                        want = _series_from_seeds(j, y, l, x, upto)
+                        bound = 16 * eps * _series_scale(j, y, l, x, upto)
+                        assert got.shape == want.shape
+                        assert np.all(np.abs(got - want) <= bound), (n, k, l, upto, x)
+                        # the float path is row 0, bit for bit
+                        assert np.array_equal(j.taylor_poly(y, l, x), got[0])
+
+
+def test_taylor_poly_is_the_graded_lex_sum():
+    # T^l_y f(x) keeps the bits of the plain sum (x-y)^a / a! * f_a(y)
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        j = random_jet(rng, n, 4, 2, 2)
+        y = j.ids[0]
+        for l in range(5):
+            x = tuple(float(v) for v in rng.uniform(-3, 3, size=n))
+            h = tuple(xi - yi for xi, yi in zip(x, j.coords[y]))
+            want = np.zeros(2)
+            for a in mi.enumerate_upto(n, l):
+                want += (mi.monomial(h, a) / mi.factorial(a)) * j.value(y, a)
+            assert np.array_equal(j.taylor_poly(y, l, x), want)
+
+
+def test_taylor_series_orders_checked():
+    j = random_jet(np.random.default_rng(12), 2, 2, 1, 1)
+    with pytest.raises(ValueError):
+        j.taylor_series("p0", 3, (0.0, 0.0), 0)
+    with pytest.raises(ValueError):
+        j.taylor_series("p0", 1, (0.0, 0.0), 2)
 
 
 def test_seminorm_order_monotonicity():

@@ -77,11 +77,13 @@ def test_profile_series_matches_finite_differences():
 
 
 def test_psi_plateau_zero_and_interior():
-    s = pou.psi((0.0, 0.0), 2)
+    # unit cubes centered at 0.5 per axis: psi_C(x) = psi(x - 0.5)
+    unit2 = decomp.WhitneyCube(0, (0, 0))
+    s = pou.psi_cube(unit2, (0.5, 0.5), 2)
     assert s.const == 1.0 and np.all(s.coeffs[1:] == 0.0)
-    z = pou.psi((0.8, 0.0), 2)
+    z = pou.psi_cube(unit2, (1.3, 0.5), 2)
     assert np.all(z.coeffs == 0.0)
-    m = pou.psi((0.6,), 2)
+    m = pou.psi_cube(decomp.WhitneyCube(0, (0,)), (1.1,), 2)
     assert 0.0 < m.const < 1.0
 
 
