@@ -37,7 +37,9 @@ for x in (6.3, 2.1, 0.52, 0.501):
 c = dec.locate((0.52,))
 print("\ncube distance to A:", dec.cube_distance(c), "(side", c.side, ")")
 print("anchor:", tuple(float(v) for v in dec.anchor(c)))
-print("neighbors:", [(nb.level, nb.corner) for nb in dec.neighbors(c)])
+reach = 2 * c.side
+nearby = dec.enumerate_in_box([0.52 - reach], [0.52 + reach], c.level + 1)
+print("touching cubes:", [(nb.level, nb.corner) for nb in nearby if nb.touches(c)])
 
 ###############################################################################
 # The partition of unity

@@ -378,7 +378,11 @@ def _suite_partition(args):
             residual = max(residual, float(np.max(np.abs(coeffs))))
             if count <= 50:
                 home = dec.locate(x)
-                for c in dec.neighbors(home):
+                reach = 2.0 * home.side
+                nearby = dec.enumerate_in_box(
+                    np.subtract(x, reach), np.add(x, reach), home.level + 1
+                )
+                for c in nearby:
                     if not c.enlarged_contains(x):
                         series = pou.phi_cube(c, x, dec, 2)
                         if np.any(series.coeffs != 0.0):

@@ -14,8 +14,18 @@ Geometric consequences used elsewhere: touching cubes differ by at most
 one level, a cube's distance to A at level j >= 1 is below 10*sqrt(n)/2^j,
 and the enlarged boxes D_C (sup-norm radius (3/4) * side around the
 center) of two cubes overlap exactly when the cubes touch.
+
+Qualification is inherited downward: a child lies inside its parent, so
+it is no nearer A, while its threshold is half the parent's.  The
+qualifying cubes of an ancestor chain are thus all those from some level
+on, and a cube is in W exactly when it qualifies and its parent does not
+(distances are monotone rounded operations on exact dyadic bounds, so the
+computed verdicts inherit too).  A cube C of side s has x in D_C exactly
+when C meets the open box x ± s/4; such cubes touch the cube of W holding
+x, so they lie at most one level above or below it.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -240,45 +250,14 @@ class Decomposition:
         raise ResolutionExceeded(x, j_max)
 
     def in_family(self, cube):
-        """Membership test: the cube qualifies and is the first qualifying
-        cube on its own ancestor chain."""
-        for l in range(cube.level + 1):
-            anc = WhitneyCube(
-                l, tuple(z >> (cube.level - l) for z in cube.corner)
-            )
-            if self._qualifies(anc):
-                return l == cube.level
-        return False
-
-    def neighbors(self, cube):
-        """
-        All cubes of W touching the given cube, including the cube itself.
-        Touching members of W can only live one level up or down (side
-        ratios of touching cubes are 1/2, 1, or 2), so three levels are
-        scanned and every candidate is resolved through the membership
-        test.
-        """
-        out = []
-        lo, hi = cube.lo, cube.hi
-        for lv in range(max(0, cube.level - 1), cube.level + 2):
-            ranges = []
-            for i in range(self.n):
-                shift = lv - cube.level
-                if shift >= 0:
-                    base = cube.corner[i] << shift
-                    span = 1 << shift
-                else:
-                    base = cube.corner[i] >> 1
-                    span = 1
-                ranges.append(range(base - 1, base + span + 1))
-            for corner in _iter_product(ranges):
-                cand = WhitneyCube(lv, corner)
-                if not cand.touches(cube):
-                    continue
-                if self.in_family(cand):
-                    out.append(cand)
-        out.sort()
-        return out
+        """Membership test: the cube qualifies and is at level 0 or its
+        parent does not qualify (see the module docstring)."""
+        if not self._qualifies(cube):
+            return False
+        if cube.level == 0:
+            return True
+        parent = WhitneyCube(cube.level - 1, tuple(z >> 1 for z in cube.corner))
+        return not self._qualifies(parent)
 
     def anchor(self, cube):
         """A fixed nearest point of A to the cube's center (memoized;
@@ -290,12 +269,20 @@ class Decomposition:
 
     def supporting_cubes(self, x, j_max=None):
         """
-        All cubes of W whose enlarged box D_C contains x.  Any such cube
-        touches the cube containing x (overlapping D-boxes force touching
-        cubes), so the neighbor scan is exhaustive.
+        All cubes of W whose enlarged box D_C contains x, in (level, corner)
+        order: the cubes meeting the box x ± side/4 on the levels next to
+        the cube holding x, filtered by D_C and by membership.
         """
         home = self.locate(x, j_max)
-        return [c for c in self.neighbors(home) if c.enlarged_contains(x)]
+        out = []
+        for lv in range(max(0, home.level - 1), home.level + 2):
+            r = math.ldexp(0.25, -lv)
+            window = _window([xi - r for xi in x], [xi + r for xi in x], lv)
+            for corner in itertools.product(*window):
+                cube = WhitneyCube(lv, corner)
+                if cube.enlarged_contains(x) and self.in_family(cube):
+                    out.append(cube)
+        return out
 
     def enumerate_in_box(self, lo, hi, max_level):
         """
@@ -304,46 +291,27 @@ class Decomposition:
         tree: a qualifying cube is emitted and not refined; anything still
         unqualified at max_level is dropped.
         """
-        lo = tuple(float(v) for v in lo)
-        hi = tuple(float(v) for v in hi)
         out = []
-        roots = []
-        ranges = [
-            range(math.floor(l) - 1, math.floor(h) + 2) for l, h in zip(lo, hi)
-        ]
-        for corner in _iter_product(ranges):
-            cube = WhitneyCube(0, corner)
-            if _box_overlap(cube.lo, cube.hi, lo, hi):
-                roots.append(cube)
-        stack = list(reversed(roots))
+        stack = [WhitneyCube(0, z) for z in itertools.product(*_window(lo, hi, 0))]
         while stack:
             cube = stack.pop()
             if self._qualifies(cube):
                 out.append(cube)
-                continue
-            if cube.level >= max_level:
-                continue
-            children = []
-            for corner in _iter_product(
-                [range(2 * z, 2 * z + 2) for z in cube.corner]
-            ):
-                child = WhitneyCube(cube.level + 1, corner)
-                if _box_overlap(child.lo, child.hi, lo, hi):
-                    children.append(child)
-            stack.extend(reversed(children))
+            elif cube.level < max_level:
+                lv = cube.level + 1
+                kids = [
+                    range(max(2 * z, w.start), min(2 * z + 2, w.stop))
+                    for z, w in zip(cube.corner, _window(lo, hi, lv))
+                ]
+                stack.extend(WhitneyCube(lv, z) for z in itertools.product(*kids))
         out.sort()
         return out
 
 
-def _box_overlap(lo1, hi1, lo2, hi2):
-    return all(l1 <= h2 and l2 <= h1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
-
-
-def _iter_product(ranges):
-    """Cartesian product of integer ranges as tuples, lexicographic order."""
-    if not ranges:
-        yield ()
-        return
-    for first in ranges[0]:
-        for rest in _iter_product(ranges[1:]):
-            yield (first,) + rest
+def _window(lo, hi, level):
+    """Per axis, the corners z of the level's dyadic cubes that meet the
+    closed box [lo, hi]: z <= hi/side and z + 1 >= lo/side."""
+    return [
+        range(math.ceil(math.ldexp(l, level)) - 1, math.floor(math.ldexp(h, level)) + 1)
+        for l, h in zip(lo, hi)
+    ]

@@ -168,7 +168,11 @@ def test_partition_of_unity_sums_to_one():
         # nearby family cube whose enlargement misses x is identically zero
         for x in accepted[:50]:
             loc = dec.locate(x)
-            for cube in dec.neighbors(loc):
+            reach = 2.0 * loc.side
+            nearby = dec.enumerate_in_box(
+                np.subtract(x, reach), np.add(x, reach), loc.level + 1
+            )
+            for cube in nearby:
                 if cube.enlarged_contains(x):
                     continue
                 phi = pou.phi_cube(cube, x, dec, k)

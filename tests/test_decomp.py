@@ -88,18 +88,6 @@ def test_locate_maximality():
             assert dec.cube_distance(anc) < dec.threshold(j)
 
 
-def test_neighbors_of_far_cube():
-    dec = decomp.Decomposition(A0)
-    c = dec.locate((4.5,))
-    ns = dec.neighbors(c)
-    keys = {(n.level, n.corner) for n in ns}
-    assert (0, (4,)) in keys        # the cube itself
-    assert (0, (5,)) in keys        # right neighbor
-    assert any(n.lo[0] <= 4.0 <= n.hi[0] for n in ns if n.corner != (4,))
-    for n in ns:
-        assert n.touches(c)
-
-
 def test_neighbor_count_bounded_1d():
     dec = decomp.Decomposition(A0)
     rng = np.random.default_rng(3)
@@ -107,8 +95,8 @@ def test_neighbor_count_bounded_1d():
     for x in rng.uniform(-20, 20, size=300):
         if abs(x) < 1e-6:
             continue
-        worst = max(worst, len(dec.neighbors(dec.locate((float(x),)))))
-    assert worst <= 6
+        worst = max(worst, len(dec.supporting_cubes((float(x),))))
+    assert worst <= 3 * 2**1
 
 
 def test_anchor_single_candidate():
@@ -157,6 +145,36 @@ def test_supporting_cubes_never_empty_and_contain_x():
             assert c.enlarged_contains((float(x),))
 
 
+def _supporting_by_enumeration(dec, x, reach, max_level):
+    """Family cubes meeting the box x ± reach, up to max_level, whose
+    enlarged box holds x."""
+    lo = [xi - reach for xi in x]
+    hi = [xi + reach for xi in x]
+    return {
+        (c.level, c.corner)
+        for c in dec.enumerate_in_box(lo, hi, max_level)
+        if c.enlarged_contains(x)
+    }
+
+
+def _near_set_queries(A, rng, count):
+    """Points 1e-9 .. 1e-3 away from A, off A."""
+    out = []
+    while len(out) < count:
+        if isinstance(A, decomp.FinitePoints):
+            base = A.points[rng.integers(len(A.points))]
+        else:
+            box = A.boxes[rng.integers(len(A.boxes))]
+            base = rng.uniform(box[:, 0], box[:, 1])
+            axis = rng.integers(A.n)
+            base[axis] = box[axis, rng.integers(2)]  # a point on a face
+        u = rng.normal(size=A.n)
+        x = tuple(float(v) for v in base + 10.0 ** rng.uniform(-9, -3) * u / np.linalg.norm(u))
+        if A.distance(x) > 0.0:
+            out.append(x)
+    return out
+
+
 def test_supporting_cubes_match_brute_force():
     pts = decomp.make_closed_set(points=[[0.0, 0.0], [2.0, 1.0]])
     dec = decomp.Decomposition(pts)
@@ -168,14 +186,65 @@ def test_supporting_cubes_match_brute_force():
             continue
         checked += 1
         fast = {(c.level, c.corner) for c in dec.supporting_cubes(x)}
-        slow = set()
         # any cube whose enlarged box reaches x lies within 1.25 sides of it
-        lo = [xi - 1.5 for xi in x]
-        hi = [xi + 1.5 for xi in x]
-        for c in dec.enumerate_in_box(lo, hi, 14):
-            if c.enlarged_contains(x):
-                slow.add((c.level, c.corner))
-        assert fast == slow, x
+        assert fast == _supporting_by_enumeration(dec, x, 1.5, 14), x
+    # Near A, a cube C with x in D_C meets the box x ± side_C / 4, so the box
+    # x ± 2 side around the home cube meets every such C from three levels
+    # coarser than the home cube down to the enumeration's finest level.
+    fixtures = [
+        pts,
+        decomp.make_closed_set(points=rng.uniform(-1.0, 1.0, size=(5, 3))),
+        decomp.make_closed_set(
+            boxes=[[[-1.0, 0.0], [-1.0, 0.0]], [[0.5, 1.5], [-0.25, 0.75]]]
+        ),
+    ]
+    for A in fixtures:
+        dec = decomp.Decomposition(A)
+        for x in _near_set_queries(A, rng, 40):
+            home = dec.locate(x)
+            fast = dec.supporting_cubes(x)
+            assert fast == sorted(fast)
+            slow = _supporting_by_enumeration(dec, x, 2.0 * home.side, home.level + 2)
+            assert {(c.level, c.corner) for c in fast} == slow, x
+
+
+def _in_family_by_ancestors(dec, cube):
+    """The definition of W: the cube is the first qualifying cube on its own
+    ancestor chain."""
+    for l in range(cube.level + 1):
+        anc = decomp.WhitneyCube(l, tuple(z >> (cube.level - l) for z in cube.corner))
+        if dec.cube_distance(anc) >= dec.threshold(l):
+            return l == cube.level
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_in_family_matches_ancestor_walk(n):
+    rng = np.random.default_rng(100 + n)
+    fixtures = [
+        decomp.make_closed_set(points=rng.uniform(-1.0, 1.0, size=(6, n))),
+        decomp.make_closed_set(
+            boxes=[[[-1.0, 0.0]] * n, [[0.5, 1.5]] + [[-0.25, 0.75]] * (n - 1)]
+        ),
+    ]
+    for A in fixtures:
+        dec = decomp.Decomposition(A)
+        far = [tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n)) for _ in range(20)]
+        queries = [x for x in far if A.distance(x) > 0.0] + _near_set_queries(A, rng, 20)
+        members = 0
+        for x in queries:
+            home = dec.locate(x)
+            for lv in range(max(0, home.level - 2), home.level + 3):
+                for _ in range(6):
+                    corner = tuple(
+                        math.floor(math.ldexp(xi, lv)) + int(o)
+                        for xi, o in zip(x, rng.integers(-2, 3, size=n))
+                    )
+                    cube = decomp.WhitneyCube(lv, corner)
+                    expected = _in_family_by_ancestors(dec, cube)
+                    assert dec.in_family(cube) == expected, (x, cube)
+                    members += expected
+        assert members > 0
 
 
 def test_geometry_invariants_on_enumeration():

@@ -161,7 +161,8 @@ def test_phi_zero_outside_enlarged_cube():
     dec = decomp.Decomposition(decomp.make_closed_set(points=[[0.0]]))
     x = (3.3,)
     home = dec.locate(x)
-    for c in dec.neighbors(home):
+    reach = 2.0 * home.side
+    for c in dec.enumerate_in_box(np.subtract(x, reach), np.add(x, reach), home.level + 1):
         if not c.enlarged_contains(x):
             s = pou.phi_cube(c, x, dec, 3)
             assert np.all(s.coeffs == 0.0)
