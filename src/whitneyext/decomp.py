@@ -62,6 +62,9 @@ class FinitePoints:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             raise ValueError("closed set must be non-empty")
+        if not np.all(np.isfinite(pts)):
+            p = pts[~np.all(np.isfinite(pts), axis=1)][0]
+            raise ValueError(f"point {tuple(p.tolist())} of the closed set is not finite")
         self.points = pts
         self.n = pts.shape[1]
 

@@ -51,7 +51,7 @@ class SemanticError(ExprError):
 
 class DomainError(ExprError):
     """Evaluation left the domain: division by zero, ln of a non-positive
-    value, sqrt of a negative value."""
+    value, sqrt of a negative value, a result too large for a float."""
 
 
 # -- AST ------------------------------------------------------------------
@@ -296,7 +296,11 @@ def eval_real(e, x):
     if isinstance(e, Neg):
         return -eval_real(e.arg, x)
     if isinstance(e, Pow):
-        return eval_real(e.base, x) ** e.exponent
+        b = eval_real(e.base, x)
+        try:
+            return b ** e.exponent
+        except OverflowError:
+            raise DomainError(f"{b}^{e.exponent} overflows") from None
     if isinstance(e, Bin):
         a = eval_real(e.left, x)
         b = eval_real(e.right, x)
@@ -312,7 +316,10 @@ def eval_real(e, x):
     if isinstance(e, Call):
         v = eval_real(e.arg, x)
         if e.name == "exp":
-            return math.exp(v)
+            try:
+                return math.exp(v)
+            except OverflowError:
+                raise DomainError(f"exp of {v} overflows") from None
         if e.name == "sin":
             return math.sin(v)
         if e.name == "cos":

@@ -20,9 +20,12 @@ point x comes from the shift identity
 
 which reads its coefficients straight off the jet (``jets.Jet.taylor_series``;
 its row 0 is the value the float path blends).  Each φ_C comes from
-``pou``, and the products are truncated series products.  On A the
-derivatives are read from the jet, which the theorem guarantees is the
-restriction of F.
+``pou``, and the products are truncated series products.  As Σ_C φ_C = 1,
+the sum is formed as T_{C₀} + Σ_C φ_C·(T_C − T_{C₀}), C₀ the first cube:
+near A the derivatives of φ_C grow like side^−|α|, and so they multiply
+only differences of the polynomials, not a common part that would have to
+cancel in rounding.  On A the derivatives are read from the jet, which
+the theorem guarantees is the restriction of F.
 
 The adaptive variant assigns each cube a degree from a schedule of radii
 δ_1 > δ_2 > … (with δ_{i+1} < δ_i/2): the cube with center y_C uses the
@@ -148,12 +151,13 @@ class Extension:
             vals = self.jet.values[pid]
             return {a: vals[self.jet.pos[a]].copy() for a in indices}
         ctx = taylorarith.context(self.n, upto)
-        total = np.zeros((ctx.ncoef, self.m))
-        for cube, phi in pou.partition_taylor(x, self.dec, upto):
-            poly = self.jet.taylor_series(self._anchor_id(cube), self.k, x, upto)
+        parts = pou.partition_taylor(x, self.dec, upto)
+        polys = [self.jet.taylor_series(self._anchor_id(c), self.k, x, upto) for c, _ in parts]
+        total = polys[0].copy()  # T_{C₀} + Σ φ_C·(T_C − T_{C₀}), see the module docstring
+        for (_, phi), poly in zip(parts[1:], polys[1:]):
+            diff = poly - polys[0]
             for c in range(self.m):
-                col = taylorarith.TaylorValue(ctx, poly[:, c])
-                total[:, c] += (phi * col).coeffs
+                total[:, c] += (phi * taylorarith.TaylorValue(ctx, diff[:, c])).coeffs
         ders = total * ctx.factorials[:, None]
         return {a: ders[i].copy() for i, a in enumerate(indices)}
 

@@ -62,6 +62,8 @@ class Jet:
         for pid, x in self.coords.items():
             if len(x) != n:
                 raise ValueError(f"point {pid} has dimension {len(x)}, expected {n}")
+            if not all(math.isfinite(c) for c in x):
+                raise ValueError(f"point {pid} has non-finite coordinates {x}")
             if x in seen:
                 raise ValueError(f"point coordinates {x} appear twice")
             seen.add(x)
@@ -75,6 +77,8 @@ class Jet:
                 raise ValueError(
                     f"values for point {pid} have shape {arr.shape}, expected {(ncoef, m)}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"values for point {pid} are not all finite")
             self.values[pid] = arr
 
     # -- basic queries ----------------------------------------------------
@@ -110,10 +114,12 @@ class Jet:
             raise TypeError("f must be a VectorExpr; parse the components first")
         n = f.n
         values = {}
-        for pid, x in points:
-            tvs = f.eval_taylor(tuple(x), k)
-            cols = [tv.coeffs * tv.ctx.factorials for tv in tvs]
-            values[pid] = np.stack(cols, axis=1)
+        # series that overflow are rejected by the finiteness check of __init__
+        with np.errstate(over="ignore", invalid="ignore"):
+            for pid, x in points:
+                tvs = f.eval_taylor(tuple(x), k)
+                cols = [tv.coeffs * tv.ctx.factorials for tv in tvs]
+                values[pid] = np.stack(cols, axis=1)
         return cls(n, k, f.m, points, values)
 
     # -- Taylor polynomial and remainder -----------------------------------

@@ -274,7 +274,10 @@ def _compose_univariate(outer_coeffs, a):
 
 
 def exp(a):
-    e0 = math.exp(a.const)
+    try:
+        e0 = math.exp(a.const)
+    except OverflowError:
+        raise SeriesDomainError(f"exp of {a.const} overflows") from None
     c = [e0 / math.factorial(i) for i in range(a.k + 1)]
     return _compose_univariate(c, a)
 

@@ -201,6 +201,44 @@ def test_decompose_non_finite_grid(setfile, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+_UNREPRESENTABLE_JETS = {
+    "nan-value": (
+        '{"dim": 1, "order": 1, "outdim": 1, "points": ['
+        '{"id": "a", "x": [0.0], "values": {"[0]": [NaN], "[1]": [1.0]}},'
+        '{"id": "b", "x": [1.0], "values": {"[0]": [1.0], "[1]": [1.0]}}]}',
+        "error: values for point a are not all finite\n",
+    ),
+    "infinite-coordinate": (
+        '{"dim": 1, "order": 1, "outdim": 1, "points": ['
+        '{"id": "a", "x": [Infinity], "values": {"[0]": [0.0], "[1]": [1.0]}},'
+        '{"id": "b", "x": [1.0], "values": {"[0]": [1.0], "[1]": [1.0]}}]}',
+        "error: point a has non-finite coordinates (inf,)\n",
+    ),
+    "overflowing-induced-power": (
+        '{"dim": 1, "order": 2, "induce": {"expr": ["x0^400"],'
+        ' "points": [{"id": "a", "x": [10.0]}]}}',
+        "error: values for point a are not all finite\n",
+    ),
+    "overflowing-induced-exp": (
+        '{"dim": 1, "order": 2, "induce": {"expr": ["exp(x0*1000)"],'
+        ' "points": [{"id": "a", "x": [1.0]}]}}',
+        "error: exp of 1000.0 overflows\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREPRESENTABLE_JETS))
+def test_extend_rejects_unrepresentable_jet(case, tmp_path, capsys):
+    # NaN or infinite numbers in a jet file, or an induced jet whose
+    # expression overflows: exit 2 with one error line, no traceback
+    text, message = _UNREPRESENTABLE_JETS[case]
+    p = tmp_path / "jet.json"
+    p.write_text(text)
+    rc = run(["extend", "--input", str(p), "--grid=0.5:2:0.5"])
+    assert rc == 2
+    assert capsys.readouterr().err == message
+
+
 def test_extend_determinism(jetfile, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -19,6 +19,12 @@ def test_make_closed_set_exactly_one_kind():
         decomp.make_closed_set(points=[[0.0]], boxes=[[[0.0, 1.0]]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_finite_points_reject_non_finite_point(bad):
+    with pytest.raises(ValueError, match=r"point \(1\.0, (nan|inf)\) .* not finite"):
+        decomp.FinitePoints([[0.0, 0.0], [1.0, bad]])
+
+
 def test_distance_point_set():
     assert A0.distance((3.0,)) == 3.0
     two = decomp.make_closed_set(points=[[0.0, 0.0], [3.0, 4.0]])

@@ -69,6 +69,12 @@ def test_domain_errors():
         el.eval_real(el.parse("1/x0", 1), (0.0,))
     with pytest.raises(el.DomainError):
         el.eval_real(el.parse("ln(x0)", 1), (-1.0,))
+    # results too large for a float
+    for src in ("exp(x0*1000)", "x0^400"):
+        with pytest.raises(el.DomainError, match="overflows"):
+            el.eval_real(el.parse(src, 1), (10.0,))
+    with pytest.raises(el.DomainError, match="overflows"):
+        el.eval_taylor(el.parse("exp(x0*1000)", 1), (10.0,), 2)
 
 
 def test_eval_taylor_x_squared():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from whitneyext import decomp, extend, jets
+from whitneyext import decomp, extend, jets, pou, taylorarith
 from whitneyext import exprlang as el
 from whitneyext import multiindex as mi
 
@@ -262,3 +262,59 @@ def test_non_finite_query_is_a_clear_value_error(bad):
     for evaluate in (F.eval, F.eval_derivs, F.eval_adaptive):
         with pytest.raises(ValueError, match="not finite"):
             evaluate((0.5, bad))
+
+
+def _random_poly(rng, n, deg):
+    terms = [f"{rng.uniform(-2, 2):.6f}"]
+    for alpha in np.ndindex(*([deg + 1] * n)):
+        if 0 < sum(alpha) <= deg:
+            mono = "*".join(f"x{i}^{a}" for i, a in enumerate(alpha) if a)
+            terms.append(f"{rng.uniform(-2, 2):.6f}*{mono}")
+    return " + ".join(terms)
+
+
+def _bump_maxima(k):
+    """S_j: the largest |s^(i)| over i <= j of the cut-off profile, sampled
+    across its transition band 1/2 < t < 3/4."""
+    peak = np.zeros(k + 1)
+    peak[0] = 1.0
+    for t in np.linspace(0.5, 0.75, 402)[1:-1]:
+        s = pou.bump_taylor(taylorarith.seed_variable((float(t),), 0, 1, k))
+        peak = np.maximum(peak, np.abs(taylorarith.derivatives(s)))
+    return np.maximum.accumulate(peak)
+
+
+@pytest.mark.parametrize("n, k, npts, queries", [(2, 3, 8, 150), (3, 4, 6, 60)])
+def test_derivs_near_set_scale_aware(n, k, npts, queries):
+    # A jet induced by polynomials of degree <= k is reproduced exactly, so
+    # every error is rounding.  The order-j derivatives of phi_C reach
+    # S_j / side^j, which gives the bound C * eps * M * S_j / side^j at
+    # orders >= 1 (M the largest exact derivative at x, side that of the
+    # home cube).  Measured on both shapes, seeds 1..5, 1000 / 300 queries
+    # each: within 1e-2 of A, where the supporting cubes share their anchor,
+    # the worst ratio is 4.0e-5 (summing phi_C * T_C directly: 0.069 .. 1.24);
+    # over all queries, where the rounding of T_C - T_C0 between two anchors
+    # is what the phi_C derivatives amplify, it is 0.39.
+    rng = np.random.default_rng(1)
+    f = el.VectorExpr.parse([_random_poly(rng, n, k), _random_poly(rng, n, k - 1)], n)
+    pts = rng.uniform(-1.0, 1.0, size=(npts, n))
+    ext = extend.Extension(jets.Jet.from_expr(f, [(f"p{i}", tuple(p)) for i, p in enumerate(pts)], k))
+    indices = mi.enumerate_upto(n, k)
+    orders = np.array([sum(a) for a in indices])
+    scale = np.finfo(float).eps * _bump_maxima(k)[orders][:, None]
+    worst_near = worst = 0.0
+    for _ in range(queries):
+        u = rng.normal(size=n)
+        x = pts[rng.integers(npts)] + 10.0 ** rng.uniform(-6, 0) * u / np.linalg.norm(u)
+        x = tuple(float(v) for v in x)
+        got = ext.eval_derivs(x)
+        want = np.stack([tv.coeffs * tv.ctx.factorials for tv in f.eval_taylor(x, k)], axis=1)
+        side = ext.dec.locate(x).side
+        bound = scale * float(np.max(np.abs(want))) / side ** orders[:, None]
+        ratio = np.abs(np.array([got[a] for a in indices]) - want) / bound
+        r = float(ratio[orders >= 1].max())
+        worst = max(worst, r)
+        if ext.A.distance(x) < 1e-2:
+            worst_near = max(worst_near, r)
+    assert worst_near < 1e-3, worst_near
+    assert worst < 1.0, worst

@@ -1,0 +1,230 @@
+"""
+Run one fixed list of CLI invocations against two source trees and compare
+what they print.
+
+    python tools/cli_compare.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold the ``whitneyext`` package
+(the ``src/`` of two checkouts).  The script writes its own fixtures to a
+temporary directory and runs every invocation there in two fresh
+interpreters side by side, one with each tree on PYTHONPATH.  The list
+covers decompose; extend with values, ``--k``, ``--schedule`` and
+``--derivs`` at n = 1, 2, 3; check-jet; fdb; pullback; manifold-extend
+``--derivs``; and every verify suite.  ``verify --suite lemma-l`` alone
+takes about two minutes.
+
+For each invocation it prints "identical" when exit status, stdout and
+stderr agree byte for byte.  Otherwise it lists the differing fields: CSV
+cells by row and column, other output by line, each with its relative
+change.  The exit status is 1 if any invocation differs, else 0.
+"""
+
+import csv
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+JETS = {
+    "jet1.json": {
+        "dim": 1,
+        "order": 2,
+        "induce": {
+            "expr": ["exp(x0)"],
+            "points": [{"id": "a", "x": [-1.0]}, {"id": "b", "x": [0.0]}, {"id": "c", "x": [1.0]}],
+        },
+    },
+    "jet2.json": {
+        "dim": 2,
+        "order": 3,
+        "induce": {
+            "expr": ["sin(x0)*cos(x1)", "x0*x1^2"],
+            "points": [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]],
+        },
+    },
+    "jet3.json": {
+        "dim": 3,
+        "order": 4,
+        "induce": {
+            "expr": ["exp(x0)*x1 + x2^2", "cos(x2)"],
+            "points": [[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [-0.5, 1.0, 0.25], [0.3, -0.7, 0.9]],
+        },
+    },
+}
+
+FIXTURES = {
+    "set1.json": {"dim": 1, "points": [[0.0]]},
+    "set2.json": {"dim": 2, "boxes": [[[-1.0, 0.0], [-1.0, 0.0]], [[0.5, 1.5], [0.25, 0.75]]]},
+    **JETS,
+    "bundle.json": {
+        "map": {"from_dim": 2, "expr": ["x0 + x1^2", "x1/2"]},
+        "jet": JETS["jet2.json"],
+        "points": [{"id": "b0", "x": [0.0, 0.0]}, {"id": "b1", "x": [0.0, 1.0]}, {"id": "b2", "x": [-4.5, 2.0]}],
+    },
+    "atlas.json": {
+        "dim": 1,
+        "charts": [{"id": "u", "codomain": "all"}, {"id": "v", "codomain": "all"}],
+        "transitions": [
+            {"from": "u", "to": "v", "map": ["2*x0"]},
+            {"from": "v", "to": "u", "map": ["x0/2"]},
+        ],
+        "jets": [
+            {
+                "chart": "u",
+                "points": [
+                    {"id": "p", "x": [0.5], "values": {"[0]": [0.25], "[1]": [1.0], "[2]": [2.0]}},
+                    {"id": "q", "x": [-1.0], "values": {"[0]": [1.0], "[1]": [-2.0], "[2]": [2.0]}},
+                ],
+            }
+        ],
+        "pou": [{"chart": "u", "h": ["1"]}],
+    },
+}
+
+INVOCATIONS = [
+    ("decompose 1-D", ["decompose", "--input", "set1.json", "--grid=-3:9", "--max-level", "5"]),
+    ("decompose 2-D boxes", ["decompose", "--input", "set2.json", "--grid=-2:2,-2:2", "--max-level", "4"]),
+    ("extend 1-D values", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37"]),
+    ("extend 1-D --k 0", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37", "--k", "0"]),
+    ("extend 1-D --schedule", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37", "--schedule", "2,0.5"]),
+    ("extend 1-D --derivs", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37", "--derivs", "(1) (2)"]),
+    ("extend 2-D values", ["extend", "--input", "jet2.json", "--grid=-1:1.5:0.31,-0.5:1.5:0.29"]),
+    ("extend 2-D --k 1", ["extend", "--input", "jet2.json", "--grid=-1:1.5:0.31,-0.5:1.5:0.29", "--k", "1"]),
+    ("extend 2-D --schedule", ["extend", "--input", "jet2.json", "--grid=-1:1.5:0.31,-0.5:1.5:0.29", "--schedule", "4,1,0.3"]),
+    (
+        "extend 2-D --derivs",
+        ["extend", "--input", "jet2.json", "--grid=-1:1.5:0.31,-0.5:1.5:0.29", "--derivs", "(1,0) (0,1) (1,1) (0,3)"],
+    ),
+    ("extend 3-D values", ["extend", "--input", "jet3.json", "--grid=-1:1:0.45,-1:1:0.45,-0.5:1:0.55"]),
+    ("extend 3-D --k 2", ["extend", "--input", "jet3.json", "--grid=-1:1:0.45,-1:1:0.45,-0.5:1:0.55", "--k", "2"]),
+    (
+        "extend 3-D --schedule",
+        ["extend", "--input", "jet3.json", "--grid=-1:1:0.45,-1:1:0.45,-0.5:1:0.55", "--schedule", "4,1.5,0.5"],
+    ),
+    (
+        "extend 3-D --derivs",
+        [
+            "extend", "--input", "jet3.json", "--grid=-1:1:0.45,-1:1:0.45,-0.5:1:0.55",
+            "--derivs", "(1,0,0) (0,1,1) (2,1,1)",
+        ],
+    ),
+    ("check-jet", ["check-jet", "--input", "jet2.json"]),
+    ("fdb", ["fdb", "--alpha", "(2,1)", "--target-dim", "2"]),
+    ("pullback", ["pullback", "--input", "bundle.json"]),
+    (
+        "manifold-extend --derivs",
+        ["manifold-extend", "--input", "atlas.json", "--chart", "v", "--grid=-3:2:0.35", "--derivs", "(1) (2)"],
+    ),
+    ("verify partition", ["verify", "--suite", "partition"]),
+    ("verify lemma-l", ["verify", "--suite", "lemma-l"]),
+    ("verify extension", ["verify", "--suite", "extension"]),
+    ("verify linearity", ["verify", "--suite", "linearity"]),
+    ("verify correspondence", ["verify", "--suite", "correspondence"]),
+]
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
+
+
+def run_both(sources, argv, cwd):
+    """(exit status, stdout, stderr) of one invocation under each source
+    tree; the two interpreters run side by side."""
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "whitneyext.cli", *argv],
+            cwd=cwd,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        for src in sources
+    ]
+    results = []
+    for proc in procs:
+        out, err = proc.communicate()
+        results.append((proc.returncode, out.decode(), err.decode()))
+    return results
+
+
+def change(old, new):
+    """Relative change between two number strings, or '' when not numeric."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return ""
+    if a == 0.0:
+        return f"(abs {abs(b - a):.2g})"
+    return f"(rel {abs(b - a) / abs(a):.2g})"
+
+
+def csv_diffs(old, new):
+    """Differing CSV cells as (label, old, new), or None if not one table shape."""
+    a = list(csv.reader(old.splitlines()))
+    b = list(csv.reader(new.splitlines()))
+    if not a or len(a) != len(b) or a[0] != b[0] or len(a[0]) < 2:
+        return None
+    header = a[0]
+    if any(len(row) != len(header) for row in a + b):
+        return None
+    keys = [i for i, name in enumerate(header) if re.fullmatch(r"x\d+", name)] or [0, 1]
+    out = []
+    for ra, rb in zip(a[1:], b[1:]):
+        where = ",".join(f"{header[i]}={ra[i]}" for i in keys)
+        out += [(f"{where} {name}", x, y) for name, x, y in zip(header, ra, rb) if x != y]
+    return out
+
+
+def line_diffs(old, new):
+    """Differing numbers of lines that agree apart from them; other lines whole."""
+    a, b = old.splitlines(), new.splitlines()
+    out = []
+    if len(a) != len(b):
+        out.append((f"line count {len(a)} -> {len(b)}", "", ""))
+    for i, (x, y) in enumerate(zip(a, b), start=1):
+        if x == y:
+            continue
+        if NUMBER.sub("#", x) == NUMBER.sub("#", y):
+            nx, ny = NUMBER.findall(x), NUMBER.findall(y)
+            out += [(f"line {i} number {j}", p, q) for j, (p, q) in enumerate(zip(nx, ny), 1) if p != q]
+        else:
+            out.append((f"line {i}", x, y))
+    return out
+
+
+def main(argv):
+    if len(argv) != 3:
+        print("usage: python tools/cli_compare.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old_src, new_src = argv[1], argv[2]
+    for src in (old_src, new_src):
+        if not os.path.isfile(os.path.join(src, "whitneyext", "cli.py")):
+            print(f"error: {src} holds no whitneyext package", file=sys.stderr)
+            return 2
+    differ = 0
+    with tempfile.TemporaryDirectory() as work:
+        for name, doc in FIXTURES.items():
+            with open(os.path.join(work, name), "w") as fh:
+                json.dump(doc, fh)
+        for label, cmd in INVOCATIONS:
+            old, new = run_both((old_src, new_src), cmd, work)
+            if old == new:
+                print(f"{label}: identical (exit {old[0]})")
+                continue
+            differ += 1
+            print(f"{label}: DIFFERENT")
+            if old[0] != new[0]:
+                print(f"    exit status {old[0]} -> {new[0]}")
+            if old[2] != new[2]:
+                print(f"    stderr {old[2].strip()[-200:]!r} -> {new[2].strip()[-200:]!r}")
+            fields = csv_diffs(old[1], new[1])
+            if fields is None:
+                fields = line_diffs(old[1], new[1])
+            for where, x, y in fields:
+                print(f"    {where}: {x} -> {y} {change(x, y)}".rstrip())
+    print(f"{len(INVOCATIONS) - differ} of {len(INVOCATIONS)} invocations identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
