@@ -3,9 +3,11 @@ Higher-order chain rule and jet pullback
 ========================================
 
 Derivatives of a composition f(g(x)) expand into sums over set partitions.
-The same combinatorics lets a jet be pulled back along a smooth map: the
-derivative data of f o g at a point is computed from the data of f at the
-image point, without ever forming the composition.
+A jet can also be pulled back along a smooth map: the derivative data of
+f o g at a point is computed from the data of f at the image point, without
+ever forming the composition.  The pullback composes the jet's Taylor
+polynomial at the image point with the series of g, which the partition
+tables confirm.
 """
 
 import numpy as np
@@ -46,8 +48,9 @@ print("substituted:", want)
 ###############################################################################
 # Pulling back a jet
 # ------------------
-# A jet of F on image points becomes a jet of F o g on source points.  The
-# pullback along the identity is the identity, and pullbacks compose.
+# A jet of F on image points becomes a jet of F o g on source points, by
+# truncated Taylor composition.  The pullback along the identity is the
+# identity, and pullbacks compose.
 
 F = el.VectorExpr.parse(["exp(x0)*x1"], 2)
 gmap = el.VectorExpr.parse(["2*x0", "x0^2"], 1)

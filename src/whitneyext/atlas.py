@@ -379,35 +379,34 @@ class ManifoldExtension:
                     raise ValueError(f"bump for chart {cid!r} must be scalar")
                 h = h.exprs[0]
             ext = extend.Extension(aj.jets[cid], k=self.k, j_max=j_max)
-            self.pieces.append((str(cid), h, ext))
+            self.pieces.append((str(cid), h, ext, ext.jet.point_array()))
         if not self.pieces:
             raise ValueError("empty partition of unity")
         self._check_partition(tol)
 
-    def _chart_point(self, frm, x, cid, ext):
+    def _chart_point(self, frm, x, cid, ext, points):
         """
         Chart-cid coordinates of the point with frm-coordinates x, snapped
-        to a stored jet point when within matching tolerance, or None when
-        the point leaves the overlap.  Snapping keeps transition rounding
-        from stranding queries just off the anchor set.
+        to the first stored jet point (rows of `points`, in jet order)
+        within matching tolerance, or None when the point leaves the
+        overlap.  Snapping keeps transition rounding from stranding queries
+        just off the anchor set.
         """
         if not self.atlas.has_transition(frm, cid):
             return None
         y = self.atlas.map_point(frm, cid, x) if frm != cid else tuple(x)
         if not self.atlas.chart(cid).contains(y):
             return None
-        ya = np.asarray(y)
-        for pid in ext.jet.ids:
-            q = ext.jet.coords[pid]
-            if float(np.max(np.abs(np.asarray(q) - ya))) <= _SLACK:
-                return q
+        near = np.flatnonzero(np.max(np.abs(points - np.asarray(y)), axis=1) <= _SLACK)
+        if near.size:
+            return ext.jet.coords[ext.jet.ids[near[0]]]
         return y
 
     def _check_partition(self, tol):
         for pid in self.aj.point_ids():
             total = 0.0
             anywhere = False
-            for cid, h, _ in self.pieces:
+            for cid, h, _, _ in self.pieces:
                 x = self.aj.coords_in_chart(self.atlas, pid, cid)
                 if x is None:
                     continue
@@ -422,8 +421,8 @@ class ManifoldExtension:
         """F at the point with the given chart coordinates, as an (m,) array."""
         x = tuple(float(c) for c in x)
         out = np.zeros(self.m)
-        for cid, h, ext in self.pieces:
-            y = self._chart_point(chart, x, cid, ext)
+        for cid, h, ext, points in self.pieces:
+            y = self._chart_point(chart, x, cid, ext, points)
             if y is None:
                 continue
             w = exprlang.eval_real(h, y)
@@ -445,8 +444,8 @@ class ManifoldExtension:
         ctx = taylorarith.context(self.n, upto)
         seeds = taylorarith.seeds(x, upto)
         total = np.zeros((ctx.ncoef, self.m))
-        for cid, h, ext in self.pieces:
-            y = self._chart_point(chart, x, cid, ext)
+        for cid, h, ext, points in self.pieces:
+            y = self._chart_point(chart, x, cid, ext, points)
             if y is None:
                 continue
             tau = self.atlas.transition(chart, cid).eval_taylor_env(seeds)

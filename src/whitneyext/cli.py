@@ -430,11 +430,15 @@ def _suite_lemma_l(args):
                 for c in cubes
                 if c.level >= 1
             )
+            # all pairs, vectorized over the exact dyadic corners; touching is
+            # closed-box intersection, as in WhitneyCube.touches
+            los = np.array([c.lo for c in cubes])
+            his = np.array([c.hi for c in cubes])
+            sides = np.array([c.side for c in cubes])
             ratios = set()
-            for i, c in enumerate(cubes):
-                for d in cubes[i + 1 :]:
-                    if c.touches(d):
-                        ratios.add(c.side / d.side)
+            for i in range(len(cubes) - 1):
+                touch = np.all((los[i] <= his[i + 1 :]) & (los[i + 1 :] <= his[i]), axis=1)
+                ratios.update((sides[i] / sides[i + 1 :][touch]).tolist())
             ratio_ok = ratios <= {0.5, 1.0, 2.0}
             dstar_ok = True
             for c in cubes:
@@ -445,6 +449,8 @@ def _suite_lemma_l(args):
                     )
                     if A.distance(y) >= 14.0 * math.sqrt(n) * c.side:
                         dstar_ok = False
+            centers = np.array([c.center for c in cubes])
+            radii = 0.75 * sides[:, None]
             support_ok = True
             worst_count = 0
             tested = 0
@@ -454,7 +460,9 @@ def _suite_lemma_l(args):
                     continue
                 tested += 1
                 got = dec.supporting_cubes(x)
-                brute = [c for c in cubes if c.enlarged_contains(x)]
+                # every cube scanned; the D_C test of WhitneyCube.enlarged_contains
+                inside = np.all(np.abs(np.asarray(x) - centers) < radii, axis=1)
+                brute = [cubes[i] for i in np.flatnonzero(inside)]
                 if sorted(got) != sorted(brute):
                     support_ok = False
                 worst_count = max(worst_count, len(got))

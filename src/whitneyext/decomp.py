@@ -23,6 +23,10 @@ on, and a cube is in W exactly when it qualifies and its parent does not
 computed verdicts inherit too).  A cube C of side s has x in D_C exactly
 when C meets the open box x ± s/4; such cubes touch the cube of W holding
 x, so they lie at most one level above or below it.
+
+Coordinates of a point set and of queries must stay below MAX_COORD =
+2^500 in magnitude: distances are formed from squared differences, which
+then stay finite, and so do the dyadic corners of every level up to 520.
 """
 
 import itertools
@@ -30,6 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+MAX_COORD = math.ldexp(1.0, 500)
 
 
 class ResolutionExceeded(RuntimeError):
@@ -55,6 +61,16 @@ class OnSet(ValueError):
 # -- closed sets -----------------------------------------------------------
 
 
+def _check_query(x):
+    """Raise ValueError unless x is finite and within MAX_COORD."""
+    if not all(math.isfinite(xi) for xi in x):
+        raise ValueError(f"query point {tuple(x)} is not finite")
+    if max(abs(xi) for xi in x) >= MAX_COORD:
+        raise ValueError(
+            f"query point {tuple(x)} is too large: coordinates must stay below 2^500"
+        )
+
+
 class FinitePoints:
     """A finite point set with exact distance and nearest-point queries."""
 
@@ -65,10 +81,17 @@ class FinitePoints:
         if not np.all(np.isfinite(pts)):
             p = pts[~np.all(np.isfinite(pts), axis=1)][0]
             raise ValueError(f"point {tuple(p.tolist())} of the closed set is not finite")
+        big = np.any(np.abs(pts) >= MAX_COORD, axis=1)
+        if big.any():
+            raise ValueError(
+                f"point {tuple(pts[big][0].tolist())} of the closed set is too large: "
+                f"coordinates must stay below 2^500"
+            )
         self.points = pts
         self.n = pts.shape[1]
 
     def distance(self, x):
+        _check_query(x)
         return float(np.min(np.linalg.norm(self.points - np.asarray(x, float), axis=1)))
 
     def _contains(self, x):
@@ -105,6 +128,7 @@ class BoxUnion:
             raise ValueError("boxes have mixed dimensions")
 
     def distance(self, x):
+        _check_query(x)
         x = np.asarray(x, float)
         best = math.inf
         for b in self.boxes:
@@ -239,10 +263,10 @@ class Decomposition:
         [z/2^j, (z+1)/2^j): the dyadic ancestor of x at the smallest level
         whose distance to A meets the threshold.  Membership in A is decided
         exactly, so a query a subnormal distance away is not on the set.
+        A non-finite query, or one beyond MAX_COORD, is a ValueError.
         """
         j_max = self.j_max if j_max is None else j_max
-        if not all(math.isfinite(xi) for xi in x):
-            raise ValueError(f"query point {tuple(x)} is not finite")
+        _check_query(x)
         if self.A._contains(x):
             raise OnSet(x)
         for j in range(j_max + 1):
@@ -292,8 +316,11 @@ class Decomposition:
         All cubes of W intersecting the closed box [lo, hi], up to the given
         level, in deterministic (level, corner) order.  Descends the dyadic
         tree: a qualifying cube is emitted and not refined; anything still
-        unqualified at max_level is dropped.
+        unqualified at max_level is dropped.  A box corner beyond MAX_COORD
+        is a ValueError.
         """
+        _check_query(lo)
+        _check_query(hi)
         out = []
         stack = [WhitneyCube(0, z) for z in itertools.product(*_window(lo, hi, 0))]
         while stack:

@@ -17,13 +17,20 @@ whose component counts equal β; the factor x_{(I), i} stands for the
 partial ∂^γ g_i with γ_d = #{r ∈ I : j_r = d}.  By convention p_{0,0} = 1
 and p_{α,0} = 0 for α ≠ 0.
 
-Pulling a k-jet back along g applies the same sum with ∂^β f(g(x)) read
-from the stored jet values, giving a k-jet on the preimage points.  The
-pullback is linear in the jet and functorial: pulling back along g then h
-equals pulling back along h∘g.
+Pulling a k-jet back along g gives a k-jet on the preimage points.  It
+is computed as a truncated Taylor composition rather than from the
+tables: at each source point x the jet's Taylor polynomial at g(x) is
+composed with the series of g at x (:func:`jet_pullback`), one matrix
+product per point for all output components.  The pullback is linear in
+the jet and functorial: pulling back along g then h equals pulling back
+along h∘g.
 
-Tables are cached per (α, t); total orders are capped at |α| ≤ 8 because
-the number of set partitions grows with the Bell numbers.
+The tables remain the combinatorial object behind
+:func:`chain_derivative` and the ``fdb`` subcommand, and serve as the
+independent oracle for the pullback in the tests.  They are cached per
+(α, t); their total orders are capped at |α| ≤ 8 because the number of
+set partitions grows with the Bell numbers.  The pullback has no such
+cap.
 """
 
 import itertools
@@ -233,40 +240,37 @@ def jet_pullback(g, f, points, tol=1e-12):
 
     Each source point's image g(x) must match a stored point of f to
     within `tol` per coordinate (floating-point images rarely reproduce
-    stored coordinates bit-exactly); an unmatched image is an error.
-    The α-entry of the result at x is Σ_β p_{α,β}(∂g(x)) · f_β(g(x)).
+    stored coordinates bit-exactly); the nearest stored point is used and
+    an unmatched image is an error.
+
+    At x the jet's Taylor polynomial at y = g(x) is composed with the
+    series of g at x: with w = g(x + h) − y truncated at order k, the
+    Taylor coefficient of (f∘g) at α is Σ_β [h^α] w^β · f_β(y)/β!.  The
+    rows are one matrix product W · f(y) with W[α, β] = α!/β! · [h^α] w^β,
+    so an entry of W that is exactly 1 passes f_β through unrounded.
     """
     if g.m != f.n:
         raise ValueError(f"g maps into dimension {g.m}, jet lives in {f.n}")
     k = f.k
-    indices = multiindex.enumerate_upto(g.n, k)
-    stored = [(pid, np.array(f.coords[pid])) for pid in f.ids]
+    stored = f.point_array().reshape(len(f.ids), f.n)
+    fact = np.array([multiindex.factorial(b) for b in f.indices], dtype=float)
+    weights = taylorarith.context(g.n, k).factorials[:, None] / fact
     newpoints = []
     values = {}
     for pid, x in points:
         x = tuple(float(c) for c in x)
         newpoints.append((pid, x))
         gx = np.array(g.eval_real(x))
-        best, bid = None, None
-        for qid, q in stored:
-            d = float(np.max(np.abs(q - gx)))
-            if best is None or d < best:
-                best, bid = d, qid
+        dist = np.max(np.abs(stored - gx), axis=1)
+        best = float(dist.min()) if len(dist) else None
         if best is None or best > tol:
             raise ValueError(
                 f"image {tuple(float(c) for c in gx)} of point {pid!r} matches "
                 f"no stored point (closest at distance {best})"
             )
-        gderiv = _g_derivatives(g, x, k)
-        fvals = f.values[bid]
-        rows = []
-        for a in indices:
-            table = build_table(a, f.n)
-            row = np.zeros(f.m)
-            for beta in table.polys:
-                p = table.eval_poly(beta, gderiv)
-                if p != 0.0:
-                    row += p * fvals[f.pos[beta]]
-            rows.append(row)
-        values[pid] = np.stack(rows, axis=0)
+        bid = f.ids[int(np.argmin(dist))]
+        inners = [tv - tv.const for tv in g.eval_taylor(x, k)]
+        products = taylorarith.monomial_products(inners, k)
+        M = np.stack([products[b].coeffs for b in f.indices], axis=1)
+        values[pid] = (M * weights) @ f.values[bid]
     return jets.Jet(g.n, k, f.m, newpoints, values)

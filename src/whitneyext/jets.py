@@ -152,7 +152,13 @@ class Jet:
             raise ValueError(f"derivative order {upto} outside 0..{l}")
         ctx = taylorarith.context(self.n, l)
         h = tuple(xi - yi for xi, yi in zip(x, self.coords[y_id]))
-        mono = np.array([multiindex.monomial(h, g) for g in ctx.indices]) / ctx.factorials
+        try:
+            mono = np.array([multiindex.monomial(h, g) for g in ctx.indices]) / ctx.factorials
+        except OverflowError:
+            raise ValueError(
+                f"the order-{l} Taylor polynomial anchored at {self.coords[y_id]} "
+                f"overflows at {tuple(x)}"
+            ) from None
         rows = multiindex.count_upto(self.n, upto)
         p = int(np.searchsorted(ctx.pair_i, rows))  # the pairs with |b| <= upto
         terms = mono[ctx.pair_j[:p], None] * self.values[y_id][ctx.pair_t[:p]]

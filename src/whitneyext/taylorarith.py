@@ -358,6 +358,26 @@ def derivatives(a):
 # -- polynomial/composition helpers --------------------------------------
 
 
+_PRODUCT_STEPS = {}
+
+
+def _product_steps(s, degree):
+    """
+    For every multi-index a with 0 < |a| <= degree, in graded-lex order, the
+    step (a, parent, j): a is the parent times factor j, where j is a's first
+    nonzero entry.  Memoized per (s, degree).
+    """
+    key = (s, degree)
+    steps = _PRODUCT_STEPS.get(key)
+    if steps is None:
+        steps = []
+        for a in multiindex.enumerate_upto(s, degree)[1:]:
+            j = next(i for i, e in enumerate(a) if e > 0)
+            steps.append((a, tuple(e - 1 if i == j else e for i, e in enumerate(a)), j))
+        _PRODUCT_STEPS[key] = steps
+    return steps
+
+
 def monomial_products(factors, degree):
     """
     All truncated products factors[0]^a_0 * ... * factors[-1]^a_{s-1} for
@@ -370,12 +390,8 @@ def monomial_products(factors, degree):
     s = len(factors)
     ctx = factors[0].ctx
     table = {(0,) * s: constant(1.0, ctx.n, ctx.k)}
-    for a in multiindex.enumerate_upto(s, degree):
-        if a in table:
-            continue
-        j = next(i for i, e in enumerate(a) if e > 0)
-        prev = tuple(e - 1 if i == j else e for i, e in enumerate(a))
-        table[a] = mul(table[prev], factors[j])
+    for a, parent, j in _product_steps(s, degree):
+        table[a] = mul(table[parent], factors[j])
     return table
 
 

@@ -185,6 +185,35 @@ def test_extend_underflowing_distance_is_not_on_set(tmp_path, capsys):
     assert "no admissible cube" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["1e308:1e308:1", "-1e200:-1e200:1", "4e150:4e150:1"])
+def test_extend_huge_query_is_rejected(tmp_path, capsys, grid):
+    # finite, but beyond 2^500 = 3.27e150, where squared distances and the
+    # dyadic corners leave the float range: exit 2 with one error line
+    p = tmp_path / "jet0.json"
+    p.write_text(json.dumps({"dim": 1, "order": 2, "induce": {
+        "expr": ["exp(x0)"], "points": [{"id": "o", "x": [0.0]}]}}))
+    rc = run(["extend", "--input", str(p), f"--grid={grid}",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    x = float(grid.split(":")[0])
+    assert capsys.readouterr().err == (
+        f"error: query point ({x!r},) is too large: coordinates must stay below 2^500\n"
+    )
+
+
+def test_extend_overflowing_taylor_polynomial(tmp_path, capsys):
+    # (1e120)^3 overflows in the order-3 Taylor polynomial at the anchor 0
+    p = tmp_path / "jet0.json"
+    p.write_text(json.dumps({"dim": 1, "order": 3, "induce": {
+        "expr": ["exp(x0)"], "points": [{"id": "o", "x": [0.0]}]}}))
+    rc = run(["extend", "--input", str(p), "--grid=1e120:1e120:1",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: the order-3 Taylor polynomial anchored at (0.0,) overflows at (1e+120,)\n"
+    )
+
+
 @pytest.mark.parametrize("grid", ["0:inf:1", "nan:nan:1", "0:1:nan", "-inf:0:0.5"])
 def test_extend_non_finite_grid(jetfile, tmp_path, capsys, grid):
     rc = run(["extend", "--input", jetfile, f"--grid={grid}",
@@ -192,6 +221,14 @@ def test_extend_non_finite_grid(jetfile, tmp_path, capsys, grid):
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: grid group {grid!r} has a non-finite number\n"
+    )
+
+
+def test_decompose_huge_grid(setfile, capsys):
+    rc = run(["decompose", "--input", setfile, "--grid=1e308:1e308"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: query point (1e+308,) is too large: coordinates must stay below 2^500\n"
     )
 
 

@@ -1,6 +1,7 @@
 """Dyadic cube decomposition of the complement of a closed set."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,28 @@ def test_make_closed_set_exactly_one_kind():
 def test_finite_points_reject_non_finite_point(bad):
     with pytest.raises(ValueError, match=r"point \(1\.0, (nan|inf)\) .* not finite"):
         decomp.FinitePoints([[0.0, 0.0], [1.0, bad]])
+
+
+def test_huge_coordinates_are_rejected_without_warnings():
+    # at 2^500 and beyond, squared distances (and dyadic corners at 1e308)
+    # would overflow: a query or a point there is a ValueError, and no
+    # numpy overflow warning escapes on either side of the limit
+    dec = decomp.Decomposition(A0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e308, -1e200, decomp.MAX_COORD):
+            with pytest.raises(ValueError, match="too large"):
+                dec.locate((x,))
+            with pytest.raises(ValueError, match="too large"):
+                dec.supporting_cubes((x,))
+            with pytest.raises(ValueError, match="too large"):
+                A0.distance((x,))
+        with pytest.raises(ValueError, match=r"point \(1e\+200, 0\.0\) .* too large"):
+            decomp.FinitePoints([[0.0, 0.0], [1e200, 0.0]])
+        x = (0.9 * decomp.MAX_COORD,)
+        assert dec.locate(x).level == 0
+        assert dec.supporting_cubes(x)
+        assert A0.distance(x) == x[0]
 
 
 def test_distance_point_set():

@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from whitneyext import fdb, jets
+from whitneyext import fdb, jets, taylorarith
 from whitneyext import exprlang as el
 
 
@@ -258,6 +258,82 @@ def test_pullback_linear_in_jet():
     rhs = jets.linear_combination(2.0, ra, -0.5, rb)
     for pid in lhs.ids:
         assert np.allclose(lhs.values[pid], rhs.values[pid], rtol=0, atol=1e-12)
+
+
+def _random_map(rng, s, t, transcendental):
+    """t random components in s variables: polynomials of degree <= 3, or
+    sums of exp/sin/cos of linear forms with a polynomial term."""
+    comps = []
+    for _ in range(t):
+        terms = [f"{rng.uniform(-1, 1):.6f}"]
+        for alpha in itertools.product(range(4), repeat=s):
+            if 0 < sum(alpha) <= 3 and rng.random() < 0.6:
+                mono = "*".join(f"x{i}^{a}" for i, a in enumerate(alpha) if a)
+                terms.append(f"{rng.uniform(-1.5, 1.5):.6f}*{mono}")
+        if transcendental:
+            for fn in ("exp", "sin", "cos"):
+                lin = " + ".join(f"{rng.uniform(-0.8, 0.8):.6f}*x{i}" for i in range(s))
+                terms.append(f"{rng.uniform(-1.5, 1.5):.6f}*{fn}({lin})")
+        comps.append(" + ".join(terms))
+    return el.VectorExpr.parse(comps, s)
+
+
+def test_pullback_rows_match_chain_rule_tables():
+    # every alpha-row of the Taylor-composition pullback against the
+    # Faa di Bruno tables (chain_derivative).  Both routes read the same
+    # series of g and the same jet values, so they differ by rounding only:
+    # at most C * eps * S, where S = sum_beta |p_{a,b}|(|dg|) * |f_b| is the
+    # chain-rule sum taken in absolute values.  Worst error / bound seen:
+    # 0.08 with this seed, 0.13 over seeds 1..5.
+    C = 16.0
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for s, t in itertools.product((1, 2, 3), repeat=2):
+        for transcendental in (False, True):
+            k = int(rng.integers(1, 5))
+            g = _random_map(rng, s, t, transcendental)
+            F = _random_map(rng, t, 2, True)
+            base = [(f"b{i}", tuple(rng.uniform(-0.9, 0.9, size=s))) for i in range(2)]
+            image = [(pid, tuple(g.eval_real(x))) for pid, x in base]
+            f = jets.Jet.from_expr(F, image, k)
+            pulled = fdb.jet_pullback(g, f, base)
+            for pid, x in base:
+                absg = {}
+                for i, tv in enumerate(g.eval_taylor(x, k)):
+                    for gamma in tv.ctx.indices:
+                        absg[(gamma, i)] = abs(taylorarith.extract_derivative(tv, gamma))
+                absf = np.abs(f.values[pid])
+                for alpha in pulled.indices:
+                    want = fdb.chain_derivative(F, g, alpha, x)
+                    table = fdb.build_table(alpha, t)
+                    size = sum(
+                        table.eval_poly(beta, absg) * absf[f.pos[beta]]
+                        for beta in table.polys
+                    )
+                    err = np.abs(pulled.value(pid, alpha) - want)
+                    bound = C * np.finfo(float).eps * np.maximum(size, np.finfo(float).tiny)
+                    worst = max(worst, float(np.max(err / bound)))
+    assert worst <= 1.0, worst
+
+
+def test_pullback_beyond_table_order_cap():
+    # the pullback never builds a Faa di Bruno table, so order 9 (above
+    # the tables' cap of 8) works; the oracle is the jet induced by the
+    # literal composition F o g
+    with pytest.raises(ValueError):
+        fdb.build_table((9, 0), 2)
+    g = el.VectorExpr.parse(["x0 + 0.3*sin(x1)", "x1"], 2)
+    F = el.VectorExpr.parse(["exp(0.5*x0) * sin(x1)", "x0*x1^2"], 2)
+    base = pts([(0.2, -0.4), (-0.7, 0.9)])
+    image = [(pid, tuple(g.eval_real(x))) for pid, x in base]
+    f = jets.Jet.from_expr(F, image, 9)
+    pulled = fdb.jet_pullback(g, f, base)
+    direct = jets.Jet.from_expr(F.compose(g), base, 9)
+    assert pulled.k == 9
+    for pid in pulled.ids:
+        want = direct.values[pid]
+        scale = 1.0 + float(np.max(np.abs(want)))
+        assert np.allclose(pulled.values[pid], want, rtol=0, atol=1e-13 * scale), pid
 
 
 # -- sympy cross-check on the full chain rule ---------------------------------------

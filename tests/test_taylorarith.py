@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from whitneyext import taylorarith as ta
+from whitneyext import multiindex, taylorarith as ta
 
 
 def coeff(tv, alpha):
@@ -134,6 +134,30 @@ def test_compose_against_sympy():
         val = float(d.subs({X: 0.5, Y: -0.2}))
         fa = math.factorial(alpha[0]) * math.factorial(alpha[1])
         assert abs(coeff(got, alpha) * fa / 1.0 - val / 1.0) < 1e-10 * (1 + abs(val)), alpha
+
+
+def test_monomial_products_follow_the_first_factor_recurrence():
+    # each product is its parent (one power fewer of the first factor
+    # present) times that factor, in graded-lex order; the memoized steps
+    # must reproduce that sequence bit for bit, on repeated calls too
+    rng = np.random.default_rng(3)
+    for s, n, k in ((1, 1, 4), (2, 2, 4), (3, 2, 3), (2, 3, 2)):
+        ctx = ta.context(n, k)
+        factors = []
+        for _ in range(s):
+            c = rng.uniform(-1.0, 1.0, ctx.ncoef)
+            c[0] = 0.0
+            factors.append(ta.TaylorValue(ctx, c))
+        want = {(0,) * s: ta.constant(1.0, n, k)}
+        for a in multiindex.enumerate_upto(s, k)[1:]:
+            j = next(i for i, e in enumerate(a) if e > 0)
+            parent = tuple(e - 1 if i == j else e for i, e in enumerate(a))
+            want[a] = ta.mul(want[parent], factors[j])
+        for _ in range(2):
+            got = ta.monomial_products(factors, k)
+            assert list(got) == list(want)
+            for a in want:
+                assert np.array_equal(got[a].coeffs, want[a].coeffs), (s, n, k, a)
 
 
 def test_compose_requires_zero_constant():

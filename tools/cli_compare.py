@@ -9,9 +9,9 @@ OLD_SRC and NEW_SRC are directories that hold the ``whitneyext`` package
 temporary directory and runs every invocation there in two fresh
 interpreters side by side, one with each tree on PYTHONPATH.  The list
 covers decompose; extend with values, ``--k``, ``--schedule`` and
-``--derivs`` at n = 1, 2, 3; check-jet; fdb; pullback; manifold-extend
-``--derivs``; and every verify suite.  ``verify --suite lemma-l`` alone
-takes about two minutes.
+``--derivs`` at n = 1, 2, 3; check-jet; fdb; pullback (a polynomial map,
+the shear (x0 + 0.3 sin x1, x1) at order 4, and a map from R^3 to R^2 at
+order 3); manifold-extend ``--derivs``; and every verify suite.
 
 For each invocation it prints "identical" when exit status, stdout and
 stderr agree byte for byte.  Otherwise it lists the differing fields: CSV
@@ -21,6 +21,7 @@ change.  The exit status is 1 if any invocation differs, else 0.
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -54,6 +55,10 @@ JETS = {
     },
 }
 
+# pullback fixtures whose jets sit at the images of the source points
+SHEAR_POINTS = [[0.3, -0.4], [-0.6, 0.8], [1.1, 0.2]]
+LIFT_POINTS = [[0.5, -0.3, 0.7], [-0.2, 0.9, -1.1]]
+
 FIXTURES = {
     "set1.json": {"dim": 1, "points": [[0.0]]},
     "set2.json": {"dim": 2, "boxes": [[[-1.0, 0.0], [-1.0, 0.0]], [[0.5, 1.5], [0.25, 0.75]]]},
@@ -62,6 +67,30 @@ FIXTURES = {
         "map": {"from_dim": 2, "expr": ["x0 + x1^2", "x1/2"]},
         "jet": JETS["jet2.json"],
         "points": [{"id": "b0", "x": [0.0, 0.0]}, {"id": "b1", "x": [0.0, 1.0]}, {"id": "b2", "x": [-4.5, 2.0]}],
+    },
+    "bundle_shear.json": {
+        "map": {"from_dim": 2, "expr": ["x0 + 0.3*sin(x1)", "x1"]},
+        "jet": {
+            "dim": 2,
+            "order": 4,
+            "induce": {
+                "expr": ["exp(0.4*x0)*cos(x1) + x0*x1^2", "sin(x0 - x1)"],
+                "points": [[x0 + 0.3 * math.sin(x1), x1] for x0, x1 in SHEAR_POINTS],
+            },
+        },
+        "points": [{"id": f"s{i}", "x": x} for i, x in enumerate(SHEAR_POINTS)],
+    },
+    "bundle_lift.json": {
+        "map": {"from_dim": 3, "expr": ["x0*x1 + exp(0.2*x2)", "x1 - 0.5*x2^2"]},
+        "jet": {
+            "dim": 2,
+            "order": 3,
+            "induce": {
+                "expr": ["sin(x0)*exp(x1)", "x0^2*x1 - cos(x1)"],
+                "points": [[x0 * x1 + math.exp(0.2 * x2), x1 - 0.5 * x2**2] for x0, x1, x2 in LIFT_POINTS],
+            },
+        },
+        "points": [{"id": f"l{i}", "x": x} for i, x in enumerate(LIFT_POINTS)],
     },
     "atlas.json": {
         "dim": 1,
@@ -113,6 +142,8 @@ INVOCATIONS = [
     ("check-jet", ["check-jet", "--input", "jet2.json"]),
     ("fdb", ["fdb", "--alpha", "(2,1)", "--target-dim", "2"]),
     ("pullback", ["pullback", "--input", "bundle.json"]),
+    ("pullback shear s=t=2 k=4", ["pullback", "--input", "bundle_shear.json"]),
+    ("pullback R^3 -> R^2 k=3", ["pullback", "--input", "bundle_lift.json"]),
     (
         "manifold-extend --derivs",
         ["manifold-extend", "--input", "atlas.json", "--chart", "v", "--grid=-3:2:0.35", "--derivs", "(1) (2)"],
