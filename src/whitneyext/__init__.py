@@ -6,8 +6,8 @@ Constructive Whitney extension of vector-valued jets on closed subsets of
 R^n.  The package stores finite k-jets, builds the dyadic Whitney cube
 decomposition of the complement and a subordinate smooth partition of
 unity, evaluates the extension operator and all of its derivatives through
-truncated Taylor arithmetic, transports jets along smooth maps via
-Faa di Bruno polynomials, and checks chart correspondence on finite
+truncated Taylor arithmetic, transports jets along smooth maps by
+truncated Taylor composition, and checks chart correspondence on finite
 atlases.
 
 Submodules

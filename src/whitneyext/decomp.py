@@ -20,15 +20,20 @@ it is no nearer A, while its threshold is half the parent's.  The
 qualifying cubes of an ancestor chain are thus all those from some level
 on, and a cube is in W exactly when it qualifies and its parent does not
 (distances are monotone rounded operations on exact dyadic bounds, so the
-computed verdicts inherit too).  A cube C of side s has x in D_C exactly
-when C meets the open box x ± s/4; such cubes touch the cube of W holding
-x, so they lie at most one level above or below it.
+computed verdicts inherit too).  The level-j ancestor C of x has
+d(x,A) - sqrt(n)/2^j <= d(C,A) <= d(x,A), so the home level of x (the
+level of its cube in W) follows from d(x,A) to within about one level:
+`locate` starts just below it and steps coarser while the parent
+qualifies, otherwise finer until a cube qualifies.  A cube C of side s
+has x in D_C exactly when C meets the open box x ± s/4; such cubes touch
+the cube of W holding x, so they lie at most one level above or below it.
 
 Coordinates of a point set and of queries must stay below MAX_COORD =
 2^500 in magnitude: distances are formed from squared differences, which
 then stay finite, and so do the dyadic corners of every level up to 520.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,9 +106,7 @@ class FinitePoints:
     def nearest(self, x):
         """A nearest point; ties break to the lexicographically smallest."""
         d2 = np.sum((self.points - np.asarray(x, float)) ** 2, axis=1)
-        best = d2.min()
-        cands = [tuple(p) for p, d in zip(self.points, d2) if d == best]
-        return min(cands)
+        return min(tuple(self.points[i]) for i in np.flatnonzero(d2 == d2.min()))
 
     def box_distance(self, lo, hi):
         """Distance from the closed box [lo, hi] to the set."""
@@ -257,34 +260,56 @@ class Decomposition:
     def _qualifies(self, cube):
         return self.cube_distance(cube) >= self.threshold(cube.level)
 
-    def locate(self, x, j_max=None):
+    def locate(self, x, j_max=None, qualifies=None):
         """
         The unique cube of W containing x under the half-open convention
         [z/2^j, (z+1)/2^j): the dyadic ancestor of x at the smallest level
         whose distance to A meets the threshold.  Membership in A is decided
         exactly, so a query a subnormal distance away is not on the set.
         A non-finite query, or one beyond MAX_COORD, is a ValueError.
+
+        As d(x,A) - sqrt(n)/2^j <= d(C,A) <= d(x,A) for the level-j
+        ancestor C, no level with 4*sqrt(n)/2^j > d(x,A) qualifies: the
+        search starts at floor(log2(4*sqrt(n)/d(x,A))) - 1 in 0..j_max (at
+        j_max if d(x,A) underflows to 0), steps coarser while the parent
+        qualifies, else finer until a cube qualifies.  `qualifies` stands
+        in for `_qualifies`, so that one query's tests can share a memo.
         """
         j_max = self.j_max if j_max is None else j_max
+        qualifies = qualifies or self._qualifies
         _check_query(x)
         if self.A._contains(x):
             raise OnSet(x)
-        for j in range(j_max + 1):
-            corner = tuple(math.floor(math.ldexp(xi, j)) for xi in x)
-            cube = WhitneyCube(j, corner)
-            if self._qualifies(cube):
+
+        def ancestor(j):
+            return WhitneyCube(j, tuple(math.floor(math.ldexp(xi, j)) for xi in x))
+
+        d = self.A.distance(x)
+        # a log difference, as 4*sqrt(n)/d is inf for a subnormal d
+        j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) - 1 if d else j_max
+        j = min(max(j, 0), j_max)
+        if qualifies(ancestor(j)):
+            while j > 0 and qualifies(ancestor(j - 1)):
+                j -= 1
+            return ancestor(j)
+        while j < j_max:
+            j += 1
+            cube = ancestor(j)
+            if qualifies(cube):
                 return cube
         raise ResolutionExceeded(x, j_max)
 
-    def in_family(self, cube):
+    def in_family(self, cube, qualifies=None):
         """Membership test: the cube qualifies and is at level 0 or its
-        parent does not qualify (see the module docstring)."""
-        if not self._qualifies(cube):
+        parent does not qualify (see the module docstring).  `qualifies` is
+        as for `locate`."""
+        qualifies = qualifies or self._qualifies
+        if not qualifies(cube):
             return False
         if cube.level == 0:
             return True
         parent = WhitneyCube(cube.level - 1, tuple(z >> 1 for z in cube.corner))
-        return not self._qualifies(parent)
+        return not qualifies(parent)
 
     def anchor(self, cube):
         """A fixed nearest point of A to the cube's center (memoized;
@@ -300,14 +325,15 @@ class Decomposition:
         order: the cubes meeting the box x ± side/4 on the levels next to
         the cube holding x, filtered by D_C and by membership.
         """
-        home = self.locate(x, j_max)
+        qualifies = functools.cache(self._qualifies)  # verdicts shared by this query only
+        home = self.locate(x, j_max, qualifies)
         out = []
         for lv in range(max(0, home.level - 1), home.level + 2):
             r = math.ldexp(0.25, -lv)
             window = _window([xi - r for xi in x], [xi + r for xi in x], lv)
             for corner in itertools.product(*window):
                 cube = WhitneyCube(lv, corner)
-                if cube.enlarged_contains(x) and self.in_family(cube):
+                if cube.enlarged_contains(x) and self.in_family(cube, qualifies):
                     out.append(cube)
         return out
 

@@ -14,6 +14,7 @@ the limit; the modulus is still reported as a diagnostic.  Values use the
 coordinate seminorms q_i(v) = |v_i| and their maximum q_max.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -77,9 +78,12 @@ class Jet:
                 raise ValueError(
                     f"values for point {pid} have shape {arr.shape}, expected {(ncoef, m)}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"values for point {pid} are not all finite")
             self.values[pid] = arr
+        if self.ids:
+            finite = np.isfinite(np.array(list(self.values.values()))).all(axis=(1, 2))
+            if not finite.all():
+                pid = self.ids[int(finite.argmin())]
+                raise ValueError(f"values for point {pid} are not all finite")
 
     # -- basic queries ----------------------------------------------------
 
@@ -144,7 +148,8 @@ class Jet:
         the pair table of ``taylorarith.context(n, l)`` lists every (b, g)
         with |b| + |g| <= l, and its pairs with |b| <= upto gather the
         monomials (x-y)^g / g! against the values f_{b+g}(y).  Row 0 is
-        T(x) itself, added in graded-lex order of g.
+        T(x) itself, added in graded-lex order of g.  A monomial, term or
+        row beyond the float range is a ValueError.
         """
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
@@ -152,19 +157,23 @@ class Jet:
             raise ValueError(f"derivative order {upto} outside 0..{l}")
         ctx = taylorarith.context(self.n, l)
         h = tuple(xi - yi for xi, yi in zip(x, self.coords[y_id]))
-        try:
-            mono = np.array([multiindex.monomial(h, g) for g in ctx.indices]) / ctx.factorials
-        except OverflowError:
+        rows = multiindex.count_upto(self.n, upto)
+        p = int(np.searchsorted(ctx.pair_i, rows))  # the pairs with |b| <= upto
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                mono = np.array([multiindex.monomial(h, g) for g in ctx.indices]) / ctx.factorials
+            except OverflowError:  # a power beyond the float range
+                mono = np.full(len(ctx.indices), math.inf)
+            terms = mono[ctx.pair_j[:p], None] * self.values[y_id][ctx.pair_t[:p]]
+            out = np.zeros((rows, self.m))
+            np.add.at(out, ctx.pair_i[:p], terms)
+            out /= ctx.factorials[:rows, None]
+        if not np.isfinite(out).all():
             raise ValueError(
                 f"the order-{l} Taylor polynomial anchored at {self.coords[y_id]} "
                 f"overflows at {tuple(x)}"
-            ) from None
-        rows = multiindex.count_upto(self.n, upto)
-        p = int(np.searchsorted(ctx.pair_i, rows))  # the pairs with |b| <= upto
-        terms = mono[ctx.pair_j[:p], None] * self.values[y_id][ctx.pair_t[:p]]
-        out = np.zeros((rows, self.m))
-        np.add.at(out, ctx.pair_i[:p], terms)
-        return out / ctx.factorials[:rows, None]
+            )
+        return out
 
     def remainder(self, y_id, l, x_id):
         """f_0(x) - T^l_y f(x) for stored points x, y."""
@@ -294,10 +303,11 @@ class Jet:
         n, k, m = int(d["dim"]), int(d["order"]), int(d["outdim"])
         points, values = [], {}
         indices = multiindex.enumerate_upto(n, k)
+        parse = functools.cache(lambda key: multiindex.parse(key, n))  # once per spelling
         for p in d["points"]:
             pid = str(p["id"])
             points.append((pid, tuple(float(c) for c in p["x"])))
-            got = {multiindex.parse(key, n): v for key, v in p["values"].items()}
+            got = {parse(key): v for key, v in p["values"].items()}
             missing = [a for a in indices if a not in got]
             if missing:
                 raise ValueError(

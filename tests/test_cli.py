@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -211,6 +212,23 @@ def test_extend_overflowing_taylor_polynomial(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: the order-3 Taylor polynomial anchored at (0.0,) overflows at (1e+120,)\n"
+    )
+
+
+@pytest.mark.parametrize("derivs", [[], ["--derivs", "(1) (2)"]])
+def test_extend_overflowing_taylor_term(tmp_path, capsys, derivs):
+    # (1e150)^2 / 2 is finite, times f_2 = 1e10 it is not: one error line,
+    # no numpy warning and no inf or nan in the output
+    p = tmp_path / "jet0.json"
+    p.write_text(json.dumps({"dim": 1, "order": 2, "outdim": 1, "points": [
+        {"id": "o", "x": [0.0], "values": {"[0]": [0.0], "[1]": [0.0], "[2]": [1e10]}}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["extend", "--input", str(p), "--grid=1e150:1e150:1",
+                  "--out", str(tmp_path / "x.csv"), *derivs])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: the order-2 Taylor polynomial anchored at (0.0,) overflows at (1e+150,)\n"
     )
 
 

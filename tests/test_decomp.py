@@ -358,3 +358,132 @@ def test_box_union_nearest_point():
     assert B.nearest((2.0, 0.5)) in ((1.0, 0.5), (3.0, 0.5))
     assert B.distance((2.0, 0.5)) == 1.0
     assert B.distance((3.5, 1.0)) == 0.0
+
+
+def _locate_by_walk(dec, x, j_max):
+    """The level-0 walk: the first qualifying dyadic ancestor of x."""
+    if dec.A._contains(x):
+        raise decomp.OnSet(x)
+    for j in range(j_max + 1):
+        cube = decomp.WhitneyCube(j, tuple(math.floor(math.ldexp(xi, j)) for xi in x))
+        if dec.cube_distance(cube) >= dec.threshold(j):
+            return cube
+    raise decomp.ResolutionExceeded(x, j_max)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (decomp.OnSet, decomp.ResolutionExceeded) as err:
+        return type(err)
+
+
+def _locate_queries(A, rng, count):
+    """Queries 1e-9 .. 1e-1 from A, some snapped to dyadic boundaries; far
+    ones, whose level-0 cube already qualifies (A lies within 1.3 sqrt(n)
+    of the origin); points of A; and points a subnormal step or 1e-160 from
+    the origin, which is in A."""
+    n = A.n
+    near = _near_set_queries(A, rng, count)
+    near += [
+        tuple(float(v) for v in a + 10.0 ** rng.uniform(-3, -1) * rng.choice([-1, 1], n))
+        for a in (np.array(x) for x in near[: count // 2])
+    ]
+    snapped = []
+    for x in near[: count // 2]:
+        j = int(rng.integers(0, 34))
+        snapped.append(tuple(math.ldexp(math.floor(math.ldexp(xi, j)), -j) for xi in x))
+    far = []
+    for _ in range(count // 4):
+        u = rng.normal(size=n)
+        far.append(tuple(float(v) for v in (2.0 + 7.0 * math.sqrt(n)) * u / np.linalg.norm(u)))
+    if isinstance(A, decomp.FinitePoints):
+        on = [tuple(map(float, p)) for p in A.points[:3]]
+    else:
+        on = [tuple(float(v) for v in b.mean(axis=1)) for b in A.boxes[:3]]
+    tiny = [
+        tuple(s if i == axis else 0.0 for i in range(n))
+        for axis in range(n)
+        for s in (5e-324, -5e-324, 1e-160)
+    ]
+    return near + snapped + far + on + tiny
+
+
+def _closed_sets(n, size, rng):
+    pts = rng.uniform(-1.0, 1.0, size=(size, n))
+    pts[0] = 0.0
+    yield decomp.make_closed_set(points=pts)
+    lo = rng.uniform(-1.0, 1.0, size=(size, n))
+    lo[0] = 0.0
+    wide = rng.uniform(0.0, 0.3 / size, size=(size, n))  # leave room for queries off A
+    yield decomp.make_closed_set(boxes=[np.stack([l, l + w], axis=1) for l, w in zip(lo, wide)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_locate_matches_level0_walk(n):
+    # the home-level start must find the cube the walk from level 0 finds,
+    # or raise the same OnSet / ResolutionExceeded, at the default j_max and
+    # at small ones, with few box scans at the default j_max
+    rng = np.random.default_rng(200 + n)
+    calls = located = 0
+    outcomes = set()
+    for size in (1, 8, 200):
+        for A in _closed_sets(n, size, rng):
+            scans = A.box_distance
+
+            def counted(lo, hi):
+                nonlocal calls
+                calls += 1
+                return scans(lo, hi)
+
+            queries = _locate_queries(A, rng, 40 if size < 200 else 8)
+            for j_max in (52, 0, 3, 9):
+                dec = decomp.Decomposition(A, j_max=j_max)
+                for x in queries:
+                    expected = _outcome(_locate_by_walk, dec, x, j_max)
+                    A.box_distance = counted if j_max == 52 else scans
+                    try:
+                        got = _outcome(dec.locate, x)
+                    finally:
+                        del A.box_distance
+                    located += j_max == 52
+                    assert got == expected, (x, j_max)
+                    outcomes.add(got.level if isinstance(got, decomp.WhitneyCube) else got)
+            # the start level is only a hint: from a start up to six levels
+            # too coarse or too fine, the two-way step ends on the same cube
+            dec = decomp.Decomposition(A)
+            for shift in (-6, 6):
+                A.distance = lambda x, d=A.distance, s=shift: math.ldexp(d(x), s)
+                try:
+                    for x in queries[:6]:
+                        assert _outcome(dec.locate, x) == _outcome(_locate_by_walk, dec, x, 52)
+                finally:
+                    del A.distance
+    assert {0, decomp.OnSet, decomp.ResolutionExceeded} <= outcomes
+    assert max(o for o in outcomes if isinstance(o, int)) > 30
+    assert calls / located <= 5.0, calls / located
+
+
+def _nearest_by_list(points, x):
+    """The list rule: the lexicographically smallest of all nearest points."""
+    d2 = np.sum((points - np.asarray(x, float)) ** 2, axis=1)
+    return min(tuple(p) for p, d in zip(points, d2) if d == d2.min())
+
+
+def test_nearest_tie_break_matches_list_rule():
+    # exact ties: the corners of a square around the query, duplicated rows,
+    # and small-integer sets queried at integer and half-integer points
+    square = decomp.FinitePoints([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+    assert square.nearest((0.0, 0.0)) == (-1.0, -1.0)
+    dup = decomp.FinitePoints([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
+    assert dup.nearest((1.0, 1.0)) == (0.0, 2.0)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        for size in (1, 5, 40):
+            pts = rng.integers(-2, 3, size=(size, n)).astype(float)
+            A = decomp.FinitePoints(pts)
+            for _ in range(30):
+                x = tuple(float(v) for v in rng.integers(-6, 7, size=n) / 2.0)
+                got = A.nearest(x)
+                assert got == _nearest_by_list(pts, x), (pts, x)
+                assert all(isinstance(v, float) for v in got)

@@ -354,3 +354,46 @@ def test_seminorm_order_monotonicity():
         dk = jet.diameter()
         m = 1 + (1 + (l + 1) ** n) * max(1.0, dk) ** (l - jj)
         assert jet.seminorm(jj) <= m * jet.seminorm(l) * (1 + 1e-12)
+
+
+def _jet_doc(points):
+    return {"dim": 2, "order": 1, "outdim": 1, "points": [
+        {"id": pid, "x": x, "values": values} for pid, x, values in points
+    ]}
+
+
+_GOOD_VALUES = {"[0,0]": [1.0], "[1,0]": [2.0], "[0,1]": [3.0]}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"[0,0]": [1.0], "[1,x]": [2.0], "[0,1]": [3.0]},
+     "cannot parse multi-index from '[1,x]'"),
+    ({"[0,0]": [1.0], "[1]": [2.0], "[0,1]": [3.0]},
+     "multi-index '[1]' has dimension 1, expected 2"),
+    ({"[0,0]": [1.0], "[1,0]": [2.0]},
+     "point b is missing values for indices [(0, 1)]"),
+    ({"[0,0]": [1.0], "[1,0]": [math.inf], "[0,1]": [3.0]},
+     "values for point b are not all finite"),
+    ({"[0,0]": [1.0, 0.0], "[1,0]": [2.0, 0.0], "[0,1]": [3.0, 0.0]},
+     "values for point b have shape (3, 2), expected (3, 1)"),
+])
+def test_from_dict_error_names_the_bad_point(bad, message):
+    # the second of three points is bad; the first and third are good
+    doc = _jet_doc([("a", [0.0, 0.0], _GOOD_VALUES), ("b", [1.0, 0.0], bad),
+                    ("c", [0.0, 1.0], _GOOD_VALUES)])
+    with pytest.raises(ValueError) as info:
+        jets.Jet.from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_from_dict_key_spellings():
+    # spellings of one index may differ between points and within one; at
+    # a point, the last spelling of an index wins
+    doc = _jet_doc([
+        ("a", [0.0, 0.0], {"[0,0]": [1.0], "(1,0)": [2.0], "[0,1]": [3.0]}),
+        ("b", [1.0, 0.0], {"[0, 1]": [6.0], "[1,0]": [5.0], "(0,0)": [4.0],
+                           "(0,1)": [7.0]}),
+    ])
+    j = jets.Jet.from_dict(doc)
+    assert j.values["a"][:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert j.values["b"][:, 0].tolist() == [4.0, 5.0, 7.0]
