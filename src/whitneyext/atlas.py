@@ -451,14 +451,8 @@ class ManifoldExtension:
             tau = self.atlas.transition(chart, cid).eval_taylor_env(seeds)
             hseries = exprlang.eval_taylor_env(h, tau)
             inners = [t - t.const for t in tau]
-            ders = ext.eval_derivs(y, upto)
-            for c in range(self.m):
-                coeffs = np.zeros(ctx.ncoef)
-                for i, a in enumerate(ctx.indices):
-                    coeffs[i] = ders[a][c] / ctx.factorials[i]
-                outer = taylorarith.TaylorValue(ctx, coeffs)
-                composed = taylorarith.compose(outer, inners)
-                total[:, c] += (hseries * composed).coeffs
+            outer = taylorarith.TaylorValue(ctx, ext.derivs(y, upto) / ctx.factorials[:, None])
+            total += (hseries * taylorarith.compose(outer, inners)).coeffs
         ders = total * ctx.factorials[:, None]
         return {a: ders[i].copy() for i, a in enumerate(ctx.indices)}
 

@@ -18,14 +18,23 @@ point x comes from the shift identity
 
     ∂^β T^k_y f(x) = Σ_{|γ| ≤ k−|β|} (x−y)^γ/γ! · f_{β+γ}(y),
 
-which reads its coefficients straight off the jet (``jets.Jet.taylor_series``;
-its row 0 is the value the float path blends).  Each φ_C comes from
-``pou``, and the products are truncated series products.  As Σ_C φ_C = 1,
-the sum is formed as T_{C₀} + Σ_C φ_C·(T_C − T_{C₀}), C₀ the first cube:
-near A the derivatives of φ_C grow like side^−|α|, and so they multiply
-only differences of the polynomials, not a common part that would have to
-cancel in rounding.  On A the derivatives are read from the jet, which
-the theorem guarantees is the restriction of F.
+which reads its coefficients straight off the jet (``jets.Jet.taylor_series``,
+one array computation for all anchors; its row 0 is the value the float
+path blends).  As Σ_C φ_C = 1, the sum is formed as
+
+    F = T_{C₀} + Σ_{C≠C₀} φ_C·(T_C − T_{C₀}),      C₀ the first cube,
+
+on (ncoef, m) coefficient arrays: the φ_C series of every supporting cube
+come from one ``pou.phi_taylor`` call (one series division of the ψ
+matrix by Σ ψ), and the products are one batched series product, added
+in cube order.  Near A the derivatives of φ_C grow like side^−|α|, and so
+they multiply only differences of the polynomials, not a common part that
+would have to cancel in rounding.  Normalizing ψ before the product
+rather than dividing the summed numerator by Σ ψ afterwards costs the same
+single division and keeps the rounding of the per-cube sum.  A result
+beyond the float range is a ValueError, not inf.  On A the derivatives
+are read from the jet, which the theorem guarantees is the restriction
+of F.
 
 The adaptive variant assigns each cube a degree from a schedule of radii
 δ_1 > δ_2 > … (with δ_{i+1} < δ_i/2): the cube with center y_C uses the
@@ -43,7 +52,7 @@ import math
 
 import numpy as np
 
-from . import decomp, jets, multiindex, pou, taylorarith
+from . import decomp, jets, pou, taylorarith
 
 
 class ScheduleExhausted(Exception):
@@ -138,28 +147,46 @@ class Extension:
     def eval_derivs(self, x, upto=None):
         """
         All partial derivatives ∂^α F(x) for |α| ≤ upto, as a dict mapping
-        multi-index tuples to (m,) arrays.  On A the values are the stored
-        jet entries; off A the defining sum is run in Taylor arithmetic.
+        multi-index tuples to (m,) arrays (the rows of ``derivs``).
+        """
+        upto = self.k if upto is None else int(upto)
+        ders = self.derivs(x, upto)
+        return dict(zip(taylorarith.context(self.n, upto).indices, ders))
+
+    def derivs(self, x, upto=None):
+        """
+        All partial derivatives ∂^α F(x) for |α| ≤ upto, as a
+        (C(n+upto, n), m) array in graded-lex order of α.  On A the values
+        are the stored jet entries; off A the defining sum is run in Taylor
+        arithmetic, as F = T_{C₀} + Σ_C φ_C·(T_C − T_{C₀}) (see the module
+        docstring).  A result beyond the float range is a ValueError.
         """
         upto = self.k if upto is None else int(upto)
         if not 0 <= upto <= self.k:
             raise ValueError(f"order {upto} exceeds evaluation degree {self.k}")
-        indices = multiindex.enumerate_upto(self.n, upto)
+        ctx = taylorarith.context(self.n, upto)
         x = tuple(float(c) for c in x)
         pid = self._on_set(x)
         if pid is not None:
-            vals = self.jet.values[pid]
-            return {a: vals[self.jet.pos[a]].copy() for a in indices}
-        ctx = taylorarith.context(self.n, upto)
-        parts = pou.partition_taylor(x, self.dec, upto)
-        polys = [self.jet.taylor_series(self._anchor_id(c), self.k, x, upto) for c, _ in parts]
-        total = polys[0].copy()  # T_{C₀} + Σ φ_C·(T_C − T_{C₀}), see the module docstring
-        for (_, phi), poly in zip(parts[1:], polys[1:]):
-            diff = poly - polys[0]
-            for c in range(self.m):
-                total[:, c] += (phi * taylorarith.TaylorValue(ctx, diff[:, c])).coeffs
-        ders = total * ctx.factorials[:, None]
-        return {a: ders[i].copy() for i, a in enumerate(indices)}
+            return self.jet.values[pid][: ctx.ncoef].copy()
+        cubes = self.dec.supporting_cubes(x)
+        rows = self.jet.taylor_series([self._anchor_id(c) for c in cubes], self.k, x, upto)
+        total = rows[:, 0].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(cubes) > 1:
+                phi = pou.phi_taylor(cubes, x, upto)
+                diffs = rows[:, 1:] - rows[:, :1]
+                weights = np.repeat(phi.coeffs[:, 1:], self.m, axis=1)
+                terms = taylorarith.mul(
+                    taylorarith.TaylorValue(ctx, weights),
+                    taylorarith.TaylorValue(ctx, diffs.reshape(ctx.ncoef, -1)),
+                )
+                for term in np.moveaxis(terms.coeffs.reshape(diffs.shape), 1, 0):  # in cube order
+                    total += term
+            ders = total * ctx.factorials[:, None]
+        if not np.isfinite(ders).all():
+            raise ValueError(f"the derivatives of the extension overflow at {x}")
+        return ders
 
     # -- adaptive degree ------------------------------------------------------
 

@@ -23,6 +23,14 @@ from . import multiindex, taylorarith
 from .exprlang import VectorExpr
 
 
+def _power(v, e):
+    """v**e for a float v and an int e >= 0; inf past the float range."""
+    try:
+        return v**e
+    except OverflowError:
+        return math.inf
+
+
 class GlueMismatch(ValueError):
     """Pieces disagree on an overlap point beyond tolerance."""
 
@@ -134,44 +142,51 @@ class Jet:
         evaluated at an arbitrary point x: sum over |a| <= l of
         (x-y)^a / a! * f_a(y), added in graded-lex order.
         """
-        return self.taylor_series(y_id, l, x, 0)[0]
+        return self.taylor_series([y_id], l, x, 0)[0, 0]
 
-    def taylor_series(self, y_id, l, x, upto):
+    def taylor_series(self, y_ids, l, x, upto):
         """
         T = T^l_y f, the order-l Taylor polynomial anchored at the stored
-        point y, expanded at x: the Taylor-normalized rows d^b T(x) / b!
-        for |b| <= upto <= l, as a (C(n+upto, n), m) array in graded-lex
-        order.
+        point y, expanded at x, for every y of `y_ids`: the Taylor-normalized
+        rows d^b T(x) / b! for |b| <= upto <= l, as a
+        (C(n+upto, n), len(y_ids), m) array in graded-lex order of b.
 
         The rows come from the shift identity
             d^b T^l_y f(x) = sum over |g| <= l - |b| of (x-y)^g / g! * f_{b+g}(y):
         the pair table of ``taylorarith.context(n, l)`` lists every (b, g)
         with |b| + |g| <= l, and its pairs with |b| <= upto gather the
-        monomials (x-y)^g / g! against the values f_{b+g}(y).  Row 0 is
-        T(x) itself, added in graded-lex order of g.  A monomial, term or
-        row beyond the float range is a ValueError.
+        monomials (x-y)^g / g! against the values f_{b+g}(y).  The
+        monomials are products of the powers (x_i-y_i)^e, each taken by the
+        float power of Python, so every anchor's row 0 keeps the bits of
+        the plain graded-lex sum.  A monomial, term or row beyond the float
+        range is a ValueError naming its anchor.
         """
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
         if not 0 <= upto <= l:
             raise ValueError(f"derivative order {upto} outside 0..{l}")
         ctx = taylorarith.context(self.n, l)
-        h = tuple(xi - yi for xi, yi in zip(x, self.coords[y_id]))
+        h = np.asarray(x, dtype=float) - np.array([self.coords[y] for y in y_ids])
+        powers = [_power(v, e) for v in h.ravel().tolist() for e in range(l + 1)]
+        powers = np.array(powers).reshape(len(y_ids), self.n, l + 1)
         rows = multiindex.count_upto(self.n, upto)
         p = int(np.searchsorted(ctx.pair_i, rows))  # the pairs with |b| <= upto
+        values = np.stack([self.values[y] for y in y_ids], axis=1)
+        width = len(y_ids) * self.m
+        keys = (ctx.pair_i[:p, None] * width + np.arange(width)).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                mono = np.array([multiindex.monomial(h, g) for g in ctx.indices]) / ctx.factorials
-            except OverflowError:  # a power beyond the float range
-                mono = np.full(len(ctx.indices), math.inf)
-            terms = mono[ctx.pair_j[:p], None] * self.values[y_id][ctx.pair_t[:p]]
-            out = np.zeros((rows, self.m))
-            np.add.at(out, ctx.pair_i[:p], terms)
-            out /= ctx.factorials[:rows, None]
-        if not np.isfinite(out).all():
+            mono = powers[:, 0, ctx.exponents[:, 0]]
+            for i in range(1, self.n):
+                mono = mono * powers[:, i, ctx.exponents[:, i]]
+            mono = mono / ctx.factorials
+            terms = mono.T[ctx.pair_j[:p], :, None] * values[ctx.pair_t[:p]]
+            out = np.bincount(keys, weights=terms.ravel(), minlength=rows * width)
+            out = out.reshape(rows, len(y_ids), self.m) / ctx.factorials[:rows, None, None]
+        finite = np.isfinite(out).all(axis=(0, 2))
+        if not finite.all():
+            y = self.coords[y_ids[int(finite.argmin())]]
             raise ValueError(
-                f"the order-{l} Taylor polynomial anchored at {self.coords[y_id]} "
-                f"overflows at {tuple(x)}"
+                f"the order-{l} Taylor polynomial anchored at {y} overflows at {tuple(x)}"
             )
         return out
 
@@ -313,7 +328,18 @@ class Jet:
                 raise ValueError(
                     f"point {pid} is missing values for indices {missing[:4]}"
                 )
-            values[pid] = np.array([got[a] for a in indices], dtype=float)
+            try:
+                values[pid] = np.array([got[a] for a in indices], dtype=float)
+            except ValueError:
+                for a in indices:
+                    row = got[a]
+                    if not (isinstance(row, list) and len(row) == m
+                            and all(isinstance(v, (int, float)) for v in row)):
+                        raise ValueError(
+                            f"values for point {pid} at index {multiindex.fmt(a)} "
+                            f"are {row!r}, expected a list of outdim = {m} numbers"
+                        ) from None
+                raise
         return cls(n, k, m, points, values)
 
 

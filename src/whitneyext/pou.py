@@ -18,23 +18,35 @@ The partition functions are phi_C = psi_C / sum of psi over all cubes;
 only the cubes whose enlarged box D_C holds x contribute to the sum
 (``Decomposition.supporting_cubes``), and the denominator's constant term
 is at least 1 because x lies on its own cube's plateau.  The float weights
-and the series weights share that cube search and normalization; only the
-cutoff differs (``psi_cube_real`` or ``psi_cube``).
+(``phi_weights_real``, from ``psi_cube_real``) and the series weights
+(``partition_taylor``) share that cube search.
 
-All derivatives are taken in Taylor arithmetic.  The piecewise branch of
-s is decided from the (exact) base point before any series is built: on
-the closed plateau the expansion is exactly the constant-1 series, outside
-the open support it is exactly the zero series, so the essential
-singularity of B is never evaluated at its boundary.  (On the closed
-plateau boundary the true expansion *is* the constant series — the
-junctions are flat.)
+All derivatives are taken in Taylor arithmetic, on arrays.  As psi_C is a
+product of one-variable profiles, its series is a tensor product: the
+profile series s(t0 + h/l_C) of every supporting cube and coordinate form
+one univariate batch (``bump_taylor`` on (k+1, n·C) coefficients), and the
+coefficient of psi_C at the multi-index a is prod_i s_i[a_i], s_i the
+profile series of coordinate i, gathered from the batch (``psi_taylor``).
+All phi_C then come from a single series division of the (ncoef, C) psi
+matrix by its column sum (``phi_taylor``).  The per-column arithmetic is
+that of a 1-D call, so psi_C has the same bits as the product of n
+profile series in n variables.
+
+The piecewise branch of s is decided per row from the (exact) base value
+before any series is built: on the closed plateau the expansion is
+exactly the constant-1 series, outside the open support it is exactly the
+zero series, so the essential singularity of B is never evaluated at its
+boundary.  (On the closed plateau boundary the true expansion *is* the
+constant series — the junctions are flat.)
 """
 
 import math
 
+import numpy as np
+
 from . import taylorarith
 from .decomp import ResolutionExceeded
-from .taylorarith import constant
+from .taylorarith import TaylorValue, constant
 
 
 def _B_real(t):
@@ -54,22 +66,27 @@ def bump_real(t):
 
 def bump_taylor(u):
     """
-    s applied to a Taylor value u (the expansion of some smooth quantity).
+    s applied to a Taylor value u, column by column for (ncoef, B)
+    coefficients.
 
-    The branch is chosen from u's constant term: constant-1 series on the
-    closed plateau, zero series at or beyond the support boundary, and the
-    smooth-step formula in between (where |.| is smooth because the
-    constant term is bounded away from 0).
+    The branch is chosen from each column's constant term t0: constant-1
+    series on the closed plateau, zero series at or beyond the support
+    boundary, and the smooth-step formula in between (where |.| is smooth
+    because t0 is bounded away from 0), evaluated on the transition
+    columns only.  The two B(.) factors of every column are one batch.
     """
-    t0 = u.const
-    if abs(t0) <= 0.5:
-        return constant(1.0, u.n, u.k)
-    if abs(t0) >= 0.75:
-        return constant(0.0, u.n, u.k)
-    a = u if t0 > 0 else -u
-    up = taylorarith.exp(-1.0 / (0.75 - a))
-    down = taylorarith.exp(-1.0 / (a - 0.5))
-    return up / (up + down)
+    c = u.coeffs.reshape(len(u.coeffs), -1)
+    t0 = np.abs(c[0])
+    out = np.zeros_like(c)
+    out[0] = t0 <= 0.5
+    mid = np.flatnonzero((0.5 < t0) & (t0 < 0.75))
+    if mid.size:
+        a = TaylorValue(u.ctx, c[:, mid] * np.sign(c[0, mid]))
+        args = TaylorValue(u.ctx, np.hstack([(0.75 - a).coeffs, (a - 0.5).coeffs]))
+        b = taylorarith.exp(-1.0 / args).coeffs
+        up, down = TaylorValue(u.ctx, b[:, : mid.size]), TaylorValue(u.ctx, b[:, mid.size :])
+        out[:, mid] = (up / (up + down)).coeffs
+    return TaylorValue(u.ctx, out.reshape(u.coeffs.shape))
 
 
 def psi_cube_real(cube, x):
@@ -83,23 +100,52 @@ def psi_cube_real(cube, x):
     return out
 
 
-def psi_cube(cube, x, k):
-    """Order-k expansion of psi_C at x, built coordinate by coordinate."""
+def _profiles(cubes, x, k):
+    """
+    The order-k profile series s(t0 + h/l_C) of every cube and coordinate,
+    t0 = (x_i - y_C_i) / l_C, as one univariate batch: a (k+1, len(cubes), n)
+    coefficient array.
+    """
     n = len(x)
-    s = cube.side
-    out = constant(1.0, n, k)
-    for i, ci in enumerate(cube.center):
-        u = (taylorarith.seed_variable(x, i, n, k) - ci) / s
-        out = out * bump_taylor(u)
+    sides = np.array([c.side for c in cubes])
+    t0 = (np.array(x) - np.array([c.center for c in cubes])) / sides[:, None]
+    u = np.zeros((k + 1, t0.size))
+    u[0] = t0.ravel()
+    if k >= 1:
+        u[1] = np.repeat(1.0 / sides, n)
+    profiles = bump_taylor(TaylorValue(taylorarith.context(1, k), u)).coeffs
+    return profiles.reshape(k + 1, len(cubes), n)
+
+
+def psi_taylor(cubes, x, k):
+    """
+    Order-k expansions of psi_C at x for every cube of `cubes`, as one
+    TaylorValue with (ncoef, len(cubes)) coefficients: the tensor product
+    coeff_a = prod_i s_i[a_i] of the profile series s_i of the coordinates,
+    gathered from one batch.
+    """
+    profiles = _profiles(cubes, x, k)
+    ctx = taylorarith.context(len(x), k)
+    out = profiles[ctx.exponents[:, 0], :, 0]
+    for i in range(1, ctx.n):
+        out = out * profiles[ctx.exponents[:, i], :, i]
+    return TaylorValue(ctx, out)
+
+
+def psi_cube(cube, x, k):
+    """
+    Order-k expansion of psi_C at x, built coordinate by coordinate: the
+    constant 1 times the profile series of each coordinate as a series in
+    n variables.  Its nonzero coefficients have the bits of the column of
+    ``psi_taylor``, which gathers the same products for many cubes at once.
+    """
+    profiles = _profiles([cube], x, k)[:, 0]
+    ctx = taylorarith.context(len(x), k)
+    out = constant(1.0, ctx.n, k)
+    for i, e in enumerate(ctx.exponents.T):
+        alone = e == ctx.exponents.sum(axis=1)  # the indices j·e_i
+        out = out * TaylorValue(ctx, np.where(alone, profiles[e, i], 0.0))
     return out
-
-
-def _normalize(pairs):
-    """[(cube, psi_C)] -> [(cube, psi_C / sum of the psi_C)], in order."""
-    total = pairs[0][1]
-    for _, p in pairs[1:]:
-        total = total + p
-    return [(c, p / total) for c, p in pairs]
 
 
 def phi_weights_real(x, dec):
@@ -109,7 +155,11 @@ def phi_weights_real(x, dec):
     Cubes whose psi_C(x) underflows to 0 near the edge of D_C are left out.
     """
     pairs = [(c, psi_cube_real(c, x)) for c in dec.supporting_cubes(x)]
-    return _normalize([(c, p) for c, p in pairs if p != 0.0])
+    pairs = [(c, p) for c, p in pairs if p != 0.0]
+    total = pairs[0][1]
+    for _, p in pairs[1:]:
+        total = total + p
+    return [(c, p / total) for c, p in pairs]
 
 
 def partition_taylor(x, dec, k):
@@ -119,7 +169,23 @@ def partition_taylor(x, dec, k):
     zero, so the returned list carries the whole local partition: the sum
     of the series is the constant-1 series up to rounding.
     """
-    return _normalize([(c, psi_cube(c, x, k)) for c in dec.supporting_cubes(x)])
+    cubes = dec.supporting_cubes(x)
+    phi = phi_taylor(cubes, x, k)
+    return [(c, TaylorValue(phi.ctx, phi.coeffs[:, j])) for j, c in enumerate(cubes)]
+
+
+def phi_taylor(cubes, x, k):
+    """
+    Order-k expansions of phi_C at x for the cubes supporting x, as one
+    TaylorValue with (ncoef, len(cubes)) coefficients: the psi matrix
+    divided once by its column sum, which is added in cube order as the
+    float weights are.
+    """
+    psi = psi_taylor(cubes, x, k)
+    total = psi.coeffs[:, 0].copy()
+    for j in range(1, len(cubes)):
+        total += psi.coeffs[:, j]
+    return taylorarith.div(psi, TaylorValue(psi.ctx, total))
 
 
 def phi_cube(cube, x, dec, k):

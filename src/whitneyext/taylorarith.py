@@ -13,6 +13,14 @@ Taylor-normalized: the entry for ``a`` is the derivative divided by ``a!``.
 Multiplication is then a plain truncated convolution, and
 :func:`extract_derivative` rescales on the way out.
 
+The coefficients may also be an (ncoef, B) array: B expansions of the same
+shape side by side, one per column (several cutoffs at once, or the m
+components of a vector-valued function).  The ring operations, ``div``,
+the elementary functions and ``compose`` act column by column, and a
+1-D operand is broadcast over the columns of the other.  Each column is
+computed with the same operations in the same order as a 1-D call on it,
+so batching never changes a bit.
+
 The convolution runs over a pair table precomputed once per (n, k) and
 shared by every value of that shape (see :class:`Context`); the tables are
 immutable after construction, so values can be used freely from multiple
@@ -43,12 +51,17 @@ class Context:
         Inverse of `indices`.
     ncoef : int
         C(n+k, n).
+    exponents : ndarray of int, shape (ncoef, n)
+        `indices` as an array.
     pair_i, pair_j, pair_t : ndarray of int
         The multiplication table: coefficient i times coefficient j
         accumulates into coefficient t, listed for every pair with
         |a_i| + |a_j| <= k.
     factorials : ndarray
         a! per index, for derivative extraction.
+
+    The scatter keys of batched products are memoized per width
+    (``scatter_keys``); the memo only ever gains identical entries.
     """
 
     def __init__(self, n, k):
@@ -57,7 +70,7 @@ class Context:
         self.indices = multiindex.enumerate_upto(n, k)
         self.pos = {a: i for i, a in enumerate(self.indices)}
         self.ncoef = len(self.indices)
-        self.orders = np.array([sum(a) for a in self.indices], dtype=np.int64)
+        self.exponents = np.array(self.indices, dtype=np.intp)
         pi, pj, pt = [], [], []
         for i, a in enumerate(self.indices):
             oa = sum(a)
@@ -72,6 +85,14 @@ class Context:
         self.factorials = np.array(
             [multiindex.factorial(a) for a in self.indices], dtype=float
         )
+        self._keys = {}
+
+    def scatter_keys(self, width):
+        """pair_t[p] * width + c for every pair p and column c < width, flattened."""
+        keys = self._keys.get(width)
+        if keys is None:
+            keys = self._keys[width] = (self.pair_t[:, None] * width + np.arange(width)).ravel()
+        return keys
 
 
 _CONTEXTS = {}
@@ -215,16 +236,25 @@ def seeds(x0, k):
 
 
 def mul(a, b):
-    """Truncated product via the precomputed pair table."""
+    """
+    Truncated product via the precomputed pair table: one gather and one
+    scatter-add.  For (ncoef, B) coefficients the scatter key of pair p in
+    column c is pair_t[p] * B + c, so every column sums its pairs in the
+    order of the 1-D product.
+    """
     ctx = a.ctx
-    prod = a.coeffs[ctx.pair_i] * b.coeffs[ctx.pair_j]
-    out = np.bincount(ctx.pair_t, weights=prod, minlength=ctx.ncoef)
-    return TaylorValue(ctx, out)
+    x, y = a.coeffs[ctx.pair_i], b.coeffs[ctx.pair_j]
+    if x.ndim == y.ndim == 1:
+        return TaylorValue(ctx, np.bincount(ctx.pair_t, weights=x * y, minlength=ctx.ncoef))
+    prod = x.reshape(len(x), -1) * y.reshape(len(y), -1)
+    width = prod.shape[1]
+    out = np.bincount(ctx.scatter_keys(width), weights=prod.ravel(), minlength=ctx.ncoef * width)
+    return TaylorValue(ctx, out.reshape(ctx.ncoef, width))
 
 
 def div(a, b):
     """
-    a / b; the series b must have a nonzero constant term.
+    a / b; the series b must have a nonzero constant term (in every column).
 
     Truncated forward substitution: with b = b0 + w and w the
     zero-constant part, each sweep q <- (a - q*w) / b0 fixes one more
@@ -232,14 +262,15 @@ def div(a, b):
     rounds, every coefficient of q*b - a is within a small multiple (set by
     n and k) of eps * (1 + max|q|) * (1 + max|b|).
     """
-    b0 = b.const
-    if b0 == 0.0:
+    b0 = b.coeffs[0]
+    if not b0.all():
         raise SeriesDomainError("division by a series with zero constant term")
     w = b.copy()
     w.coeffs[0] = 0.0
-    q = a / b0
+    num = a.coeffs if a.coeffs.ndim >= b.coeffs.ndim else a.coeffs[:, None]
+    q = TaylorValue(a.ctx, num / b0)
     for _ in range(a.k):
-        q = (a - mul(q, w)) / b0
+        q = TaylorValue(a.ctx, (num - mul(q, w).coeffs) / b0)
     return q
 
 
@@ -259,63 +290,88 @@ def pow_int(a, e):
 #
 # Every elementary function f is applied through the same route: write
 # a = a0 + w with w the zero-constant part, take the order-k univariate
-# Taylor coefficients of f at a0, and substitute w by Horner.  Truncation
-# makes this exact for the stored orders.
+# Taylor coefficients of f at a0 (per column, by the scalar math library),
+# and substitute w by Horner.  Truncation makes this exact for the stored
+# orders.
 
 
 def _compose_univariate(outer_coeffs, a):
+    """outer_coeffs: (k+1,), or (k+1, B) for (ncoef, B) coefficients of a."""
     w = a.copy()
     w.coeffs[0] = 0.0
-    out = constant(outer_coeffs[a.k], a.n, a.k)
+    out = np.zeros(a.coeffs.shape)
+    out[0] = outer_coeffs[a.k]
+    out = TaylorValue(a.ctx, out)
     for i in range(a.k - 1, -1, -1):
         out = mul(out, w)
         out.coeffs[0] += outer_coeffs[i]
     return out
 
 
-def exp(a):
+def _apply(outer_at, a):
+    """f(a), with outer_at(a0, k) the k+1 Taylor coefficients of f at a0."""
+    if a.coeffs.ndim == 1:
+        return _compose_univariate(outer_at(a.const, a.k), a)
+    outer = np.array([outer_at(float(a0), a.k) for a0 in a.coeffs[0]]).reshape(-1, a.k + 1)
+    return _compose_univariate(outer.T, a)
+
+
+def _exp_at(a0, k):
     try:
-        e0 = math.exp(a.const)
+        e0 = math.exp(a0)
     except OverflowError:
-        raise SeriesDomainError(f"exp of {a.const} overflows") from None
-    c = [e0 / math.factorial(i) for i in range(a.k + 1)]
-    return _compose_univariate(c, a)
+        raise SeriesDomainError(f"exp of {a0} overflows") from None
+    return [e0 / math.factorial(i) for i in range(k + 1)]
 
 
-def sin(a):
-    a0 = a.const
-    c = [math.sin(a0 + i * math.pi / 2) / math.factorial(i) for i in range(a.k + 1)]
-    return _compose_univariate(c, a)
+def _sin_at(a0, k):
+    return [math.sin(a0 + i * math.pi / 2) / math.factorial(i) for i in range(k + 1)]
 
 
-def cos(a):
-    a0 = a.const
-    c = [math.cos(a0 + i * math.pi / 2) / math.factorial(i) for i in range(a.k + 1)]
-    return _compose_univariate(c, a)
+def _cos_at(a0, k):
+    return [math.cos(a0 + i * math.pi / 2) / math.factorial(i) for i in range(k + 1)]
 
 
-def ln(a):
-    a0 = a.const
+def _ln_at(a0, k):
     if a0 <= 0.0:
         raise SeriesDomainError(f"ln of series with constant term {a0} <= 0")
     c = [math.log(a0)]
-    for i in range(1, a.k + 1):
+    for i in range(1, k + 1):
         c.append((-1.0) ** (i + 1) / (i * a0**i))
-    return _compose_univariate(c, a)
+    return c
 
 
-def sqrt(a):
-    a0 = a.const
+def _sqrt_at(a0, k):
     if a0 <= 0.0:
         raise SeriesDomainError(f"sqrt of series with constant term {a0} <= 0")
     # binomial series sqrt(a0 + h) = sqrt(a0) * sum C(1/2, i) (h/a0)^i
     r = math.sqrt(a0)
     c = [r]
     coef = 1.0
-    for i in range(1, a.k + 1):
+    for i in range(1, k + 1):
         coef *= (0.5 - (i - 1)) / i
         c.append(r * coef / a0**i)
-    return _compose_univariate(c, a)
+    return c
+
+
+def exp(a):
+    return _apply(_exp_at, a)
+
+
+def sin(a):
+    return _apply(_sin_at, a)
+
+
+def cos(a):
+    return _apply(_cos_at, a)
+
+
+def ln(a):
+    return _apply(_ln_at, a)
+
+
+def sqrt(a):
+    return _apply(_sqrt_at, a)
 
 
 _ELEMENTARY = {
@@ -403,18 +459,19 @@ def compose(outer, inners):
     `inners` are s TaylorValues (in a common shape) whose constant terms
     equal the coordinates of p shifted to zero — i.e. each inner must have
     constant term 0 and represents (g_i - p_i).  Returns the truncated
-    expansion of outer ∘ (p + inners).
+    expansion of outer ∘ (p + inners).  Outer coefficients of shape
+    (ncoef, B) compose B outer expansions with the same inners at once.
     """
     s = outer.n
     if len(inners) != s:
         raise ValueError(f"need {s} inner series, got {len(inners)}")
-    for w in inners:
-        if w.const != 0.0:
-            raise ValueError("inner series must have zero constant term")
+    if np.any([w.coeffs[0] for w in inners]):
+        raise ValueError("inner series must have zero constant term")
     table = monomial_products(inners, outer.k)
     ctx = inners[0].ctx
-    out = np.zeros(ctx.ncoef)
-    for a, c in zip(outer.ctx.indices, outer.coeffs):
-        if c != 0.0:
-            out += c * table[a].coeffs
+    out = np.zeros((ctx.ncoef,) + outer.coeffs.shape[1:])
+    nonzero = outer.coeffs.reshape(len(outer.coeffs), -1).any(axis=1)
+    for a, c, used in zip(outer.ctx.indices, outer.coeffs, nonzero):
+        if used:
+            out += np.multiply.outer(table[a].coeffs, c)
     return TaylorValue(ctx, out)

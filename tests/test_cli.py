@@ -232,6 +232,24 @@ def test_extend_overflowing_taylor_term(tmp_path, capsys, derivs):
     )
 
 
+def test_extend_overflowing_blend(tmp_path, capsys):
+    # each Taylor polynomial is finite, but between the two anchors their
+    # difference f_1 = +1.7e308 - (-1.7e308) is not: one error line, no
+    # numpy warning and no inf in the output
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps({"dim": 1, "order": 1, "outdim": 1, "points": [
+        {"id": "a", "x": [0.0], "values": {"[0]": [0.0], "[1]": [-1.7e308]}},
+        {"id": "b", "x": [1.0], "values": {"[0]": [0.0], "[1]": [1.7e308]}}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["extend", "--input", str(p), "--derivs", "(1)", "--grid=0.4:0.6:0.1",
+                  "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: the derivatives of the extension overflow at (0.5,)\n"
+    )
+
+
 @pytest.mark.parametrize("grid", ["0:inf:1", "nan:nan:1", "0:1:nan", "-inf:0:0.5"])
 def test_extend_non_finite_grid(jetfile, tmp_path, capsys, grid):
     rc = run(["extend", "--input", jetfile, f"--grid={grid}",

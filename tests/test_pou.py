@@ -37,19 +37,42 @@ def test_profile_monotone_decreasing_in_abs(t, h):
     assert pou.bump_real(t + h) <= pou.bump_real(t) + 1e-15
 
 
+def _profile_batch(ts, k, scale=1.0):
+    """The n = 1 batch of profile arguments t0 + h/scale, one column per t0."""
+    u = np.zeros((k + 1, len(ts)))
+    u[0] = ts
+    if k:
+        u[1] = 1.0 / scale
+    return ta.TaylorValue(ta.context(1, k), u)
+
+
 def test_profile_series_branches():
+    # one batch: plateau, outside the support, transition
+    s = pou.bump_taylor(_profile_batch([0.3, 0.9, 0.6], 3)).coeffs
     # plateau: constant-1 series
-    u = ta.seed_variable((0.3,), 0, 1, 3)
-    s = pou.bump_taylor(u)
-    assert s.coeffs[0] == 1.0 and np.all(s.coeffs[1:] == 0.0)
+    assert s[0, 0] == 1.0 and np.all(s[1:, 0] == 0.0)
     # outside support: exactly zero
-    u = ta.seed_variable((0.9,), 0, 1, 3)
-    assert np.all(pou.bump_taylor(u).coeffs == 0.0)
+    assert np.all(s[:, 1] == 0.0)
     # transition: derivative of order 1 is negative (decreasing)
-    u = ta.seed_variable((0.6,), 0, 1, 3)
-    s = pou.bump_taylor(u)
-    assert 0.0 < s.const < 1.0
-    assert s.coeffs[1] < 0.0
+    assert 0.0 < s[0, 2] < 1.0
+    assert s[1, 2] < 0.0
+
+
+def test_profile_batch_columns_match_single_calls():
+    # every column of a batch, including rows exactly on the junctions
+    # |t| = 1/2 and 3/4, has the bits of the 1-D call on its own argument;
+    # the junction rows are the constant-1 and the zero series
+    ts = [0.0, 0.5, -0.5, 0.55, -0.6, 0.7, 0.75, -0.75, 1.2, 0.625, -0.5000001]
+    for k in (0, 1, 2, 4):
+        for scale in (1.0, 0.125, 3.0):
+            batch = pou.bump_taylor(_profile_batch(ts, k, scale)).coeffs
+            for j, t in enumerate(ts):
+                u = _profile_batch([t], k, scale)
+                single = pou.bump_taylor(ta.TaylorValue(u.ctx, u.coeffs[:, 0]))
+                assert single.coeffs.shape == (k + 1,)
+                assert np.array_equal(batch[:, j], single.coeffs)
+                if abs(t) in (0.5, 0.75):
+                    assert batch[0, j] == (abs(t) == 0.5) and np.all(batch[1:, j] == 0.0)
 
 
 def test_profile_flat_contact_at_branch_points():
@@ -64,9 +87,10 @@ def test_profile_flat_contact_at_branch_points():
 
 def test_profile_series_matches_finite_differences():
     h = 1e-5
-    for t0 in (0.55, 0.6, 0.65, 0.7):
-        u = ta.seed_variable((t0,), 0, 1, 2)
-        d = ta.derivatives(pou.bump_taylor(u))
+    ts = (0.55, 0.6, 0.65, 0.7)
+    series = pou.bump_taylor(_profile_batch(ts, 2)).coeffs
+    for t0, col in zip(ts, series.T):
+        d = col * np.array([1.0, 1.0, 2.0])
         fd1 = (pou.bump_real(t0 + h) - pou.bump_real(t0 - h)) / (2 * h)
         fd2 = (pou.bump_real(t0 + h) - 2 * pou.bump_real(t0) + pou.bump_real(t0 - h)) / h**2
         assert d[1] == pytest.approx(fd1, rel=1e-4, abs=1e-6)
@@ -99,6 +123,43 @@ def test_psi_cube_rescale():
     assert 0.0 < pou.psi_cube_real(c, (2.55,)) < 1.0
     series = pou.psi_cube(c, (2.55,), 2)
     assert series.const == pytest.approx(pou.psi_cube_real(c, (2.55,)), rel=1e-14)
+
+
+def _psi_by_seeds(cube, x, k):
+    """The reference: psi_C as the product of n profile series, each of the
+    seed variable of its coordinate, in n-variable arithmetic."""
+    n = len(x)
+    out = ta.constant(1.0, n, k)
+    for i, ci in enumerate(cube.center):
+        out = out * pou.bump_taylor((ta.seed_variable(x, i, n, k) - ci) / cube.side)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_psi_tensor_product_matches_seeded_product(n):
+    # x on a 1/16 grid and cubes of levels 0..2 around it: the rows
+    # t = (x_i - c_i) / l_C fall on the plateau, in the transition band,
+    # outside the support, and exactly on the junctions |t| = 1/2 and 3/4
+    rng = np.random.default_rng(40 + n)
+    seen = set()
+    for k in (0, 1, 2, 4):
+        for _ in range(25):
+            x = tuple(float(v) for v in rng.integers(-32, 32, n) / 16)
+            cubes = []
+            for _ in range(5):
+                level = int(rng.integers(0, 3))
+                shift = rng.integers(-1, 2, n)
+                corner = tuple(math.floor(xi * 2**level) + int(s) for xi, s in zip(x, shift))
+                cubes.append(decomp.WhitneyCube(level, corner))
+            psi = pou.psi_taylor(cubes, x, k)
+            assert psi.coeffs.shape == (ta.context(n, k).ncoef, len(cubes))
+            for j, c in enumerate(cubes):
+                assert np.array_equal(psi.coeffs[:, j], _psi_by_seeds(c, x, k).coeffs)
+                assert np.array_equal(psi.coeffs[:, j], pou.psi_cube(c, x, k).coeffs)
+                seen.update(abs((xi - ci) / c.side) for xi, ci in zip(x, c.center))
+    assert {0.5, 0.75} <= seen
+    assert any(t < 0.5 for t in seen) and any(0.5 < t < 0.75 for t in seen)
+    assert any(t > 0.75 for t in seen)
 
 
 # -- partition of unity -------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from whitneyext import multiindex, taylorarith as ta
 
@@ -232,6 +233,53 @@ def test_division_inverts_multiplication(a, b):
     # huge when |y1/y0| is large -- bound relative to it, not to the inputs
     scale = (1.0 + np.max(np.abs(q.coeffs))) * (1.0 + np.max(np.abs(y.coeffs)))
     assert np.allclose(back.coeffs, x.coeffs, rtol=0, atol=1e-12 * scale)
+
+
+_BATCH_CTX = ta.context(2, 3)
+_batch_entries = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+batches = st.integers(1, 4).flatmap(
+    lambda w: hnp.arrays(np.float64, (_BATCH_CTX.ncoef, w), elements=_batch_entries)
+)
+
+
+def _column(tv, j):
+    return ta.TaylorValue(tv.ctx, tv.coeffs[:, j].copy())
+
+
+@given(batches, st.data())
+@settings(max_examples=200)
+def test_batched_ops_match_columnwise_calls(a, data):
+    # column j of a batched mul / div / exp has the bits of the 1-D call on
+    # column j, and a 1-D operand is broadcast over the other's columns
+    b = data.draw(hnp.arrays(np.float64, a.shape, elements=_batch_entries))
+    b[0] = np.where(np.abs(b[0]) < 1e-3, 1.0, b[0])  # divisors need b0 != 0
+    x, y = ta.TaylorValue(_BATCH_CTX, a), ta.TaylorValue(_BATCH_CTX, b)
+    x0, y0 = _column(x, 0), _column(y, 0)
+    batched = {
+        "mul": (ta.mul(x, y), lambda j: ta.mul(_column(x, j), _column(y, j))),
+        "div": (ta.div(x, y), lambda j: ta.div(_column(x, j), _column(y, j))),
+        "exp": (ta.exp(x), lambda j: ta.exp(_column(x, j))),
+        "mul 1-D by 2-D": (ta.mul(x0, y), lambda j: ta.mul(x0, _column(y, j))),
+        "div 2-D by 1-D": (ta.div(x, y0), lambda j: ta.div(_column(x, j), y0)),
+        "div 1-D by 2-D": (ta.div(x0, y), lambda j: ta.div(x0, _column(y, j))),
+    }
+    for name, (got, single) in batched.items():
+        assert got.coeffs.shape == a.shape, name
+        for j in range(a.shape[1]):
+            assert np.array_equal(got.coeffs[:, j], single(j).coeffs, equal_nan=True), name
+
+
+def test_batched_compose_matches_columnwise_calls():
+    rng = np.random.default_rng(7)
+    ctx = ta.context(2, 3)
+    inners = [ta.TaylorValue(ctx, rng.standard_normal(ctx.ncoef)) for _ in range(2)]
+    for w in inners:
+        w.coeffs[0] = 0.0
+    outer = ta.TaylorValue(ctx, rng.standard_normal((ctx.ncoef, 3)))
+    outer.coeffs[3, 1] = 0.0  # a zero in one column only
+    got = ta.compose(outer, inners).coeffs
+    for j in range(3):
+        assert np.array_equal(got[:, j], ta.compose(_column(outer, j), inners).coeffs)
 
 
 @given(st.floats(-3, 3, allow_nan=False))
