@@ -50,10 +50,10 @@ print("touching cubes:", [(nb.level, nb.corner) for nb in nearby if nb.touches(c
 # query point.
 
 x = (0.37,)
-weights = pou.phi_weights_real(x, dec)
+cubes, phi = pou.phi_taylor(dec.supporting_cubes(x), x, 0)  # order 0: the weights
 print("\nactive cubes at x=0.37 and their weights:")
 total = 0.0
-for cube, w in weights:
+for cube, w in zip(cubes, phi.coeffs[0]):
     print(f"  level {cube.level} [{cube.lo[0]}, {cube.hi[0]}] -> {w:.6f}")
     total += w
 print("sum:", total)

@@ -21,7 +21,8 @@ user-supplied partition of unity (h_i)_i subordinate to the charts:
 
     F = Σ_i h_i · (F_i ∘ chart_i),
 
-evaluated and differentiated in any chart's coordinates.  Partitions of
+evaluated and differentiated in any chart's coordinates by one Taylor
+computation, whose zero row at order 0 is the value.  Partitions of
 unity on the manifold are inputs, not synthesized: existence is a
 theorem, construction is the caller's choice.
 """
@@ -139,20 +140,6 @@ class FiniteAtlas:
     def map_point(self, frm, to, x):
         return tuple(float(v) for v in self.transition(frm, to).eval_real(x))
 
-    def in_overlap(self, frm, to, x, slack=_SLACK):
-        """
-        Whether the point with from-chart coordinates x lies in the overlap
-        with the to-chart.  Pairs without a declared transition are
-        disjoint by convention.
-        """
-        if not self.chart(frm).contains(x, slack):
-            return False
-        if frm == to:
-            return True
-        if (frm, to) not in self.transitions:
-            return False
-        return self.chart(to).contains(self.map_point(frm, to, x), slack)
-
     def check_roundtrips(self, frm, to, points, tol=1e-9):
         """Largest round-trip defect of transition(frm,to) ∘ transition(to,frm)."""
         fwd, back = self.transition(frm, to), self.transition(to, frm)
@@ -180,9 +167,6 @@ class AtlasJet:
         if len(shapes) > 1:
             raise ValueError(f"per-chart jets have mismatched shapes: {shapes}")
         self.n, self.k, self.m = shapes.pop()
-
-    def chart_ids(self):
-        return list(self.jets)
 
     def point_ids(self):
         """All manifold point ids, in first-appearance order."""
@@ -418,24 +402,17 @@ class ManifoldExtension:
                 )
 
     def eval(self, chart, x):
-        """F at the point with the given chart coordinates, as an (m,) array."""
-        x = tuple(float(c) for c in x)
-        out = np.zeros(self.m)
-        for cid, h, ext, points in self.pieces:
-            y = self._chart_point(chart, x, cid, ext, points)
-            if y is None:
-                continue
-            w = exprlang.eval_real(h, y)
-            if w != 0.0:
-                out += w * ext.eval(y)
-        return out
+        """F at the point with the given chart coordinates, as an (m,) array:
+        the zero row of ``eval_derivs(chart, x, 0)``."""
+        return self.eval_derivs(chart, x, 0)[(0,) * self.n]
 
     def eval_derivs(self, chart, x, upto=None):
         """
         All ∂^α(F ∘ chart⁻¹)(x) for |α| ≤ upto, as a dict over multi-index
         tuples.  Each term's extension expansion (at the mapped point) is
         composed with the transition series, multiplied by the bump series,
-        and summed — all in Taylor arithmetic.
+        and summed — all in Taylor arithmetic.  A chart whose bump series is
+        identically zero at x contributes nothing and is skipped.
         """
         upto = self.k if upto is None else int(upto)
         if not 0 <= upto <= self.k:
@@ -450,17 +427,13 @@ class ManifoldExtension:
                 continue
             tau = self.atlas.transition(chart, cid).eval_taylor_env(seeds)
             hseries = exprlang.eval_taylor_env(h, tau)
+            if not hseries.coeffs.any():
+                continue  # h vanishes here, so F_i is not needed
             inners = [t - t.const for t in tau]
             outer = taylorarith.TaylorValue(ctx, ext.derivs(y, upto) / ctx.factorials[:, None])
             total += (hseries * taylorarith.compose(outer, inners)).coeffs
         ders = total * ctx.factorials[:, None]
         return {a: ders[i].copy() for i, a in enumerate(ctx.indices)}
-
-
-def manifold_extend(aj, atlas, pou, query, k=None, j_max=52, tol=1e-9):
-    """One-shot evaluation: build the extension and evaluate at (chart, x)."""
-    chart, x = query
-    return ManifoldExtension(aj, atlas, pou, k=k, j_max=j_max, tol=tol).eval(chart, x)
 
 
 # -- JSON interchange ---------------------------------------------------------

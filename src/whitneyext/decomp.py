@@ -202,10 +202,6 @@ class WhitneyCube:
         s = self.side
         return tuple((z + 0.5) * s for z in self.corner)
 
-    @property
-    def diam(self):
-        return math.sqrt(len(self.corner)) * self.side
-
     def contains(self, x):
         """Closed containment (geometric tests use closed cubes)."""
         return all(l <= xi <= h for l, xi, h in zip(self.lo, x, self.hi))
@@ -277,14 +273,13 @@ class Decomposition:
         """
         j_max = self.j_max if j_max is None else j_max
         qualifies = qualifies or self._qualifies
-        _check_query(x)
-        if self.A._contains(x):
+        d = self.A.distance(x)  # checks the query
+        if d == 0.0 and self.A._contains(x):  # a point of A is at distance 0
             raise OnSet(x)
 
         def ancestor(j):
             return WhitneyCube(j, tuple(math.floor(math.ldexp(xi, j)) for xi in x))
 
-        d = self.A.distance(x)
         # a log difference, as 4*sqrt(n)/d is inf for a subnormal d
         j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) - 1 if d else j_max
         j = min(max(j, 0), j_max)

@@ -12,27 +12,33 @@ anchor of C (a nearest point of A to its center).  F is C^k, its jet on A
 is exactly the prescribed one, it depends linearly on f, and it reproduces
 every polynomial of degree ≤ k whose jet induced f.
 
-Derivatives of F off A are computed by running the whole sum in Taylor
-arithmetic.  The series of each anchored Taylor polynomial at the query
-point x comes from the shift identity
+F and its derivatives off A come from one computation, the whole sum run
+in Taylor arithmetic; the value F(x) is row 0 of that blend at order 0,
+and ``eval``, ``eval_adaptive`` and ``derivs`` differ only in the order
+and in the degree each cube contributes.  The series of each anchored
+Taylor polynomial at the query point x comes from the shift identity
 
     ∂^β T^k_y f(x) = Σ_{|γ| ≤ k−|β|} (x−y)^γ/γ! · f_{β+γ}(y),
 
 which reads its coefficients straight off the jet (``jets.Jet.taylor_series``,
-one array computation for all anchors; its row 0 is the value the float
-path blends).  As Σ_C φ_C = 1, the sum is formed as
+one array computation for all anchors of one degree).  As Σ_C φ_C = 1,
+the sum is formed as
 
     F = T_{C₀} + Σ_{C≠C₀} φ_C·(T_C − T_{C₀}),      C₀ the first cube,
 
 on (ncoef, m) coefficient arrays: the φ_C series of every supporting cube
 come from one ``pou.phi_taylor`` call (one series division of the ψ
 matrix by Σ ψ), and the products are one batched series product, added
-in cube order.  Near A the derivatives of φ_C grow like side^−|α|, and so
-they multiply only differences of the polynomials, not a common part that
-would have to cancel in rounding.  Normalizing ψ before the product
-rather than dividing the summed numerator by Σ ψ afterwards costs the same
-single division and keeps the rounding of the per-cube sum.  A result
-beyond the float range is a ValueError, not inf.  On A the derivatives
+in cube order.  Cubes whose ψ_C(x) is 0 contribute nothing and are left
+out.  Near A the derivatives of φ_C grow like side^−|α|, and so they
+multiply only differences of the polynomials, not a common part that
+would have to cancel in rounding.  A difference T_C − T_{C₀} can leave
+the float range where F does not (T = ±1e308 at two anchors), so the
+blend runs on halved rows and doubles the result; halving is exact in the
+normal float range.  Normalizing ψ before the product rather than
+dividing the summed numerator by Σ ψ afterwards costs the same single
+division and keeps the rounding of the per-cube sum.  A result beyond the
+float range is a ValueError, not inf.  On A the values and derivatives
 are read from the jet, which the theorem guarantees is the restriction
 of F.
 
@@ -123,26 +129,12 @@ class Extension:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x):
-        """F(x) as an (m,) array."""
-        return self._blend(x, lambda cube: self.k)
+        """F(x) as an (m,) array: row 0 of the blend at order 0."""
+        return self._blend(x, 0, lambda cube: self.k)[0]
 
     def eval_batch(self, xs):
         """F on every row of xs, stacked; rows are independent."""
         return np.array([self.eval(x) for x in np.asarray(xs, dtype=float)])
-
-    def _blend(self, x, degree):
-        """
-        F(x) with the cube C contributing its anchored Taylor polynomial of
-        degree `degree(C)`, weighted by phi_C(x).
-        """
-        x = tuple(float(c) for c in x)
-        pid = self._on_set(x)
-        if pid is not None:
-            return self.jet.values[pid][0].copy()
-        out = np.zeros(self.m)
-        for cube, w in pou.phi_weights_real(x, self.dec):
-            out += w * self.jet.taylor_poly(self._anchor_id(cube), degree(cube), x)
-        return out
 
     def eval_derivs(self, x, upto=None):
         """
@@ -164,17 +156,29 @@ class Extension:
         upto = self.k if upto is None else int(upto)
         if not 0 <= upto <= self.k:
             raise ValueError(f"order {upto} exceeds evaluation degree {self.k}")
+        return self._blend(x, upto, lambda cube: self.k)
+
+    def _blend(self, x, upto, degree):
+        """
+        The rows ∂^α F(x) for |α| ≤ upto, the cube C contributing its
+        anchored Taylor polynomial of degree `degree(C)` ≥ upto.
+        """
         ctx = taylorarith.context(self.n, upto)
         x = tuple(float(c) for c in x)
         pid = self._on_set(x)
         if pid is not None:
             return self.jet.values[pid][: ctx.ncoef].copy()
-        cubes = self.dec.supporting_cubes(x)
-        rows = self.jet.taylor_series([self._anchor_id(c) for c in cubes], self.k, x, upto)
+        cubes, phi = pou.phi_taylor(self.dec.supporting_cubes(x), x, upto)
+        degrees = [degree(c) for c in cubes]
+        rows = np.empty((ctx.ncoef, len(cubes), self.m))
+        for g in dict.fromkeys(degrees):  # one taylor_series call per degree
+            cols = [j for j, d in enumerate(degrees) if d == g]
+            ids = [self._anchor_id(cubes[j]) for j in cols]
+            rows[:, cols] = self.jet.taylor_series(ids, g, x, upto)
+        rows *= 0.5  # so that T_C − T_{C₀} is finite wherever F is
         total = rows[:, 0].copy()
         with np.errstate(over="ignore", invalid="ignore"):
             if len(cubes) > 1:
-                phi = pou.phi_taylor(cubes, x, upto)
                 diffs = rows[:, 1:] - rows[:, :1]
                 weights = np.repeat(phi.coeffs[:, 1:], self.m, axis=1)
                 terms = taylorarith.mul(
@@ -183,7 +187,7 @@ class Extension:
                 )
                 for term in np.moveaxis(terms.coeffs.reshape(diffs.shape), 1, 0):  # in cube order
                     total += term
-            ders = total * ctx.factorials[:, None]
+            ders = total * (2.0 * ctx.factorials)[:, None]
         if not np.isfinite(ders).all():
             raise ValueError(f"the derivatives of the extension overflow at {x}")
         return ders
@@ -213,11 +217,13 @@ class Extension:
         """
         if self.schedule is None:
             raise ValueError("extension was built without a degree schedule")
-        return self._blend(x, self._cube_degree)
+        return self._blend(x, 0, self._cube_degree)[0]
 
     def supporting_count(self, x):
-        """Number of cubes that actually contribute at x (locality probe)."""
-        return len(pou.phi_weights_real(tuple(float(c) for c in x), self.dec))
+        """Number of cubes with psi_C(x) != 0, which contribute at x
+        (locality probe)."""
+        x = tuple(float(c) for c in x)
+        return len(pou.phi_taylor(self.dec.supporting_cubes(x), x, 0)[0])
 
 
 def linearity_probe(f, g, a, b, x, k=None, j_max=52):

@@ -4,10 +4,10 @@ Whitney k-jets on finite point sets.
 A jet stores, for every point of a finite set A in R^n and every
 multi-index a with |a| <= k, a value in R^m — the candidate mixed partial
 derivatives of a C^k function.  The module provides the anchored Taylor
-polynomial and remainder of a jet, the order shift, projection and
-restriction, the jet seminorms (sup of values plus sup of normalized
-remainder quotients), a smallness modulus for the remainder condition, and
-gluing of jets given on overlapping subsets.
+polynomial and remainder of a jet, the order shift and projection, the
+jet seminorms (sup of values plus sup of normalized remainder quotients),
+a smallness modulus for the remainder condition, and gluing of jets given
+on overlapping subsets.
 
 Any finite set is closed, so the remainder condition proper is vacuous in
 the limit; the modulus is still reported as a diagnostic.  Values use the
@@ -219,15 +219,6 @@ class Jet:
         ncoef = multiindex.count_upto(self.n, l)
         values = {pid: self.values[pid][:ncoef] for pid in self.ids}
         return Jet(self.n, l, self.m, [(p, self.coords[p]) for p in self.ids], values)
-
-    def restrict(self, ids):
-        """Keep only the listed point ids."""
-        ids = list(ids)
-        unknown = [p for p in ids if p not in self.coords]
-        if unknown:
-            raise KeyError(f"unknown point ids: {unknown}")
-        values = {pid: self.values[pid] for pid in ids}
-        return Jet(self.n, self.k, self.m, [(p, self.coords[p]) for p in ids], values)
 
     # -- seminorms ----------------------------------------------------------
 

@@ -38,23 +38,6 @@ def factorial(a):
     return out
 
 
-def binom(a, b):
-    """
-    Entrywise product of binomial coefficients C(a_i, b_i).
-
-    Zero when b_i > a_i for some i (the usual convention), so the result
-    is nonzero exactly when b <= a componentwise.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {a} vs {b}")
-    out = 1
-    for ai, bi in zip(a, b):
-        if bi > ai:
-            return 0
-        out *= math.comb(ai, bi)
-    return out
-
-
 def add(a, b):
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {a} vs {b}")
@@ -68,24 +51,6 @@ def sub(a, b):
     if any(y > x for x, y in zip(a, b)):
         raise ValueError(f"{b} is not <= {a}")
     return tuple(x - y for x, y in zip(a, b))
-
-
-def leq(b, a):
-    """Componentwise b <= a."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {a} vs {b}")
-    return all(y <= x for x, y in zip(a, b))
-
-
-def monomial(x, a):
-    """x^a = prod x_i^{a_i}, with the 0^0 = 1 convention."""
-    if len(x) != len(a):
-        raise ValueError(f"dimension mismatch: point {x} vs index {a}")
-    out = 1.0
-    for xi, ai in zip(x, a):
-        if ai:
-            out *= xi**ai
-    return out
 
 
 def enumerate_upto(n, k):
@@ -132,11 +97,6 @@ def _graded(n, g):
 def count_upto(n, k):
     """len(enumerate_upto(n, k)) without building the list: C(n+k, n)."""
     return math.comb(n + k, n)
-
-
-def position_map(n, k):
-    """Dict mapping each multi-index with |a| <= k to its graded-lex position."""
-    return {a: i for i, a in enumerate(enumerate_upto(n, k))}
 
 
 def parse(text, n=None):

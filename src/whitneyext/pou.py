@@ -17,9 +17,13 @@ l_C/2) and supported in the enlarged box D_C (sup-norm radius (3/4) l_C).
 The partition functions are phi_C = psi_C / sum of psi over all cubes;
 only the cubes whose enlarged box D_C holds x contribute to the sum
 (``Decomposition.supporting_cubes``), and the denominator's constant term
-is at least 1 because x lies on its own cube's plateau.  The float weights
-(``phi_weights_real``, from ``psi_cube_real``) and the series weights
-(``partition_taylor``) share that cube search.
+is at least 1 because x lies on its own cube's plateau.  A cube whose
+psi_C(x) is exactly 0 (it underflows near the edge of D_C) is left out, as
+its weight adds nothing to F(x).
+
+There is one weights routine, ``phi_taylor``, and no separate float path:
+the weights phi_C(x) are the order-0 series, whose single coefficient is
+the plain float quotient psi_C(x) / sum of psi.
 
 All derivatives are taken in Taylor arithmetic, on arrays.  As psi_C is a
 product of one-variable profiles, its series is a tensor product: the
@@ -40,28 +44,11 @@ boundary.  (On the closed plateau boundary the true expansion *is* the
 constant series — the junctions are flat.)
 """
 
-import math
-
 import numpy as np
 
 from . import taylorarith
 from .decomp import ResolutionExceeded
 from .taylorarith import TaylorValue, constant
-
-
-def _B_real(t):
-    return math.exp(-1.0 / t) if t > 0.0 else 0.0
-
-
-def bump_real(t):
-    """The 1-D profile s(t) as a plain float."""
-    t = abs(t)
-    if t <= 0.5:
-        return 1.0
-    if t >= 0.75:
-        return 0.0
-    up = _B_real(0.75 - t)
-    return up / (up + _B_real(t - 0.5))
 
 
 def bump_taylor(u):
@@ -87,17 +74,6 @@ def bump_taylor(u):
         up, down = TaylorValue(u.ctx, b[:, : mid.size]), TaylorValue(u.ctx, b[:, mid.size :])
         out[:, mid] = (up / (up + down)).coeffs
     return TaylorValue(u.ctx, out.reshape(u.coeffs.shape))
-
-
-def psi_cube_real(cube, x):
-    """psi_C(x) = psi((x - y_C) / l_C) as a float."""
-    s = cube.side
-    out = 1.0
-    for xi, ci in zip(x, cube.center):
-        out *= bump_real((xi - ci) / s)
-        if out == 0.0:
-            break
-    return out
 
 
 def _profiles(cubes, x, k):
@@ -148,60 +124,48 @@ def psi_cube(cube, x, k):
     return out
 
 
-def phi_weights_real(x, dec):
-    """
-    The partition weights at x as floats: a list of (cube, phi_C(x)) over
-    the cubes supporting x.  The weights are non-negative and sum to 1.
-    Cubes whose psi_C(x) underflows to 0 near the edge of D_C are left out.
-    """
-    pairs = [(c, psi_cube_real(c, x)) for c in dec.supporting_cubes(x)]
-    pairs = [(c, p) for c, p in pairs if p != 0.0]
-    total = pairs[0][1]
-    for _, p in pairs[1:]:
-        total = total + p
-    return [(c, p / total) for c, p in pairs]
-
-
 def partition_taylor(x, dec, k):
     """
     Order-k expansions of every phi_C at x, as a list of (cube, series)
-    over the supporting cubes.  The series of all other cubes are exactly
-    zero, so the returned list carries the whole local partition: the sum
-    of the series is the constant-1 series up to rounding.
+    over the supporting cubes with psi_C(x) != 0.  The series of all other
+    cubes are zero, so the returned list carries the whole local partition:
+    the sum of the series is the constant-1 series up to rounding.
     """
-    cubes = dec.supporting_cubes(x)
-    phi = phi_taylor(cubes, x, k)
+    cubes, phi = phi_taylor(dec.supporting_cubes(x), x, k)
     return [(c, TaylorValue(phi.ctx, phi.coeffs[:, j])) for j, c in enumerate(cubes)]
 
 
 def phi_taylor(cubes, x, k):
     """
-    Order-k expansions of phi_C at x for the cubes supporting x, as one
-    TaylorValue with (ncoef, len(cubes)) coefficients: the psi matrix
-    divided once by its column sum, which is added in cube order as the
-    float weights are.
+    Order-k expansions of phi_C at x for the cubes of `cubes` (those
+    supporting x) whose psi_C(x) is not 0, as (those cubes, one TaylorValue
+    with a column per cube): the psi matrix divided once by its column sum,
+    which is added in cube order.  Row 0 holds the weights phi_C(x).
     """
     psi = psi_taylor(cubes, x, k)
-    total = psi.coeffs[:, 0].copy()
-    for j in range(1, len(cubes)):
-        total += psi.coeffs[:, j]
-    return taylorarith.div(psi, TaylorValue(psi.ctx, total))
+    live = np.flatnonzero(psi.coeffs[0])
+    cols = psi.coeffs[:, live]
+    total = cols[:, 0].copy()
+    for j in range(1, len(live)):
+        total += cols[:, j]
+    phi = taylorarith.div(TaylorValue(psi.ctx, cols), TaylorValue(psi.ctx, total))
+    return [cubes[j] for j in live], phi
 
 
 def phi_cube(cube, x, dec, k):
     """
-    Order-k expansion of phi_C at x.  Exactly the zero series when x is
-    outside the enlarged box D_C (the support of psi_C); otherwise
-    psi_C / sum psi over the cubes supporting x.
+    Order-k expansion of phi_C at x: psi_C / sum psi over the cubes
+    supporting x, and exactly the zero series when psi_C(x) is 0, in
+    particular when x is outside the enlarged box D_C (the support of
+    psi_C).
     """
-    if not cube.enlarged_contains(x):
+    if cube.enlarged_contains(x):
+        for c, series in partition_taylor(x, dec, k):
+            if c == cube:
+                return series
+    else:
         dec.locate(x)  # raises on A or beyond resolution, as for any query
-        return constant(0.0, dec.n, k)
-    for c, series in partition_taylor(x, dec, k):
-        if c == cube:
-            return series
-    # x in D_C always places C among the supporting cubes
-    raise AssertionError(f"cube {cube} not found among supporting cubes of {x}")
+    return constant(0.0, dec.n, k)
 
 
 def estimate_derivative_constant(dec, k, sample_points):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whitneyext import atlas, fdb, jets
 from whitneyext import exprlang as el
@@ -78,7 +79,7 @@ def test_check_roundtrips():
 
 def test_atlas_jet_shared_ids():
     aj = doubling_jet()
-    assert aj.chart_ids() == ["u", "v"]
+    assert list(aj.jets) == ["u", "v"]
     assert aj.point_ids() == ["p", "q"]
     assert aj.n == 1 and aj.k == 2 and aj.m == 1
 
@@ -231,6 +232,27 @@ def test_manifold_extension_off_points_smooth_blend():
         assert a == pytest.approx(b, rel=1e-10)
 
 
+def sine_bump_fixture():
+    # the overlap fixture with bumps that vary: h_u + h_v = 1 everywhere
+    at = doubling_atlas()
+    aj = doubling_jet(k=2)
+    pou = [("u", el.parse("0.5 + 0.25*sin(x0)", 1)), ("v", el.parse("0.5 - 0.25*sin(x0/2)", 1))]
+    return at, aj, pou
+
+
+@given(st.sampled_from(["u", "v"]), st.floats(-6.0, 6.0), st.one_of(st.none(), st.integers(1, 9)))
+@settings(max_examples=200, deadline=None)
+def test_manifold_values_are_row_zero_of_the_derivatives(chart, t, near):
+    # one computation: the value has the bits of the zero row of the
+    # derivative query, near a jet point and far from it
+    at, aj, pou = sine_bump_fixture()
+    me = atlas.ManifoldExtension(aj, at, pou)
+    x = (t,) if near is None else (aj.jets[chart].coords["p"][0] + t * 10.0**-near,)
+    value = me.eval(chart, x)
+    assert np.array_equal(value, me.eval_derivs(chart, x, 0)[(0,)])
+    assert np.array_equal(value, me.eval_derivs(chart, x, 2)[(0,)])
+
+
 def test_partition_deficit_detected():
     at = doubling_atlas()
     aj = doubling_jet()
@@ -241,8 +263,8 @@ def test_partition_deficit_detected():
 
 def test_manifold_extend_one_shot():
     at, aj, pou = overlap_fixture()
-    a = atlas.manifold_extend(aj, at, pou, ("u", (1.5,)))
-    b = atlas.manifold_extend(aj, at, pou, ("v", (3.0,)))
+    a = atlas.ManifoldExtension(aj, at, pou).eval("u", (1.5,))
+    b = atlas.ManifoldExtension(aj, at, pou).eval("v", (3.0,))
     assert np.allclose(a, b, rtol=1e-10)
 
 

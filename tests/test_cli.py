@@ -135,6 +135,40 @@ def test_extend_values_and_derivs(jetfile, tmp_path):
     assert abs(float(rows[0.5][1]) - math.exp(0.5)) < 0.3
 
 
+@pytest.mark.parametrize("derivs", ["(1)", "(1) (2)"])
+def test_extend_values_match_derivs_run(jetfile, tmp_path, derivs):
+    # the F columns are one computation with and without --derivs, bit for
+    # bit, near the set and far from it
+    for grid in ("-1.9:2.3:0.37", "-0.01:0.01:0.0013", "-40:40:3.7"):
+        tables = []
+        for extra in ([], ["--derivs", derivs]):
+            out = tmp_path / "f.csv"
+            assert run(["extend", "--input", jetfile, f"--grid={grid}", "--out", str(out), *extra]) == 0
+            tables.append([row.split(",")[:2] for row in out.read_text().splitlines()])
+        assert tables[0] == tables[1]
+
+
+def test_extend_values_near_the_float_range(tmp_path, capsys):
+    # F = +-1e308 on the two anchors: the blend of their Taylor polynomials
+    # stays finite although their difference does not
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps({"dim": 1, "order": 0, "outdim": 1, "points": [
+        {"id": "a", "x": [0.0], "values": {"[0]": [1e308]}},
+        {"id": "b", "x": [1.0], "values": {"[0]": [-1e308]}}]}))
+    out = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["extend", "--input", str(p), "--grid=-0.5:1.5:0.25", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines() == [
+        "x0,F0",
+        "-0.5,1e+308", "-0.25,1e+308", "0.0,1e+308", "0.25,1e+308",
+        "0.5,0.0",
+        "0.75,-1e+308", "1.0,-1e+308", "1.25,-1e+308", "1.5,-1e+308",
+    ]
+
+
 def test_extend_respects_k(jetfile, tmp_path):
     out = tmp_path / "f.csv"
     rc = run(["extend", "--input", jetfile, "--grid", "2:2:1.0",
@@ -232,21 +266,43 @@ def test_extend_overflowing_taylor_term(tmp_path, capsys, derivs):
     )
 
 
-def test_extend_overflowing_blend(tmp_path, capsys):
-    # each Taylor polynomial is finite, but between the two anchors their
-    # difference f_1 = +1.7e308 - (-1.7e308) is not: one error line, no
-    # numpy warning and no inf in the output
+def _opposite_slopes(tmp_path):
+    # each Taylor polynomial is finite, and between the two anchors their
+    # difference f_1 = +1.7e308 - (-1.7e308) is not
     p = tmp_path / "jet.json"
     p.write_text(json.dumps({"dim": 1, "order": 1, "outdim": 1, "points": [
         {"id": "a", "x": [0.0], "values": {"[0]": [0.0], "[1]": [-1.7e308]}},
         {"id": "b", "x": [1.0], "values": {"[0]": [0.0], "[1]": [1.7e308]}}]}))
+    return str(p)
+
+
+def test_extend_blend_of_opposite_slopes(tmp_path, capsys):
+    # F' is finite on this grid (0 at 0.5), and the blend prints it
+    out = tmp_path / "x.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run(["extend", "--input", str(p), "--derivs", "(1)", "--grid=0.4:0.6:0.1",
-                  "--out", str(tmp_path / "x.csv")])
+        rc = run(["extend", "--input", _opposite_slopes(tmp_path), "--derivs", "(1)",
+                  "--grid=0.4:0.6:0.1", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines() == [
+        "x0,F0,d[1]_F0",
+        "0.4,-6.800000000000001e+307,-1.7e+308",
+        "0.5,-8.5e+307,0.0",
+        "0.6000000000000001,-6.799999999999999e+307,1.7e+308",
+    ]
+
+
+def test_extend_overflowing_blend(tmp_path, capsys):
+    # F'(0.51) = 2.34e308 is beyond the float range: one error line, no
+    # numpy warning and no inf in the output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["extend", "--input", _opposite_slopes(tmp_path), "--derivs", "(1)",
+                  "--grid=0.5:0.52:0.01", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "error: the derivatives of the extension overflow at (0.5,)\n"
+        "error: the derivatives of the extension overflow at (0.51,)\n"
     )
 
 

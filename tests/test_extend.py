@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whitneyext import decomp, extend, jets, pou, taylorarith
 from whitneyext import exprlang as el
@@ -133,6 +134,45 @@ def test_eval_batch_matches_eval():
     batch = F.eval_batch(xs)
     for row, x in zip(batch, xs):
         assert np.array_equal(row, F.eval(x))
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.integers(1, 9)),
+)
+@settings(max_examples=150, deadline=None)
+def test_values_are_row_zero_of_the_derivatives(n, k, npts, seed, near):
+    # one blend: F(x) has the bits of the order-0 row of every derivative
+    # query, near A (offset 10^-near from a point) and far from it
+    rng = np.random.default_rng(seed)
+    pts = [(f"p{i}", tuple(rng.uniform(-1, 1, n))) for i in range(npts)]
+    ncoef = mi.count_upto(n, k)
+    j = jets.Jet(n, k, 2, pts, {pid: rng.normal(size=(ncoef, 2)) for pid, _ in pts})
+    F = extend.Extension(j)
+    if near is None:
+        x = tuple(rng.uniform(-4, 4, n))
+    else:
+        x = tuple(np.add(pts[0][1], rng.normal(size=n) * 10.0**-near))
+    value = F.eval(x)
+    assert np.array_equal(value, F.derivs(x, 0)[0])
+    assert np.array_equal(value, F.eval_derivs(x)[(0,) * n])
+
+
+def test_cubes_with_zero_psi_are_left_out():
+    # x sits 0.7495 side lengths from the center of the cube [10, 11], where
+    # its psi underflows to 0: that cube is left out, and the blend starts
+    # from the cube [11, 12]
+    j = jet_of("1 + x0 + x0^2", [(0.0,)], 2)
+    F = extend.Extension(j)
+    x = (11.2495,)
+    cubes = F.dec.supporting_cubes(x)
+    assert [c.corner for c in cubes] == [(10,), (11,)]
+    assert F.supporting_count(x) == 1
+    assert np.array_equal(F.eval(x), F.derivs(x)[0])
+    assert F.eval(x)[0] == pytest.approx(1 + x[0] + x[0] ** 2, rel=1e-14)
 
 
 def test_supporting_count_bounded():

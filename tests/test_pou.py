@@ -13,28 +13,17 @@ from whitneyext import taylorarith as ta
 # -- 1-D profile ------------------------------------------------------------------
 
 
-def test_profile_plateau_and_support():
-    for t in (0.0, 0.25, -0.5, 0.5):
-        assert pou.bump_real(t) == 1.0
-    for t in (0.75, -0.75, 0.8, 2.0):
-        assert pou.bump_real(t) == 0.0
-
-
-def test_profile_value_at_06():
-    assert pou.bump_real(0.6) == pytest.approx(0.9655548043337889, rel=1e-15)
-    assert pou.bump_real(-0.6) == pou.bump_real(0.6)
-
-
-@given(st.floats(-2, 2, allow_nan=False))
-def test_profile_range(t):
-    v = pou.bump_real(t)
-    assert 0.0 <= v <= 1.0
-
-
-@given(st.floats(0, 1.9, allow_nan=False), st.floats(0.001, 0.1))
-@settings(max_examples=300)
-def test_profile_monotone_decreasing_in_abs(t, h):
-    assert pou.bump_real(t + h) <= pou.bump_real(t) + 1e-15
+def _bump_real(t):
+    """The float reference for s(t): B(3/4 - |t|) / (B(3/4 - |t|) + B(|t| - 1/2))
+    with B(t) = exp(-1/t) for t > 0, else 0."""
+    t = abs(t)
+    if t <= 0.5:
+        return 1.0
+    if t >= 0.75:
+        return 0.0
+    up = math.exp(-1.0 / (0.75 - t))
+    down = math.exp(-1.0 / (t - 0.5))
+    return up / (up + down)
 
 
 def _profile_batch(ts, k, scale=1.0):
@@ -44,6 +33,36 @@ def _profile_batch(ts, k, scale=1.0):
     if k:
         u[1] = 1.0 / scale
     return ta.TaylorValue(ta.context(1, k), u)
+
+
+def _profile(t):
+    """s(t) as the order-0 profile series."""
+    return pou.bump_taylor(_profile_batch([t], 0)).coeffs[0, 0]
+
+
+def test_profile_plateau_and_support():
+    for t in (0.0, 0.25, -0.5, 0.5):
+        assert _profile(t) == 1.0
+    for t in (0.75, -0.75, 0.8, 2.0):
+        assert _profile(t) == 0.0
+
+
+def test_profile_value_at_06():
+    assert _profile(0.6) == pytest.approx(0.9655548043337889, rel=1e-15)
+    assert _profile(-0.6) == _profile(0.6)
+
+
+@given(st.floats(-2, 2, allow_nan=False))
+def test_profile_range(t):
+    v = _profile(t)
+    assert 0.0 <= v <= 1.0
+    assert v == pytest.approx(_bump_real(t), rel=1e-14, abs=1e-300)
+
+
+@given(st.floats(0, 1.9, allow_nan=False), st.floats(0.001, 0.1))
+@settings(max_examples=300)
+def test_profile_monotone_decreasing_in_abs(t, h):
+    assert _profile(t + h) <= _profile(t) + 1e-15
 
 
 def test_profile_series_branches():
@@ -91,8 +110,8 @@ def test_profile_series_matches_finite_differences():
     series = pou.bump_taylor(_profile_batch(ts, 2)).coeffs
     for t0, col in zip(ts, series.T):
         d = col * np.array([1.0, 1.0, 2.0])
-        fd1 = (pou.bump_real(t0 + h) - pou.bump_real(t0 - h)) / (2 * h)
-        fd2 = (pou.bump_real(t0 + h) - 2 * pou.bump_real(t0) + pou.bump_real(t0 - h)) / h**2
+        fd1 = (_bump_real(t0 + h) - _bump_real(t0 - h)) / (2 * h)
+        fd2 = (_bump_real(t0 + h) - 2 * _bump_real(t0) + _bump_real(t0 - h)) / h**2
         assert d[1] == pytest.approx(fd1, rel=1e-4, abs=1e-6)
         assert d[2] == pytest.approx(fd2, rel=1e-3, abs=1e-2)
 
@@ -113,16 +132,21 @@ def test_psi_plateau_zero_and_interior():
 
 def test_psi_cube_rescale():
     c = decomp.WhitneyCube(1, (4,))  # [2, 2.5], center 2.25, side 1/2
-    assert pou.psi_cube_real(c, (2.25,)) == 1.0
+
+    def psi(x):
+        return pou.psi_taylor([c], x, 0).coeffs[0, 0]
+
+    assert psi((2.25,)) == 1.0
     # x in C lies in the plateau
-    assert pou.psi_cube_real(c, (2.4,)) == 1.0
+    assert psi((2.4,)) == 1.0
     # boundary of D_C and beyond: zero
-    assert pou.psi_cube_real(c, (2.625,)) == 0.0
-    assert pou.psi_cube_real(c, (2.7,)) == 0.0
+    assert psi((2.625,)) == 0.0
+    assert psi((2.7,)) == 0.0
     # transition band
-    assert 0.0 < pou.psi_cube_real(c, (2.55,)) < 1.0
+    assert 0.0 < psi((2.55,)) < 1.0
+    assert psi((2.55,)) == pytest.approx(_bump_real(0.6), rel=1e-14)
     series = pou.psi_cube(c, (2.55,), 2)
-    assert series.const == pytest.approx(pou.psi_cube_real(c, (2.55,)), rel=1e-14)
+    assert series.const == psi((2.55,))
 
 
 def _psi_by_seeds(cube, x, k):
@@ -212,10 +236,10 @@ def test_partition_constant_term_always_tight():
         if dec.A.distance(x) < 1e-6:
             continue
         count += 1
-        ws = pou.phi_weights_real(x, dec)
-        assert sum(w for _, w in ws) == pytest.approx(1.0, abs=5e-14)
-        for _, w in ws:
-            assert 0.0 <= w <= 1.0 + 1e-15
+        _, phi = pou.phi_taylor(dec.supporting_cubes(x), x, 0)
+        ws = phi.coeffs[0]
+        assert sum(ws) == pytest.approx(1.0, abs=5e-14)
+        assert np.all((0.0 < ws) & (ws <= 1.0 + 1e-15))
 
 
 def test_phi_zero_outside_enlarged_cube():

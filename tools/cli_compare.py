@@ -11,7 +11,8 @@ interpreters side by side, one with each tree on PYTHONPATH.  The list
 covers decompose; extend with values, ``--k``, ``--schedule`` and
 ``--derivs`` at n = 1, 2, 3; check-jet; fdb; pullback (a polynomial map,
 the shear (x0 + 0.3 sin x1, x1) at order 4, and a map from R^3 to R^2 at
-order 3); manifold-extend ``--derivs``; and every verify suite.
+order 3); manifold-extend with values and ``--derivs``; and every verify
+suite.
 
 For each invocation it prints "identical" when exit status, stdout and
 stderr agree byte for byte.  Otherwise it lists the differing fields: CSV
@@ -144,6 +145,7 @@ INVOCATIONS = [
     ("pullback", ["pullback", "--input", "bundle.json"]),
     ("pullback shear s=t=2 k=4", ["pullback", "--input", "bundle_shear.json"]),
     ("pullback R^3 -> R^2 k=3", ["pullback", "--input", "bundle_lift.json"]),
+    ("manifold-extend values", ["manifold-extend", "--input", "atlas.json", "--chart", "v", "--grid=-3:2:0.35"]),
     (
         "manifold-extend --derivs",
         ["manifold-extend", "--input", "atlas.json", "--chart", "v", "--grid=-3:2:0.35", "--derivs", "(1) (2)"],
