@@ -50,7 +50,7 @@ print("touching cubes:", [(nb.level, nb.corner) for nb in nearby if nb.touches(c
 # query point.
 
 x = (0.37,)
-cubes, phi = pou.phi_taylor(dec.supporting_cubes(x), x, 0)  # order 0: the weights
+(cubes,), phi = pou.phi_taylor([dec.supporting_cubes(x)], [x], 0)  # order 0: the weights
 print("\nactive cubes at x=0.37 and their weights:")
 total = 0.0
 for cube, w in zip(cubes, phi.coeffs[0]):

@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import atlas, decomp, exprlang, extend, fdb, jets, multiindex, pou
+from . import atlas, decomp, exprlang, extend, fdb, jets, multiindex, pou, taylorarith
 
 
 # -- formatting and small parsers -------------------------------------------
@@ -205,17 +205,14 @@ def cmd_decompose(args):
     return 0
 
 
-def _derivative_rows(n, m, evaluate, grid, derivs):
-    """Shared row builder for extend and manifold-extend."""
+def _derivative_rows(n, m, grid, results, derivs):
+    """Shared row builder for extend and manifold-extend: `results` holds
+    (values, derivatives by multi-index) per grid point."""
     header = [f"x{i}" for i in range(n)] + [f"F{j}" for j in range(m)]
     for a in derivs:
         header += [f"d{multiindex.fmt(a)}_F{j}" for j in range(m)]
     rows = []
-    for x in grid:
-        try:
-            values, ders = evaluate(x)
-        except (decomp.ResolutionExceeded, extend.ScheduleExhausted) as e:
-            raise _NumericAtPoint(x, e) from e
+    for x, (values, ders) in zip(grid, results):
         row = [_fmt(c) for c in x] + [_fmt(v) for v in values]
         for a in derivs:
             row += [_fmt(v) for v in ders[a]]
@@ -241,17 +238,14 @@ def cmd_extend(args):
     upto = max((sum(a) for a in derivs), default=0)
     if upto > ext.k:
         raise ValueError(f"--derivs order {upto} exceeds extension degree {ext.k}")
-    axes = _parse_grid(args.grid, jet.n, need_step=True)
-
-    def evaluate(x):
-        if schedule:
-            return ext.eval_adaptive(x), {}
-        if derivs:
-            ders = ext.eval_derivs(x, upto)
-            return ders[(0,) * jet.n], ders
-        return ext.eval(x), {}
-
-    header, rows = _derivative_rows(jet.n, jet.m, evaluate, _grid_points(axes), derivs)
+    grid = list(_grid_points(_parse_grid(args.grid, jet.n, need_step=True)))
+    try:  # the whole grid is one batch
+        blend = ext.blend(grid, upto, adaptive=bool(schedule))
+    except (decomp.ResolutionExceeded, extend.ScheduleExhausted) as e:
+        raise _NumericAtPoint(e.point, e) from e
+    pos = taylorarith.context(jet.n, upto).pos
+    results = [(d[0], {a: d[pos[a]] for a in derivs}) for d in blend]
+    header, rows = _derivative_rows(jet.n, jet.m, grid, results, derivs)
     _write_rows(args.out, header, rows)
     return 0
 
@@ -321,15 +315,18 @@ def cmd_manifold_extend(args):
     mext = atlas.ManifoldExtension(aj, at, bumps, k=args.k, tol=args.tol)
     derivs = _parse_derivs(args.derivs, at.dim) if args.derivs else []
     upto = max((sum(a) for a in derivs), default=0)
-    axes = _parse_grid(args.grid, at.dim, need_step=True)
-
-    def evaluate(x):
-        if derivs:
-            ders = mext.eval_derivs(args.chart, x, upto)
-            return ders[(0,) * at.dim], ders
-        return mext.eval(args.chart, x), {}
-
-    header, rows = _derivative_rows(at.dim, aj.m, evaluate, _grid_points(axes), derivs)
+    grid = list(_grid_points(_parse_grid(args.grid, at.dim, need_step=True)))
+    results = []
+    for x in grid:
+        try:
+            if derivs:
+                ders = mext.eval_derivs(args.chart, x, upto)
+                results.append((ders[(0,) * at.dim], ders))
+            else:
+                results.append((mext.eval(args.chart, x), {}))
+        except decomp.ResolutionExceeded as e:
+            raise _NumericAtPoint(x, e) from e
+    header, rows = _derivative_rows(at.dim, aj.m, grid, results, derivs)
     _write_rows(args.out, header, rows)
     return 0
 

@@ -28,6 +28,19 @@ qualifies, otherwise finer until a cube qualifies.  A cube C of side s
 has x in D_C exactly when C meets the open box x ± s/4; such cubes touch
 the cube of W holding x, so they lie at most one level above or below it.
 
+One query's tests see A through a view (``A.around(x)``).  For a finite
+set the view computes the distances |p - x| of all points once, which
+also gives d = d(x,A), and every later scan runs only on the candidates
+|p - x| <= d + 2 rho, rho the distance from x to the farthest point of
+the box being tested (for a nearest point to a centre y, rho = |y - x|).
+With q a point nearest x and p nearest the box C, c the point of C
+nearest p: |p - x| <= d(p,C) + |c - x| <= d(q,C) + rho <= d + 2 rho, and
+with p nearest y: |p - x| <= |p - y| + rho <= |q - y| + rho <= d + 2 rho.
+So the candidates hold every minimizer and every tie, and as each row's
+norm is computed as in the full scan, the distances, verdicts and anchors
+come out identical.  The radius carries a small relative slack that
+covers the rounding of the distances it compares.
+
 Coordinates of a point set and of queries must stay below MAX_COORD =
 2^500 in magnitude: distances are formed from squared differences, which
 then stay finite, and so do the dyadic corners of every level up to 520.
@@ -36,6 +49,7 @@ then stay finite, and so do the dyadic corners of every level up to 520.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +111,7 @@ class FinitePoints:
 
     def distance(self, x):
         _check_query(x)
-        return float(np.min(np.linalg.norm(self.points - np.asarray(x, float), axis=1)))
+        return math.sqrt(_squares(self.points - np.asarray(x, float)).min())
 
     def _contains(self, x):
         """Exact membership: x equals one of the points coordinate by coordinate."""
@@ -105,13 +119,96 @@ class FinitePoints:
 
     def nearest(self, x):
         """A nearest point; ties break to the lexicographically smallest."""
-        d2 = np.sum((self.points - np.asarray(x, float)) ** 2, axis=1)
-        return min(tuple(self.points[i]) for i in np.flatnonzero(d2 == d2.min()))
+        return _nearest(self.points, x)
 
     def box_distance(self, lo, hi):
         """Distance from the closed box [lo, hi] to the set."""
-        gaps = np.maximum(0.0, np.maximum(lo - self.points, self.points - hi))
-        return float(np.min(np.linalg.norm(gaps, axis=1)))
+        return _box_distance(self.points, lo, hi)
+
+    def around(self, x):
+        """The set as seen from the query x (see :class:`PointsAround`)."""
+        return PointsAround(self, x)
+
+
+def _squares(v):
+    """Row sums of squares of v; their roots are the row norms that
+    np.linalg.norm(v, axis=1) computes."""
+    return np.add.reduce(v * v, axis=1)
+
+
+def _nearest(points, x):
+    d2 = _squares(points - np.asarray(x, float))
+    return min(tuple(points[i]) for i in np.flatnonzero(d2 == d2.min()))
+
+
+def _box_distance(points, lo, hi):
+    gaps = np.maximum(0.0, np.maximum(np.subtract(lo, points), np.subtract(points, hi)))
+    return math.sqrt(_squares(gaps).min())  # the least norm, as the root is monotone
+
+
+class Around:
+    """
+    A closed set as seen from one query x: `distance` is d(x, A), measured
+    once (which checks the query), and `box_distance` and `nearest` serve
+    the tests made around x.  This base scans the whole set every time, as
+    a union of a few boxes is cheap to scan.
+    """
+
+    def __init__(self, A, x):
+        self.A = A
+        self.x = tuple(x)
+        self.distance = self._measure()
+
+    def _measure(self):
+        return self.A.distance(self.x)
+
+    def box_distance(self, lo, hi):
+        return self.A.box_distance(lo, hi)
+
+    def nearest(self, c):
+        return self.A.nearest(c)
+
+
+# Candidate radii are widened by this factor and this term, far beyond the
+# few-ulp rounding of the distances they compare and the underflow of
+# squared differences below 2^-537.
+_SLACK = 1.0 + 2.0**-40
+_TINY = 2.0**-500
+
+
+class PointsAround(Around):
+    """
+    A finite set as seen from one query x: the distances |p - x| of all
+    points p are computed once, and a later scan runs only on the
+    candidates |p - x| <= d + 2 rho, where rho is the distance from x to
+    the farthest point of the box being tested, or to the centre given to
+    `nearest`.  They hold every minimizer and every tie (see the module
+    docstring), so the minimum, the tie set and the lexicographic
+    tie-break come out as in the full scan.
+    """
+
+    def _measure(self):
+        _check_query(self.x)
+        self._dists = np.sqrt(_squares(self.A.points - np.asarray(self.x, float)))
+        self._limit = -math.inf
+        return float(self._dists.min())
+
+    def _candidates(self, rho):
+        """The points within d + 2 rho of x, or the superset kept from the
+        widest radius asked before (a superset gives the same minimum)."""
+        limit = (self.distance + 2.0 * rho) * _SLACK + _TINY
+        if limit > self._limit:
+            self._limit = limit
+            self._rows = self.A.points[self._dists <= limit]
+        return self._rows
+
+    def box_distance(self, lo, hi):
+        # rho = |(max(x_i - lo_i, hi_i - x_i))_i|, the farthest point of the box
+        rho = math.hypot(*map(max, map(operator.sub, self.x, lo), map(operator.sub, hi, self.x)))
+        return _box_distance(self._candidates(rho), lo, hi)
+
+    def nearest(self, c):
+        return _nearest(self._candidates(math.dist(self.x, c)), c)
 
 
 class BoxUnion:
@@ -158,6 +255,10 @@ class BoxUnion:
                 cands.append(tuple(p))
         return min(cands)
 
+    def around(self, x):
+        """The set as seen from the query x (see :class:`Around`)."""
+        return Around(self, x)
+
     def box_distance(self, lo, hi):
         best = math.inf
         for b in self.boxes:
@@ -175,32 +276,49 @@ def make_closed_set(points=None, boxes=None):
 # -- cubes -------------------------------------------------------------------
 
 
+class _once:
+    """A property computed on first access and then kept in the instance
+    dict, which later lookups read directly (``functools.cached_property``
+    without its lock, which costs a microsecond a call on CPython 3.11)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, order=True)
 class WhitneyCube:
     """A dyadic cube: level j and integer corner z, covering
-    prod [z_i/2^j, (z_i+1)/2^j]."""
+    prod [z_i/2^j, (z_i+1)/2^j].  Its geometry is computed once per cube,
+    on first use; equality, hashing and order use (level, corner) only."""
 
     level: int
     corner: tuple
 
-    @property
+    @_once
     def side(self):
         return math.ldexp(1.0, -self.level)
 
-    @property
+    @_once
     def lo(self):
         s = self.side
-        return tuple(z * s for z in self.corner)
+        return tuple([z * s for z in self.corner])
 
-    @property
+    @_once
     def hi(self):
         s = self.side
-        return tuple((z + 1) * s for z in self.corner)
+        return tuple([(z + 1) * s for z in self.corner])
 
-    @property
+    @_once
     def center(self):
         s = self.side
-        return tuple((z + 0.5) * s for z in self.corner)
+        return tuple([(z + 0.5) * s for z in self.corner])
 
     def contains(self, x):
         """Closed containment (geometric tests use closed cubes)."""
@@ -251,12 +369,23 @@ class Decomposition:
         return math.ldexp(4.0 * self._sqrt_n, -j)
 
     def cube_distance(self, cube):
-        return self.A.box_distance(np.array(cube.lo), np.array(cube.hi))
+        return self.A.box_distance(cube.lo, cube.hi)
 
-    def _qualifies(self, cube):
-        return self.cube_distance(cube) >= self.threshold(cube.level)
+    def _qualifies(self, cube, near=None):
+        scans = self.A if near is None else near
+        return scans.box_distance(cube.lo, cube.hi) >= self.threshold(cube.level)
 
-    def locate(self, x, j_max=None, qualifies=None):
+    def _start_level(self, d, j_max):
+        """The level just below the home level that d = d(x,A) implies: as
+        d(x,A) - sqrt(n)/2^j <= d(C,A) <= d(x,A) for the level-j ancestor C
+        of x, no level with 4*sqrt(n)/2^j > d(x,A) qualifies, so the search
+        starts at floor(log2(4*sqrt(n)/d)) - 1, clamped to 0..j_max (at
+        j_max if d underflows to 0)."""
+        # a log difference, as 4*sqrt(n)/d is inf for a subnormal d
+        j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) - 1 if d else j_max
+        return min(max(j, 0), j_max)
+
+    def locate(self, x, j_max=None, near=None, qualifies=None):
         """
         The unique cube of W containing x under the half-open convention
         [z/2^j, (z+1)/2^j): the dyadic ancestor of x at the smallest level
@@ -264,25 +393,22 @@ class Decomposition:
         exactly, so a query a subnormal distance away is not on the set.
         A non-finite query, or one beyond MAX_COORD, is a ValueError.
 
-        As d(x,A) - sqrt(n)/2^j <= d(C,A) <= d(x,A) for the level-j
-        ancestor C, no level with 4*sqrt(n)/2^j > d(x,A) qualifies: the
-        search starts at floor(log2(4*sqrt(n)/d(x,A))) - 1 in 0..j_max (at
-        j_max if d(x,A) underflows to 0), steps coarser while the parent
-        qualifies, else finer until a cube qualifies.  `qualifies` stands
-        in for `_qualifies`, so that one query's tests can share a memo.
+        The search starts at `_start_level`, then steps coarser while the
+        parent qualifies, else finer until a cube qualifies.  `near` is the
+        query's view of A (``A.around(x)``), which narrows the scans, and
+        `qualifies` stands in for `_qualifies`, so that one query's tests
+        can share a memo.
         """
         j_max = self.j_max if j_max is None else j_max
-        qualifies = qualifies or self._qualifies
-        d = self.A.distance(x)  # checks the query
-        if d == 0.0 and self.A._contains(x):  # a point of A is at distance 0
+        near = self.A.around(x) if near is None else near  # checks the query
+        qualifies = qualifies or functools.partial(self._qualifies, near=near)
+        if near.distance == 0.0 and self.A._contains(x):  # a point of A is at distance 0
             raise OnSet(x)
 
         def ancestor(j):
             return WhitneyCube(j, tuple(math.floor(math.ldexp(xi, j)) for xi in x))
 
-        # a log difference, as 4*sqrt(n)/d is inf for a subnormal d
-        j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) - 1 if d else j_max
-        j = min(max(j, 0), j_max)
+        j = self._start_level(near.distance, j_max)
         if qualifies(ancestor(j)):
             while j > 0 and qualifies(ancestor(j - 1)):
                 j -= 1
@@ -306,22 +432,28 @@ class Decomposition:
         parent = WhitneyCube(cube.level - 1, tuple(z >> 1 for z in cube.corner))
         return not qualifies(parent)
 
-    def anchor(self, cube):
+    def anchor(self, cube, near=None):
         """A fixed nearest point of A to the cube's center (memoized;
-        ties break lexicographically so the choice is reproducible)."""
-        a = self._anchors.get(cube)
+        ties break lexicographically so the choice is reproducible).
+        `near`, a query's view of A, only narrows the scan."""
+        key = (cube.level, cube.corner)  # not the cube, which keeps its geometry
+        a = self._anchors.get(key)
         if a is None:
-            a = self._anchors[cube] = self.A.nearest(cube.center)
+            scans = self.A if near is None else near
+            a = self._anchors[key] = scans.nearest(cube.center)
         return a
 
-    def supporting_cubes(self, x, j_max=None):
+    def supporting_cubes(self, x, j_max=None, near=None):
         """
         All cubes of W whose enlarged box D_C contains x, in (level, corner)
         order: the cubes meeting the box x ± side/4 on the levels next to
-        the cube holding x, filtered by D_C and by membership.
+        the cube holding x, filtered by D_C and by membership.  `near` is
+        as for `locate`.
         """
-        qualifies = functools.cache(self._qualifies)  # verdicts shared by this query only
-        home = self.locate(x, j_max, qualifies)
+        near = self.A.around(x) if near is None else near
+        # verdicts shared by this query only
+        qualifies = functools.cache(functools.partial(self._qualifies, near=near))
+        home = self.locate(x, j_max, near, qualifies)
         out = []
         for lv in range(max(0, home.level - 1), home.level + 2):
             r = math.ldexp(0.25, -lv)

@@ -49,11 +49,25 @@ far from A therefore use low-degree polynomials and cubes near A use the
 full stored order; requesting a degree beyond the stored jet raises
 ``ScheduleExhausted``.
 
-Evaluation is pure: an Extension is immutable after construction and
-batches of query points may be evaluated concurrently (the only shared
-mutation is an idempotent anchor memo).
+Every evaluation is one call of ``Extension.blend`` on a batch of queries;
+``eval``, ``derivs``, ``eval_derivs`` and ``eval_adaptive`` are its batch
+of one, ``eval_batch`` its order-0 rows.  Each query runs the cube search
+on its own view of A (``decomp``: one distance vector, then scans of the
+few points that can decide its cubes and anchors), and the series work of
+the batch is one array computation over its (query, cube) columns: one
+ψ/φ batch with a single division of each query's columns by its own Σ ψ,
+one anchored Taylor computation per distinct degree, and one batched
+product for the halved blend.  Every column has the arithmetic of a
+one-query call, and each query's sums run in cube order, so a row has the
+bits of the query evaluated alone.  A batch fails as its first failing
+query, in row order, fails alone.
+
+An Extension is not changed by evaluation apart from an idempotent anchor
+memo; concurrent calls give the same results as sequential ones.
 """
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -62,15 +76,17 @@ from . import decomp, jets, pou, taylorarith
 
 
 class ScheduleExhausted(Exception):
-    """The degree schedule demands a higher order than the jet stores."""
+    """The degree schedule demands a higher order than the jet stores at
+    the query `point`."""
 
-    def __init__(self, needed, stored):
+    def __init__(self, needed, stored, point):
         super().__init__(
             f"schedule requires degree {needed} near the set, "
             f"but the jet stores order {stored}"
         )
         self.needed = needed
         self.stored = stored
+        self.point = tuple(point)
 
 
 class Extension:
@@ -123,18 +139,20 @@ class Extension:
     def _anchor_id(self, cube):
         return self._pid_of[self.dec.anchor(cube)]
 
-    def _on_set(self, x):
-        return self._pid_of.get(tuple(float(c) for c in x))
-
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x):
         """F(x) as an (m,) array: row 0 of the blend at order 0."""
-        return self._blend(x, 0, lambda cube: self.k)[0]
+        return self.blend([x])[0, 0]
 
     def eval_batch(self, xs):
-        """F on every row of xs, stacked; rows are independent."""
-        return np.array([self.eval(x) for x in np.asarray(xs, dtype=float)])
+        """
+        F at every query of xs (a sequence of points, or a (Q, n) array),
+        as a (Q, m) array: row 0 of one blend of the whole batch at order 0.
+        Each row has the bits of ``eval`` at that query, and a batch with a
+        failing query raises the error of the first one, as ``eval`` would.
+        """
+        return self.blend(xs)[:, 0]
 
     def eval_derivs(self, x, upto=None):
         """
@@ -154,50 +172,117 @@ class Extension:
         docstring).  A result beyond the float range is a ValueError.
         """
         upto = self.k if upto is None else int(upto)
+        return self.blend([x], upto)[0]
+
+    def blend(self, xs, upto=0, adaptive=False):
+        """
+        The rows ∂^α F(x) for |α| ≤ upto at every query x of xs (a sequence
+        of points, or a (Q, n) array), as a (Q, C(n+upto, n), m) array; the
+        cube C contributes its anchored Taylor polynomial of degree k, or of
+        its schedule degree when `adaptive` (see the module docstring).  Of
+        the queries that fail, the first in row order raises what it raises
+        alone, whichever stage the others fail at.
+        """
         if not 0 <= upto <= self.k:
             raise ValueError(f"order {upto} exceeds evaluation degree {self.k}")
-        return self._blend(x, upto, lambda cube: self.k)
-
-    def _blend(self, x, upto, degree):
-        """
-        The rows ∂^α F(x) for |α| ≤ upto, the cube C contributing its
-        anchored Taylor polynomial of degree `degree(C)` ≥ upto.
-        """
+        if adaptive and self.schedule is None:
+            raise ValueError("extension was built without a degree schedule")
         ctx = taylorarith.context(self.n, upto)
-        x = tuple(float(c) for c in x)
-        pid = self._on_set(x)
-        if pid is not None:
-            return self.jet.values[pid][: ctx.ncoef].copy()
-        cubes, phi = pou.phi_taylor(self.dec.supporting_cubes(x), x, upto)
-        degrees = [degree(c) for c in cubes]
-        rows = np.empty((ctx.ncoef, len(cubes), self.m))
-        for g in dict.fromkeys(degrees):  # one taylor_series call per degree
-            cols = [j for j, d in enumerate(degrees) if d == g]
-            ids = [self._anchor_id(cubes[j]) for j in cols]
-            rows[:, cols] = self.jet.taylor_series(ids, g, x, upto)
-        rows *= 0.5  # so that T_C − T_{C₀} is finite wherever F is
-        total = rows[:, 0].copy()
+        xs = [tuple(float(c) for c in x) for x in xs]
+        out = np.empty((len(xs), ctx.ncoef, self.m))
+        error = None
+        off, groups = [], []  # the queries off A, and their supporting cubes
+        for r, x in enumerate(xs):
+            pid = self._pid_of.get(x)
+            if pid is not None:
+                out[r] = self.jet.values[pid][: ctx.ncoef]
+                continue
+            try:
+                near = self.A.around(x)
+                cubes = self.dec.supporting_cubes(x, near=near)
+            except (ValueError, decomp.ResolutionExceeded) as e:
+                error = e
+                break
+            for cube in cubes:
+                self.dec.anchor(cube, near)  # while the query's candidates are at hand
+            off.append(r)
+            groups.append(cubes)
+        if off:
+            first = self._blend(out, [xs[r] for r in off], off, groups, ctx, adaptive)
+            error = error if first is None else first
+        if error is not None:
+            raise error
+        return out
+
+    def _blend(self, out, xs, rows, groups, ctx, adaptive):
+        """
+        Fill out[rows] with the blends at the queries xs off A, supported by
+        `groups`; or fill the rows before the first query that fails and
+        return its error.
+        """
+        cubes, phi = pou.phi_taylor(groups, xs, ctx.k)
+        error, degrees = None, []
+        for x, live in zip(xs, cubes):
+            try:
+                degrees.append(
+                    [self._cube_degree(c, x) for c in live] if adaptive else [self.k] * len(live)
+                )
+            except ScheduleExhausted as e:
+                error = e
+                break
+        if not degrees:
+            return error
+        counts = [len(d) for d in degrees]
+        firsts = list(itertools.accumulate(counts, initial=0))[:-1]  # each query's C₀
+        flat = [g for d in degrees for g in d]
+        ids = [self._anchor_id(c) for live in cubes[: len(degrees)] for c in live]
+        at = [x for x, c in zip(xs, counts) for _ in range(c)]
+        series = np.empty((ctx.ncoef, len(flat), self.m))
+        for g in dict.fromkeys(flat):  # one Taylor computation per degree
+            cols = [j for j, d in enumerate(flat) if d == g]
+            series[:, cols] = self.jet.taylor_rows(
+                [ids[j] for j in cols], g, [at[j] for j in cols], ctx.k
+            )
+        finite = np.isfinite(series).all(axis=(0, 2))
+        if not finite.all():  # the first query with an overflowing row raises as alone
+            q = bisect.bisect_right(firsts, int(finite.argmin())) - 1
+            own = range(firsts[q], firsts[q] + counts[q])
+            try:
+                for g in dict.fromkeys(degrees[q]):
+                    cols = [j for j in own if flat[j] == g]
+                    self.jet.check_series(series[:, cols], [ids[j] for j in cols], g, xs[q])
+            except ValueError as e:
+                error, counts, firsts = e, counts[:q], firsts[:q]
+        ncols = sum(counts)
+        series = 0.5 * series[:, :ncols]  # so that T_C − T_{C₀} is finite wherever F is
+        total = series[:, firsts]
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(cubes) > 1:
-                diffs = rows[:, 1:] - rows[:, :1]
-                weights = np.repeat(phi.coeffs[:, 1:], self.m, axis=1)
+            if ncols > len(counts):
+                diffs = series - np.repeat(total, counts, axis=1)
+                weights = np.repeat(phi.coeffs[:, :ncols], self.m, axis=1)
                 terms = taylorarith.mul(
                     taylorarith.TaylorValue(ctx, weights),
                     taylorarith.TaylorValue(ctx, diffs.reshape(ctx.ncoef, -1)),
-                )
-                for term in np.moveaxis(terms.coeffs.reshape(diffs.shape), 1, 0):  # in cube order
-                    total += term
-            ders = total * (2.0 * ctx.factorials)[:, None]
-        if not np.isfinite(ders).all():
-            raise ValueError(f"the derivatives of the extension overflow at {x}")
-        return ders
+                ).coeffs.reshape(diffs.shape)
+                for q, first in enumerate(firsts):  # φ_C·(T_C − T_{C₀}) in cube order
+                    for j in range(first + 1, first + counts[q]):
+                        total[:, q] += terms[:, j]
+            ders = total * (2.0 * ctx.factorials)[:, None, None]
+        finite = np.isfinite(ders).all(axis=(0, 2))
+        if not finite.all():
+            q = int(finite.argmin())
+            error = ValueError(f"the derivatives of the extension overflow at {xs[q]}")
+            ders = ders[:, :q]
+        out[rows[: ders.shape[1]]] = ders.transpose(1, 0, 2)
+        return error
 
     # -- adaptive degree ------------------------------------------------------
 
-    def _cube_degree(self, cube):
+    def _cube_degree(self, cube, x):
         """
         Largest schedule index whose radius still exceeds d(y_C, A); raises
-        ScheduleExhausted when that degree is beyond the stored jet.
+        ScheduleExhausted (at the query x) when that degree is beyond the
+        stored jet.
         """
         d = self.A.distance(np.asarray(cube.center))
         g = 0
@@ -207,7 +292,7 @@ class Extension:
             else:
                 break
         if g > self.jet.k:
-            raise ScheduleExhausted(g, self.jet.k)
+            raise ScheduleExhausted(g, self.jet.k, x)
         return g
 
     def eval_adaptive(self, x):
@@ -215,15 +300,13 @@ class Extension:
         F(x) with per-cube polynomial degree taken from the schedule:
         each supporting cube contributes T^{g_C}_{x_C} f(x).
         """
-        if self.schedule is None:
-            raise ValueError("extension was built without a degree schedule")
-        return self._blend(x, 0, self._cube_degree)[0]
+        return self.blend([x], adaptive=True)[0, 0]
 
     def supporting_count(self, x):
         """Number of cubes with psi_C(x) != 0, which contribute at x
         (locality probe)."""
         x = tuple(float(c) for c in x)
-        return len(pou.phi_taylor(self.dec.supporting_cubes(x), x, 0)[0])
+        return len(pou.phi_taylor([self.dec.supporting_cubes(x)], [x], 0)[0][0])
 
 
 def linearity_probe(f, g, a, b, x, k=None, j_max=52):

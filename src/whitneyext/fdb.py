@@ -247,7 +247,8 @@ def jet_pullback(g, f, points, tol=1e-12):
     series of g at x: with w = g(x + h) − y truncated at order k, the
     Taylor coefficient of (f∘g) at α is Σ_β [h^α] w^β · f_β(y)/β!.  The
     rows are one matrix product W · f(y) with W[α, β] = α!/β! · [h^α] w^β,
-    so an entry of W that is exactly 1 passes f_β through unrounded.
+    so an entry of W that is exactly 1 passes f_β through unrounded.  A
+    row beyond the float range is a ValueError naming its source point.
     """
     if g.m != f.n:
         raise ValueError(f"g maps into dimension {g.m}, jet lives in {f.n}")
@@ -272,5 +273,8 @@ def jet_pullback(g, f, points, tol=1e-12):
         inners = [tv - tv.const for tv in g.eval_taylor(x, k)]
         products = taylorarith.monomial_products(inners, k)
         M = np.stack([products[b].coeffs for b in f.indices], axis=1)
-        values[pid] = (M * weights) @ f.values[bid]
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[pid] = (M * weights) @ f.values[bid]
+        if not np.isfinite(values[pid]).all():
+            raise ValueError(f"the pulled-back jet overflows at point {pid}")
     return jets.Jet(g.n, k, f.m, newpoints, values)

@@ -66,16 +66,23 @@ class Jet:
         self.ids = [pid for pid, _ in points]
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate point ids")
-        self.coords = {pid: tuple(float(c) for c in x) for pid, x in points}
-        seen = set()
-        for pid, x in self.coords.items():
-            if len(x) != n:
-                raise ValueError(f"point {pid} has dimension {len(x)}, expected {n}")
-            if not all(math.isfinite(c) for c in x):
-                raise ValueError(f"point {pid} has non-finite coordinates {x}")
-            if x in seen:
-                raise ValueError(f"point coordinates {x} appear twice")
-            seen.add(x)
+        self.coords = {pid: tuple(map(float, x)) for pid, x in points}
+        xs = list(self.coords.values())
+        try:  # checked on the stacked coordinates; a failure is named below
+            stacked = np.array(xs)
+            clean = stacked.shape == (len(xs), n) and np.isfinite(stacked).all()
+        except ValueError:  # points of different dimensions
+            clean = False
+        if not (clean and len(set(xs)) == len(xs)):
+            seen = set()
+            for pid, x in self.coords.items():
+                if len(x) != n:
+                    raise ValueError(f"point {pid} has dimension {len(x)}, expected {n}")
+                if not all(math.isfinite(c) for c in x):
+                    raise ValueError(f"point {pid} has non-finite coordinates {x}")
+                if x in seen:
+                    raise ValueError(f"point coordinates {x} appear twice")
+                seen.add(x)
         ncoef = len(self.indices)
         self.values = {}
         for pid in self.ids:
@@ -147,9 +154,10 @@ class Jet:
     def taylor_series(self, y_ids, l, x, upto):
         """
         T = T^l_y f, the order-l Taylor polynomial anchored at the stored
-        point y, expanded at x, for every y of `y_ids`: the Taylor-normalized
-        rows d^b T(x) / b! for |b| <= upto <= l, as a
-        (C(n+upto, n), len(y_ids), m) array in graded-lex order of b.
+        point y, expanded at x, for every y of `y_ids` (x one point, or one
+        point per anchor): the Taylor-normalized rows d^b T(x) / b! for
+        |b| <= upto <= l, as a (C(n+upto, n), len(y_ids), m) array in
+        graded-lex order of b.
 
         The rows come from the shift identity
             d^b T^l_y f(x) = sum over |g| <= l - |b| of (x-y)^g / g! * f_{b+g}(y):
@@ -158,9 +166,16 @@ class Jet:
         monomials (x-y)^g / g! against the values f_{b+g}(y).  The
         monomials are products of the powers (x_i-y_i)^e, each taken by the
         float power of Python, so every anchor's row 0 keeps the bits of
-        the plain graded-lex sum.  A monomial, term or row beyond the float
-        range is a ValueError naming its anchor.
+        the plain graded-lex sum, and every column has the bits of a
+        one-anchor call.  A monomial, term or row beyond the float range is
+        a ValueError naming its anchor (``check_series``).
         """
+        out = self.taylor_rows(y_ids, l, x, upto)
+        self.check_series(out, y_ids, l, x)
+        return out
+
+    def taylor_rows(self, y_ids, l, x, upto):
+        """The rows of ``taylor_series``, inf or nan where they overflow."""
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
         if not 0 <= upto <= l:
@@ -181,14 +196,19 @@ class Jet:
             mono = mono / ctx.factorials
             terms = mono.T[ctx.pair_j[:p], :, None] * values[ctx.pair_t[:p]]
             out = np.bincount(keys, weights=terms.ravel(), minlength=rows * width)
-            out = out.reshape(rows, len(y_ids), self.m) / ctx.factorials[:rows, None, None]
+            return out.reshape(rows, len(y_ids), self.m) / ctx.factorials[:rows, None, None]
+
+    def check_series(self, out, y_ids, l, x):
+        """Raise the ValueError of ``taylor_series`` for the first anchor of
+        `y_ids` whose column of `out` is not finite (x as there)."""
         finite = np.isfinite(out).all(axis=(0, 2))
         if not finite.all():
-            y = self.coords[y_ids[int(finite.argmin())]]
+            j = int(finite.argmin())
+            y = self.coords[y_ids[j]]
+            at = np.broadcast_to(np.asarray(x, dtype=float), (len(y_ids), self.n))[j]
             raise ValueError(
-                f"the order-{l} Taylor polynomial anchored at {y} overflows at {tuple(x)}"
+                f"the order-{l} Taylor polynomial anchored at {y} overflows at {tuple(at.tolist())}"
             )
-        return out
 
     def remainder(self, y_id, l, x_id):
         """f_0(x) - T^l_y f(x) for stored points x, y."""
@@ -306,32 +326,61 @@ class Jet:
 
     @classmethod
     def from_dict(cls, d):
+        """
+        A jet from its file form.  The key layout of a point (each index's
+        position among its keys, the last spelling of an index winning) is
+        resolved once per distinct tuple of key spellings, and the values
+        of all points become one (N, ncoef, m) array; errors name the first
+        bad point, in the order of the per-point checks.
+        """
         n, k, m = int(d["dim"]), int(d["order"]), int(d["outdim"])
-        points, values = [], {}
         indices = multiindex.enumerate_upto(n, k)
         parse = functools.cache(lambda key: multiindex.parse(key, n))  # once per spelling
-        for p in d["points"]:
-            pid = str(p["id"])
-            points.append((pid, tuple(float(c) for c in p["x"])))
-            got = {parse(key): v for key, v in p["values"].items()}
-            missing = [a for a in indices if a not in got]
-            if missing:
-                raise ValueError(
-                    f"point {pid} is missing values for indices {missing[:4]}"
-                )
-            try:
-                values[pid] = np.array([got[a] for a in indices], dtype=float)
-            except ValueError:
-                for a in indices:
-                    row = got[a]
-                    if not (isinstance(row, list) and len(row) == m
-                            and all(isinstance(v, (int, float)) for v in row)):
+        layouts = {}
+        points, rows = [], []
+        try:
+            for p in d["points"]:
+                pid = str(p["id"])
+                points.append((pid, tuple(map(float, p["x"]))))
+                vals = p["values"]
+                keys = tuple(vals)
+                if keys not in layouts:
+                    got = {parse(key): i for i, key in enumerate(keys)}
+                    missing = [a for a in indices if a not in got]
+                    if missing:
                         raise ValueError(
-                            f"values for point {pid} at index {multiindex.fmt(a)} "
-                            f"are {row!r}, expected a list of outdim = {m} numbers"
-                        ) from None
-                raise
-        return cls(n, k, m, points, values)
+                            f"point {pid} is missing values for indices {missing[:4]}"
+                        )
+                    pos = [got[a] for a in indices]
+                    layouts[keys] = None if pos == list(range(len(keys))) else pos
+                pos = layouts[keys]  # None: the keys are the indices in order
+                v = list(vals.values())
+                rows.append(v if pos is None else [v[i] for i in pos])
+        except Exception:
+            for (pid, _), r in zip(points, rows):  # an earlier point's values fail first
+                _point_values(pid, r, indices, m)
+            raise
+        try:
+            values = np.array(rows, dtype=float)
+        except (ValueError, TypeError):
+            values = [_point_values(pid, r, indices, m) for (pid, _), r in zip(points, rows)]
+        return cls(n, k, m, points, dict(zip([pid for pid, _ in points], values)))
+
+
+def _point_values(pid, rows, indices, m):
+    """One point's values as an array, or a ValueError naming the first
+    malformed row."""
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        for a, row in zip(indices, rows):
+            if not (isinstance(row, list) and len(row) == m
+                    and all(isinstance(v, (int, float)) for v in row)):
+                raise ValueError(
+                    f"values for point {pid} at index {multiindex.fmt(a)} "
+                    f"are {row!r}, expected a list of outdim = {m} numbers"
+                ) from None
+        raise
 
 
 def glue(pieces, tol=1e-12):

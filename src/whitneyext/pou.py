@@ -80,28 +80,28 @@ def _profiles(cubes, x, k):
     """
     The order-k profile series s(t0 + h/l_C) of every cube and coordinate,
     t0 = (x_i - y_C_i) / l_C, as one univariate batch: a (k+1, len(cubes), n)
-    coefficient array.
+    coefficient array.  x is one point, or one point per cube.
     """
-    n = len(x)
     sides = np.array([c.side for c in cubes])
-    t0 = (np.array(x) - np.array([c.center for c in cubes])) / sides[:, None]
+    t0 = (np.asarray(x, dtype=float) - np.array([c.center for c in cubes])) / sides[:, None]
     u = np.zeros((k + 1, t0.size))
     u[0] = t0.ravel()
     if k >= 1:
-        u[1] = np.repeat(1.0 / sides, n)
+        u[1] = np.repeat(1.0 / sides, t0.shape[1])
     profiles = bump_taylor(TaylorValue(taylorarith.context(1, k), u)).coeffs
-    return profiles.reshape(k + 1, len(cubes), n)
+    return profiles.reshape(k + 1, *t0.shape)
 
 
 def psi_taylor(cubes, x, k):
     """
-    Order-k expansions of psi_C at x for every cube of `cubes`, as one
-    TaylorValue with (ncoef, len(cubes)) coefficients: the tensor product
+    Order-k expansions of psi_C at x for every cube of `cubes` (x one
+    point, or one point per cube), as one TaylorValue with
+    (ncoef, len(cubes)) coefficients: the tensor product
     coeff_a = prod_i s_i[a_i] of the profile series s_i of the coordinates,
     gathered from one batch.
     """
     profiles = _profiles(cubes, x, k)
-    ctx = taylorarith.context(len(x), k)
+    ctx = taylorarith.context(profiles.shape[2], k)
     out = profiles[ctx.exponents[:, 0], :, 0]
     for i in range(1, ctx.n):
         out = out * profiles[ctx.exponents[:, i], :, i]
@@ -131,25 +131,39 @@ def partition_taylor(x, dec, k):
     cubes are zero, so the returned list carries the whole local partition:
     the sum of the series is the constant-1 series up to rounding.
     """
-    cubes, phi = phi_taylor(dec.supporting_cubes(x), x, k)
+    (cubes,), phi = phi_taylor([dec.supporting_cubes(x)], [x], k)
     return [(c, TaylorValue(phi.ctx, phi.coeffs[:, j])) for j, c in enumerate(cubes)]
 
 
-def phi_taylor(cubes, x, k):
+def phi_taylor(groups, xs, k):
     """
-    Order-k expansions of phi_C at x for the cubes of `cubes` (those
-    supporting x) whose psi_C(x) is not 0, as (those cubes, one TaylorValue
-    with a column per cube): the psi matrix divided once by its column sum,
-    which is added in cube order.  Row 0 holds the weights phi_C(x).
+    Order-k expansions of phi_C at each query x of `xs`, for the cubes of
+    its group in `groups` (those supporting x) whose psi_C(x) is not 0, as
+    (those cubes, one list per query; one TaylorValue with a column per
+    cube, query after query).  The psi matrix of all queries is one batch,
+    and each query's columns are divided once by their sum, which is added
+    in cube order; every column has the bits of a one-query call.  Row 0
+    holds the weights phi_C(x).
     """
-    psi = psi_taylor(cubes, x, k)
-    live = np.flatnonzero(psi.coeffs[0])
-    cols = psi.coeffs[:, live]
-    total = cols[:, 0].copy()
-    for j in range(1, len(live)):
-        total += cols[:, j]
-    phi = taylorarith.div(TaylorValue(psi.ctx, cols), TaylorValue(psi.ctx, total))
-    return [cubes[j] for j in live], phi
+    psi = psi_taylor(
+        [c for g in groups for c in g], np.repeat(xs, [len(g) for g in groups], axis=0), k
+    )
+    alive = (psi.coeffs[0] != 0.0).tolist()
+    live, start = [], 0
+    for g in groups:
+        live.append([c for c, keep in zip(g, alive[start:]) if keep])
+        start += len(g)
+    cols = psi.coeffs[:, alive]
+    total = np.empty_like(cols)
+    start = 0
+    for g in live:  # each query's sum, added in cube order
+        end = start + len(g)
+        total[:, start] = cols[:, start]
+        for j in range(start + 1, end):
+            total[:, start] += cols[:, j]
+        total[:, start + 1 : end] = total[:, start : start + 1]
+        start = end
+    return live, taylorarith.div(TaylorValue(psi.ctx, cols), TaylorValue(psi.ctx, total))
 
 
 def phi_cube(cube, x, dec, k):

@@ -459,6 +459,24 @@ def test_pullback_unmatched_image(tmp_path):
     assert rc == 2
 
 
+def test_pullback_overflowing_jet(tmp_path, capsys):
+    # f_1 = 1e308 along 10*x0 pulls back to 1e309: one error line naming the
+    # point, no numpy warning
+    bundle = {
+        "map": {"from_dim": 1, "expr": ["10*x0"]},
+        "jet": {"dim": 1, "order": 1, "outdim": 1, "points": [
+            {"id": "a", "x": [0.0], "values": {"[0]": [0.0], "[1]": [1e308]}}]},
+        "points": [{"id": "s", "x": [0.0]}],
+    }
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(bundle))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["pullback", "--input", str(p), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: the pulled-back jet overflows at point s\n"
+
+
 # -- manifold-extend ---------------------------------------------------------------
 
 

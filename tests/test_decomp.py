@@ -428,23 +428,31 @@ def test_locate_matches_level0_walk(n):
     outcomes = set()
     for size in (1, 8, 200):
         for A in _closed_sets(n, size, rng):
-            scans = A.box_distance
+            around = A.around
 
-            def counted(lo, hi):
-                nonlocal calls
-                calls += 1
-                return scans(lo, hi)
+            def counted(x):
+                # the query's view of A, counting the box scans it runs
+                near = around(x)
+                scans = near.box_distance
+
+                def scan(lo, hi):
+                    nonlocal calls
+                    calls += 1
+                    return scans(lo, hi)
+
+                near.box_distance = scan
+                return near
 
             queries = _locate_queries(A, rng, 40 if size < 200 else 8)
             for j_max in (52, 0, 3, 9):
                 dec = decomp.Decomposition(A, j_max=j_max)
                 for x in queries:
                     expected = _outcome(_locate_by_walk, dec, x, j_max)
-                    A.box_distance = counted if j_max == 52 else scans
+                    A.around = counted if j_max == 52 else around
                     try:
                         got = _outcome(dec.locate, x)
                     finally:
-                        del A.box_distance
+                        del A.around
                     located += j_max == 52
                     assert got == expected, (x, j_max)
                     outcomes.add(got.level if isinstance(got, decomp.WhitneyCube) else got)
@@ -452,12 +460,14 @@ def test_locate_matches_level0_walk(n):
             # too coarse or too fine, the two-way step ends on the same cube
             dec = decomp.Decomposition(A)
             for shift in (-6, 6):
-                A.distance = lambda x, d=A.distance, s=shift: math.ldexp(d(x), s)
+                dec._start_level = lambda d, j_max, f=dec._start_level, s=shift: min(
+                    max(f(d, j_max) + s, 0), j_max
+                )
                 try:
                     for x in queries[:6]:
                         assert _outcome(dec.locate, x) == _outcome(_locate_by_walk, dec, x, 52)
                 finally:
-                    del A.distance
+                    del dec._start_level
     assert {0, decomp.OnSet, decomp.ResolutionExceeded} <= outcomes
     assert max(o for o in outcomes if isinstance(o, int)) > 30
     assert calls / located <= 5.0, calls / located
@@ -467,6 +477,40 @@ def _nearest_by_list(points, x):
     """The list rule: the lexicographically smallest of all nearest points."""
     d2 = np.sum((points - np.asarray(x, float)) ** 2, axis=1)
     return min(tuple(p) for p, d in zip(points, d2) if d == d2.min())
+
+
+def test_candidate_scans_match_full_scans():
+    # the scans of a query's view run on the points within d + 2 rho of x;
+    # they must give the full scans' box distances and nearest points, on
+    # small-integer sets (duplicate points, exact ties) queried at integer
+    # and half-integer points, boxes and centres, both from a fresh view and
+    # from one view asked in turn (whose candidate set only grows)
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        for size in (1, 6, 40):
+            pts = rng.integers(-3, 4, size=(size, n)).astype(float)
+            A = decomp.FinitePoints(pts)
+            for _ in range(12):
+                x = tuple(float(v) for v in rng.integers(-8, 9, size=n) / 2.0)
+                if A._contains(x):
+                    continue
+                shared = A.around(x)
+                for _ in range(8):
+                    lo = rng.integers(-8, 9, size=n) / 2.0
+                    hi = lo + rng.integers(0, 4, size=n) / 2.0
+                    lo, hi = tuple(lo.tolist()), tuple(hi.tolist())
+                    want = A.box_distance(lo, hi)
+                    assert A.around(x).box_distance(lo, hi) == want, (pts, x, lo, hi)
+                    assert shared.box_distance(lo, hi) == want, (pts, x, lo, hi)
+                    c = tuple(float(v) for v in rng.integers(-8, 9, size=n) / 2.0)
+                    assert A.around(x).nearest(c) == A.nearest(c), (pts, x, c)
+                    assert shared.nearest(c) == A.nearest(c), (pts, x, c)
+    # a tie exactly at the candidate radius: from x = 0 with d = 1, the
+    # centre -2 is 3 from both 1 and -5, and -5 = -(d + 2 rho) wins the
+    # lexicographic tie-break; the box [-2, -2] is 3 from both too
+    A = decomp.FinitePoints([[1.0], [-5.0], [9.0]])
+    assert A.around((0.0,)).nearest((-2.0,)) == (-5.0,) == A.nearest((-2.0,))
+    assert A.around((0.0,)).box_distance((-2.0,), (-2.0,)) == 3.0
 
 
 def test_nearest_tie_break_matches_list_rule():

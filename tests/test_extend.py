@@ -136,6 +136,93 @@ def test_eval_batch_matches_eval():
         assert np.array_equal(row, F.eval(x))
 
 
+_KINDS = ("on", "near", "far", "between", "same", "close", "huge", "nan")
+
+
+def _batch_query(kind, pts, rng, earlier):
+    a = np.array(pts[int(rng.integers(len(pts)))][1])
+    if kind == "on":
+        return tuple(a)
+    if kind == "near":
+        return tuple(a + rng.normal(size=a.size) * 1e-4)
+    if kind == "far":
+        return tuple(rng.uniform(-4, 4, a.size))
+    if kind == "between":  # on the segment from p0 to p1
+        p0, p1 = np.array(pts[0][1]), np.array(pts[1][1])
+        return tuple(p0 + rng.uniform(0.2, 0.8) * (p1 - p0))
+    if kind == "same":
+        return earlier[-1] if earlier else tuple(a + 0.25)
+    if kind == "close":  # off A, an ulp away: below the dyadic resolution
+        return (float(np.nextafter(a[0], np.inf)),) + tuple(a[1:])
+    if kind == "huge":  # the second-order Taylor terms overflow here
+        return (1e150,) * a.size
+    return (math.nan,) * a.size
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_KINDS), min_size=1, max_size=8),
+    st.sampled_from(["values", "derivs", "adaptive"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_batch_rows_match_singleton_calls(n, seed, kinds, mode):
+    # a batch is its rows: each row has the bits of the call on its query
+    # alone, on A, near it, far from it and repeated; and a batch with
+    # failing queries raises what the first of them raises alone, whichever
+    # stage a later one fails at.  The second-order values are large, so
+    # that the Taylor rows at 1e150 overflow; the first-order values at p0
+    # and p1 are +-1.7e308, so that their Taylor rows, or the derivatives of
+    # the blend between them, overflow; and the schedule asks for degree 3
+    # of the order-2 jet within 0.05 of A.  (A point of A is no error: its row is the jet there, so
+    # OnSet cannot reach a caller.)
+    rng = np.random.default_rng(seed)
+    k, m = 2, 2
+    pts = [(f"p{i}", tuple(rng.uniform(-1, 1, n))) for i in range(5)]
+    scale = np.where(np.sum(mi.enumerate_upto(n, k), axis=1) == 2, 1e10, 1.0)[:, None]
+    values = {pid: rng.normal(size=(len(scale), m)) * scale for pid, _ in pts}
+    values["p0"][1 : n + 1] = 1.7e308
+    values["p1"][1 : n + 1] = -1.7e308
+    F = extend.Extension(jets.Jet(n, k, m, pts, values), schedule=(8.0, 2.0, 0.05))
+    xs = []
+    for kind in kinds:
+        xs.append(_batch_query(kind, pts, rng, xs))
+    one, batch = {
+        "values": (F.eval, F.eval_batch),
+        "derivs": (lambda x: F.derivs(x, 1), lambda xs: F.blend(xs, 1)),
+        "adaptive": (F.eval_adaptive, lambda xs: F.blend(xs, adaptive=True)[:, 0]),
+    }[mode]
+    rows = []
+    for x in xs:
+        try:
+            rows.append(one(x))
+        except (ValueError, decomp.ResolutionExceeded, extend.ScheduleExhausted) as err:
+            with pytest.raises(type(err)) as info:
+                batch(xs)
+            assert type(info.value) is type(err) and str(info.value) == str(err)
+            return
+    assert batch(xs).tobytes() == np.array(rows).tobytes()
+
+
+def test_batch_raises_for_the_first_failing_row():
+    # slopes -+1.7e308 at 0 and 1: F'(0.51) leaves the float range in the
+    # last stage, the blend, while 1e-17 fails the first, the cube search,
+    # and at 2.5 the Taylor rows anchored at 1 overflow
+    j = jets.Jet(1, 1, 1, [("a", (0.0,)), ("b", (1.0,))],
+                 {"a": [[0.0], [-1.7e308]], "b": [[0.0], [1.7e308]]})
+    F = extend.Extension(j)
+    blend = r"^the derivatives of the extension overflow at \(0\.51,\)$"
+    for later in [(1e-17,)], [(2.5,)], [(2.5,), (1e-17,)]:
+        with pytest.raises(ValueError, match=blend):
+            F.blend([(0.5,), (0.51,), *later], 1)
+    taylor = r"^the order-1 Taylor polynomial anchored at \(1\.0,\) overflows at \(2\.5,\)$"
+    with pytest.raises(ValueError, match=taylor):
+        F.blend([(2.5,), (0.51,)], 1)
+    with pytest.raises(decomp.ResolutionExceeded):
+        F.blend([(0.5,), (1e-17,), (0.51,)], 1)
+    assert F.blend([(0.5,), (0.0,)], 1).tolist() == [[[-8.5e307], [0.0]], [[0.0], [-1.7e308]]]
+
+
 @given(
     st.integers(1, 3),
     st.integers(0, 3),

@@ -236,7 +236,7 @@ def test_partition_constant_term_always_tight():
         if dec.A.distance(x) < 1e-6:
             continue
         count += 1
-        _, phi = pou.phi_taylor(dec.supporting_cubes(x), x, 0)
+        _, phi = pou.phi_taylor([dec.supporting_cubes(x)], [x], 0)
         ws = phi.coeffs[0]
         assert sum(ws) == pytest.approx(1.0, abs=5e-14)
         assert np.all((0.0 < ws) & (ws <= 1.0 + 1e-15))

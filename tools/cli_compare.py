@@ -9,10 +9,11 @@ OLD_SRC and NEW_SRC are directories that hold the ``whitneyext`` package
 temporary directory and runs every invocation there in two fresh
 interpreters side by side, one with each tree on PYTHONPATH.  The list
 covers decompose; extend with values, ``--k``, ``--schedule`` and
-``--derivs`` at n = 1, 2, 3; check-jet; fdb; pullback (a polynomial map,
-the shear (x0 + 0.3 sin x1, x1) at order 4, and a map from R^3 to R^2 at
-order 3); manifold-extend with values and ``--derivs``; and every verify
-suite.
+``--derivs`` at n = 1, 2, 3, on a jet file of explicit values with varied
+key spellings, and on grids whose middle row exits 2 or 3; check-jet; fdb;
+pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at order 4,
+and a map from R^3 to R^2 at order 3); manifold-extend with values and
+``--derivs``; and every verify suite.
 
 For each invocation it prints "identical" when exit status, stdout and
 stderr agree byte for byte.  Otherwise it lists the differing fields: CSV
@@ -24,6 +25,7 @@ import csv
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -55,6 +57,40 @@ JETS = {
         },
     },
 }
+
+
+
+def explicit_jet(count=300, seed=7):
+    """An order-2 jet in 2-D with explicit values (those of a quadratic) at
+    `count` jittered grid points.  Its keys vary in spelling ("[1,0]",
+    "(1,0)", "[1, 0]"), in order, and some points spell an index twice with
+    a stale value first, which the last spelling overrides."""
+    rng = random.Random(seed)
+    spellings = ["[{},{}]", "({},{})", "[{}, {}]", " [{},{}] "]
+    side = math.ceil(math.sqrt(count))
+    points = []
+    for i in range(count):
+        x = -1.0 + 2.0 * ((i % side) + rng.uniform(0.1, 0.9)) / side
+        y = -1.0 + 2.0 * ((i // side) + rng.uniform(0.1, 0.9)) / side
+        jet = {
+            (0, 0): 1.0 + 2.0 * x - y + 0.5 * x * x + x * y - 0.3 * y * y,
+            (1, 0): 2.0 + x + y,
+            (0, 1): -1.0 + x - 0.6 * y,
+            (2, 0): 1.0,
+            (1, 1): 1.0,
+            (0, 2): -0.6,
+        }
+        keys = list(jet)
+        if i % 3 == 1:
+            rng.shuffle(keys)
+        values = {}
+        if i % 5 == 2:
+            values["(1,0)"] = [99.0]  # stale: spelled again below
+        for a in keys:
+            values[rng.choice(spellings).format(*a)] = [jet[a]]
+        points.append({"id": f"q{i}", "x": [x, y], "values": values})
+    return {"dim": 2, "order": 2, "outdim": 1, "points": points}
+
 
 # pullback fixtures whose jets sit at the images of the source points
 SHEAR_POINTS = [[0.3, -0.4], [-0.6, 0.8], [1.1, 0.2]]
@@ -92,6 +128,16 @@ FIXTURES = {
             },
         },
         "points": [{"id": f"l{i}", "x": x} for i, x in enumerate(LIFT_POINTS)],
+    },
+    "explicit.json": explicit_jet(),
+    "slopes.json": {  # F' leaves the float range between the two points
+        "dim": 1,
+        "order": 1,
+        "outdim": 1,
+        "points": [
+            {"id": "a", "x": [0.0], "values": {"[0]": [0.0], "[1]": [-1.7e308]}},
+            {"id": "b", "x": [1.0], "values": {"[0]": [0.0], "[1]": [1.7e308]}},
+        ],
     },
     "atlas.json": {
         "dim": 1,
@@ -140,6 +186,14 @@ INVOCATIONS = [
             "--derivs", "(1,0,0) (0,1,1) (2,1,1)",
         ],
     ),
+    ("extend 2-D explicit values", ["extend", "--input", "explicit.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
+    # a middle row fails: F'(0.51) overflows (exit 2), and the fourth of
+    # seven rows, 5.55e-17, lies below the dyadic resolution of 0 (exit 3)
+    (
+        "extend overflow at a middle row",
+        ["extend", "--input", "slopes.json", "--derivs", "(1)", "--grid=0.5:0.52:0.01"],
+    ),
+    ("extend resolution at a middle row", ["extend", "--input", "jet1.json", "--grid=-0.3:0.3:0.1"]),
     ("check-jet", ["check-jet", "--input", "jet2.json"]),
     ("fdb", ["fdb", "--alpha", "(2,1)", "--target-dim", "2"]),
     ("pullback", ["pullback", "--input", "bundle.json"]),
