@@ -47,17 +47,9 @@ class CoverageError(Exception):
 
 
 class Chart:
-    """
-    One chart: an id, a codomain (axis-aligned box or all of ℝⁿ), and
-    optionally explicit forward/inverse maps between chart codomains.
+    """One chart: an id and a codomain (axis-aligned box or all of ℝⁿ)."""
 
-    The maps are only needed when chart coordinates must be produced from
-    another presentation; transitions carry the day-to-day coordinate
-    changes.  When both are present they must invert each other on the
-    codomain (checked by ``check_inverse``).
-    """
-
-    def __init__(self, cid, codomain="all", forward=None, inverse=None):
+    def __init__(self, cid, codomain="all"):
         self.id = str(cid)
         if codomain != "all":
             box = [(float(lo), float(hi)) for lo, hi in codomain]
@@ -65,8 +57,6 @@ class Chart:
                 raise ValueError(f"chart {cid}: empty codomain box {box}")
             codomain = box
         self.codomain = codomain
-        self.forward = forward
-        self.inverse = inverse
 
     def contains(self, x, slack=_SLACK):
         """Whether x lies in the codomain, with tolerance for mapped points."""
@@ -76,20 +66,6 @@ class Chart:
             lo - slack <= xi <= hi + slack
             for xi, (lo, hi) in zip(x, self.codomain)
         )
-
-    def check_inverse(self, points, tol=1e-9):
-        """Largest ‖inverse(forward(x)) − x‖_max over the sample."""
-        if self.forward is None or self.inverse is None:
-            raise ValueError(f"chart {self.id} has no forward/inverse pair")
-        worst = 0.0
-        for x in points:
-            y = self.inverse.eval_real(self.forward.eval_real(x))
-            worst = max(worst, max(abs(yi - xi) for yi, xi in zip(y, x)))
-        if worst > tol:
-            raise ValueError(
-                f"chart {self.id}: forward/inverse disagree by {worst:.3e}"
-            )
-        return worst
 
 
 class FiniteAtlas:
@@ -156,7 +132,7 @@ class AtlasJet:
 
     ``jets`` maps chart id → Jet in that chart's coordinates; a point id
     present in several charts names one manifold point, so the stored
-    coordinates must be related by the transitions (``check_identities``).
+    coordinates must be related by the transitions.
     """
 
     def __init__(self, jet_map):
@@ -200,29 +176,6 @@ class AtlasJet:
             if atlas.chart(target).contains(y, slack):
                 return y
         return None
-
-    def check_identities(self, atlas, tol=1e-9):
-        """
-        Largest coordinate disagreement across charts for any shared id:
-        transition(φ→ψ) applied to the φ-coordinates must reproduce the
-        stored ψ-coordinates.
-        """
-        worst = 0.0
-        cids = list(self.jets)
-        for i, phi in enumerate(cids):
-            for psi in cids[i + 1 :]:
-                if not atlas.has_transition(phi, psi):
-                    continue
-                fj, pj = self.jets[phi], self.jets[psi]
-                for pid in fj.ids:
-                    if pid not in pj.coords:
-                        continue
-                    y = atlas.map_point(phi, psi, fj.coords[pid])
-                    dev = max(abs(a - b) for a, b in zip(y, pj.coords[pid]))
-                    worst = max(worst, dev)
-        if worst > tol:
-            raise ValueError(f"shared point identities disagree by {worst:.3e}")
-        return worst
 
 
 # -- correspondence and transport -------------------------------------------
@@ -346,7 +299,7 @@ class ManifoldExtension:
     near every jet point (validated at the points themselves).
     """
 
-    def __init__(self, aj, atlas, pou, k=None, j_max=52, tol=1e-9):
+    def __init__(self, aj, atlas, pou, k=None, tol=1e-9):
         self.aj = aj
         self.atlas = atlas
         self.n = atlas.dim
@@ -362,7 +315,7 @@ class ManifoldExtension:
                 if h.m != 1:
                     raise ValueError(f"bump for chart {cid!r} must be scalar")
                 h = h.exprs[0]
-            ext = extend.Extension(aj.jets[cid], k=self.k, j_max=j_max)
+            ext = extend.Extension(aj.jets[cid], k=self.k)
             self.pieces.append((str(cid), h, ext, ext.jet.point_array()))
         if not self.pieces:
             raise ValueError("empty partition of unity")

@@ -28,9 +28,11 @@ qualifies, otherwise finer until a cube qualifies.  A cube C of side s
 has x in D_C exactly when C meets the open box x ± s/4; such cubes touch
 the cube of W holding x, so they lie at most one level above or below it.
 
-One query's tests see A through a view (``A.around(x)``).  For a finite
-set the view computes the distances |p - x| of all points once, which
-also gives d = d(x,A), and every later scan runs only on the candidates
+One query's tests see A through a view (``A.around(x)``), which holds
+all of that query's state: d = d(x,A), the box distances it has measured
+(so the tests of one query share their verdicts), and for a finite set
+the distances |p - x| of all points, computed once, and its candidate
+rows.  Every scan after the first runs only on the candidates
 |p - x| <= d + 2 rho, rho the distance from x to the farthest point of
 the box being tested (for a nearest point to a centre y, rho = |y - x|).
 With q a point nearest x and p nearest the box C, c the point of C
@@ -46,7 +48,6 @@ Coordinates of a point set and of queries must stay below MAX_COORD =
 then stay finite, and so do the dyadic corners of every level up to 520.
 """
 
-import functools
 import itertools
 import math
 import operator
@@ -80,8 +81,11 @@ class OnSet(ValueError):
 # -- closed sets -----------------------------------------------------------
 
 
-def _check_query(x):
-    """Raise ValueError unless x is finite and within MAX_COORD."""
+def _check_query(x, n):
+    """Raise ValueError unless x has dimension n, is finite and is within
+    MAX_COORD."""
+    if len(x) != n:
+        raise ValueError(f"query point {tuple(x)} has dimension {len(x)}, expected {n}")
     if not all(math.isfinite(xi) for xi in x):
         raise ValueError(f"query point {tuple(x)} is not finite")
     if max(abs(xi) for xi in x) >= MAX_COORD:
@@ -110,7 +114,7 @@ class FinitePoints:
         self.n = pts.shape[1]
 
     def distance(self, x):
-        _check_query(x)
+        _check_query(x, self.n)
         return math.sqrt(_squares(self.points - np.asarray(x, float)).min())
 
     def _contains(self, x):
@@ -148,19 +152,30 @@ def _box_distance(points, lo, hi):
 
 class Around:
     """
-    A closed set as seen from one query x: `distance` is d(x, A), measured
-    once (which checks the query), and `box_distance` and `nearest` serve
-    the tests made around x.  This base scans the whole set every time, as
-    a union of a few boxes is cheap to scan.
+    A closed set as seen from one query x, holding the query's state:
+    `distance` is d(x, A), measured once (which checks the query), and
+    `cube_distance` keeps every cube distance it measures, so that the
+    tests made around x share their verdicts.  `box_distance` and `nearest`
+    serve those tests; this base scans the whole set every time, as a union
+    of a few boxes is cheap to scan.
     """
 
     def __init__(self, A, x):
         self.A = A
         self.x = tuple(x)
         self.distance = self._measure()
+        self._cubes = {}
 
     def _measure(self):
         return self.A.distance(self.x)
+
+    def cube_distance(self, cube):
+        """d(C, A), measured once per cube for this query."""
+        key = (cube.level, cube.corner)  # not the cube, which keeps its geometry
+        d = self._cubes.get(key)
+        if d is None:
+            d = self._cubes[key] = self.box_distance(cube.lo, cube.hi)
+        return d
 
     def box_distance(self, lo, hi):
         return self.A.box_distance(lo, hi)
@@ -188,7 +203,7 @@ class PointsAround(Around):
     """
 
     def _measure(self):
-        _check_query(self.x)
+        _check_query(self.x, self.A.n)
         self._dists = np.sqrt(_squares(self.A.points - np.asarray(self.x, float)))
         self._limit = -math.inf
         return float(self._dists.min())
@@ -228,13 +243,8 @@ class BoxUnion:
             raise ValueError("boxes have mixed dimensions")
 
     def distance(self, x):
-        _check_query(x)
-        x = np.asarray(x, float)
-        best = math.inf
-        for b in self.boxes:
-            gap = np.maximum(0.0, np.maximum(b[:, 0] - x, x - b[:, 1]))
-            best = min(best, float(np.linalg.norm(gap)))
-        return best
+        _check_query(x, self.n)
+        return self.box_distance(x, x)
 
     def _contains(self, x):
         """Exact membership: lo <= x <= hi in some box."""
@@ -372,65 +382,62 @@ class Decomposition:
         return self.A.box_distance(cube.lo, cube.hi)
 
     def _qualifies(self, cube, near=None):
-        scans = self.A if near is None else near
-        return scans.box_distance(cube.lo, cube.hi) >= self.threshold(cube.level)
+        d = self.cube_distance(cube) if near is None else near.cube_distance(cube)
+        return d >= self.threshold(cube.level)
 
-    def _start_level(self, d, j_max):
+    def _start_level(self, d):
         """The level just below the home level that d = d(x,A) implies: as
         d(x,A) - sqrt(n)/2^j <= d(C,A) <= d(x,A) for the level-j ancestor C
         of x, no level with 4*sqrt(n)/2^j > d(x,A) qualifies, so the search
         starts at floor(log2(4*sqrt(n)/d)) - 1, clamped to 0..j_max (at
         j_max if d underflows to 0)."""
         # a log difference, as 4*sqrt(n)/d is inf for a subnormal d
-        j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) - 1 if d else j_max
-        return min(max(j, 0), j_max)
+        j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) - 1 if d else self.j_max
+        return min(max(j, 0), self.j_max)
 
-    def locate(self, x, j_max=None, near=None, qualifies=None):
+    def locate(self, x, near=None):
         """
         The unique cube of W containing x under the half-open convention
         [z/2^j, (z+1)/2^j): the dyadic ancestor of x at the smallest level
         whose distance to A meets the threshold.  Membership in A is decided
         exactly, so a query a subnormal distance away is not on the set.
-        A non-finite query, or one beyond MAX_COORD, is a ValueError.
+        A query of the wrong dimension, a non-finite one, or one beyond
+        MAX_COORD is a ValueError.
 
         The search starts at `_start_level`, then steps coarser while the
         parent qualifies, else finer until a cube qualifies.  `near` is the
-        query's view of A (``A.around(x)``), which narrows the scans, and
-        `qualifies` stands in for `_qualifies`, so that one query's tests
-        can share a memo.
+        query's view of A (``A.around(x)``), which narrows the scans and
+        keeps their verdicts.
         """
-        j_max = self.j_max if j_max is None else j_max
         near = self.A.around(x) if near is None else near  # checks the query
-        qualifies = qualifies or functools.partial(self._qualifies, near=near)
         if near.distance == 0.0 and self.A._contains(x):  # a point of A is at distance 0
             raise OnSet(x)
 
         def ancestor(j):
             return WhitneyCube(j, tuple(math.floor(math.ldexp(xi, j)) for xi in x))
 
-        j = self._start_level(near.distance, j_max)
-        if qualifies(ancestor(j)):
-            while j > 0 and qualifies(ancestor(j - 1)):
+        j = self._start_level(near.distance)
+        if self._qualifies(ancestor(j), near):
+            while j > 0 and self._qualifies(ancestor(j - 1), near):
                 j -= 1
             return ancestor(j)
-        while j < j_max:
+        while j < self.j_max:
             j += 1
             cube = ancestor(j)
-            if qualifies(cube):
+            if self._qualifies(cube, near):
                 return cube
-        raise ResolutionExceeded(x, j_max)
+        raise ResolutionExceeded(x, self.j_max)
 
-    def in_family(self, cube, qualifies=None):
+    def in_family(self, cube, near=None):
         """Membership test: the cube qualifies and is at level 0 or its
-        parent does not qualify (see the module docstring).  `qualifies` is
-        as for `locate`."""
-        qualifies = qualifies or self._qualifies
-        if not qualifies(cube):
+        parent does not qualify (see the module docstring).  `near`, a
+        query's view of A, narrows the scans and keeps their verdicts."""
+        if not self._qualifies(cube, near):
             return False
         if cube.level == 0:
             return True
         parent = WhitneyCube(cube.level - 1, tuple(z >> 1 for z in cube.corner))
-        return not qualifies(parent)
+        return not self._qualifies(parent, near)
 
     def anchor(self, cube, near=None):
         """A fixed nearest point of A to the cube's center (memoized;
@@ -443,25 +450,26 @@ class Decomposition:
             a = self._anchors[key] = scans.nearest(cube.center)
         return a
 
-    def supporting_cubes(self, x, j_max=None, near=None):
+    def supporting_cubes(self, x):
         """
         All cubes of W whose enlarged box D_C contains x, in (level, corner)
         order: the cubes meeting the box x ± side/4 on the levels next to
-        the cube holding x, filtered by D_C and by membership.  `near` is
-        as for `locate`.
+        the cube holding x, filtered by D_C and by membership.  All tests
+        run through one view of A around x, which also fixes the anchors of
+        the cubes returned.
         """
-        near = self.A.around(x) if near is None else near
-        # verdicts shared by this query only
-        qualifies = functools.cache(functools.partial(self._qualifies, near=near))
-        home = self.locate(x, j_max, near, qualifies)
+        near = self.A.around(x)
+        home = self.locate(x, near)
         out = []
         for lv in range(max(0, home.level - 1), home.level + 2):
             r = math.ldexp(0.25, -lv)
             window = _window([xi - r for xi in x], [xi + r for xi in x], lv)
             for corner in itertools.product(*window):
                 cube = WhitneyCube(lv, corner)
-                if cube.enlarged_contains(x) and self.in_family(cube, qualifies):
+                if cube.enlarged_contains(x) and self.in_family(cube, near):
                     out.append(cube)
+        for cube in out:
+            self.anchor(cube, near)
         return out
 
     def enumerate_in_box(self, lo, hi, max_level):
@@ -469,11 +477,11 @@ class Decomposition:
         All cubes of W intersecting the closed box [lo, hi], up to the given
         level, in deterministic (level, corner) order.  Descends the dyadic
         tree: a qualifying cube is emitted and not refined; anything still
-        unqualified at max_level is dropped.  A box corner beyond MAX_COORD
-        is a ValueError.
+        unqualified at max_level is dropped.  A box corner of the wrong
+        dimension or beyond MAX_COORD is a ValueError.
         """
-        _check_query(lo)
-        _check_query(hi)
+        _check_query(lo, self.n)
+        _check_query(hi, self.n)
         out = []
         stack = [WhitneyCube(0, z) for z in itertools.product(*_window(lo, hi, 0))]
         while stack:

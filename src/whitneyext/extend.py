@@ -44,29 +44,31 @@ of F.
 
 The adaptive variant assigns each cube a degree from a schedule of radii
 δ_1 > δ_2 > … (with δ_{i+1} < δ_i/2): the cube with center y_C uses the
-largest i with d(y_C, A) < δ_i, or 0 when even δ_1 is too small.  Cubes
+largest i with d(y_C, A) < δ_i, or 0 when even δ_1 is too small
+(d(y_C, A) is read off the anchor of C, a nearest point to y_C).  Cubes
 far from A therefore use low-degree polynomials and cubes near A use the
 full stored order; requesting a degree beyond the stored jet raises
 ``ScheduleExhausted``.
 
 Every evaluation is one call of ``Extension.blend`` on a batch of queries;
 ``eval``, ``derivs``, ``eval_derivs`` and ``eval_adaptive`` are its batch
-of one, ``eval_batch`` its order-0 rows.  Each query runs the cube search
-on its own view of A (``decomp``: one distance vector, then scans of the
-few points that can decide its cubes and anchors), and the series work of
+of one, ``eval_batch`` its order-0 rows.  Each query's cubes and anchors
+come from ``Decomposition.supporting_cubes``, which runs the search on the
+query's own view of A (one distance vector, then scans of the few points
+that can decide the cubes and anchors), and the series work of
 the batch is one array computation over its (query, cube) columns: one
 ψ/φ batch with a single division of each query's columns by its own Σ ψ,
 one anchored Taylor computation per distinct degree, and one batched
 product for the halved blend.  Every column has the arithmetic of a
 one-query call, and each query's sums run in cube order, so a row has the
 bits of the query evaluated alone.  A batch fails as its first failing
-query, in row order, fails alone.
+query, in row order, fails alone; one finiteness check on the blend
+finds that query (see ``Extension._blend``).
 
 An Extension is not changed by evaluation apart from an idempotent anchor
 memo; concurrent calls give the same results as sequential ones.
 """
 
-import bisect
 import itertools
 import math
 
@@ -100,15 +102,12 @@ class Extension:
     k : int, optional
         Degree of the anchored Taylor polynomials (default: the jet's own
         order).  Must not exceed the stored order.
-    j_max : int, optional
-        Finest dyadic level for cube location; queries off A but closer
-        than the resolvable scale raise ``decomp.ResolutionExceeded``.
     schedule : sequence of float, optional
         Radii δ_1 > δ_2 > … for ``eval_adaptive``, each less than half
         the previous.
     """
 
-    def __init__(self, jet, k=None, j_max=52, schedule=None):
+    def __init__(self, jet, k=None, schedule=None):
         self.jet = jet
         self.k = jet.k if k is None else int(k)
         if not 0 <= self.k <= jet.k:
@@ -116,7 +115,7 @@ class Extension:
         self.n = jet.n
         self.m = jet.m
         self.A = decomp.FinitePoints(jet.point_array())
-        self.dec = decomp.Decomposition(self.A, j_max=j_max)
+        self.dec = decomp.Decomposition(self.A)
         self._pid_of = {jet.coords[pid]: pid for pid in jet.ids}
         if schedule is None:
             self.schedule = None
@@ -133,11 +132,6 @@ class Extension:
                         f"({cur} after {prev})"
                     )
             self.schedule = sched
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _anchor_id(self, cube):
-        return self._pid_of[self.dec.anchor(cube)]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -198,27 +192,25 @@ class Extension:
                 out[r] = self.jet.values[pid][: ctx.ncoef]
                 continue
             try:
-                near = self.A.around(x)
-                cubes = self.dec.supporting_cubes(x, near=near)
+                groups.append(self.dec.supporting_cubes(x))
             except (ValueError, decomp.ResolutionExceeded) as e:
                 error = e
                 break
-            for cube in cubes:
-                self.dec.anchor(cube, near)  # while the query's candidates are at hand
             off.append(r)
-            groups.append(cubes)
-        if off:
-            first = self._blend(out, [xs[r] for r in off], off, groups, ctx, adaptive)
-            error = error if first is None else first
+        if off:  # raises for a failing query before the search error
+            out[off] = self._blend([xs[r] for r in off], groups, ctx, adaptive)
         if error is not None:
             raise error
         return out
 
-    def _blend(self, out, xs, rows, groups, ctx, adaptive):
+    def _blend(self, xs, groups, ctx, adaptive):
         """
-        Fill out[rows] with the blends at the queries xs off A, supported by
-        `groups`; or fill the rows before the first query that fails and
-        return its error.
+        The blends at the queries xs off A, supported by `groups`, as a
+        (len(xs), ncoef, m) array; the first failing query raises what it
+        raises alone.  A non-finite Taylor row leaves its own query's blend
+        non-finite (the product pair (0, i) carries row i of T_C − T_{C₀}
+        into the result, and inf − inf, 0·inf and inf + x stay non-finite),
+        so one check on the blend finds the first failing query.
         """
         cubes, phi = pou.phi_taylor(groups, xs, ctx.k)
         error, degrees = None, []
@@ -227,15 +219,13 @@ class Extension:
                 degrees.append(
                     [self._cube_degree(c, x) for c in live] if adaptive else [self.k] * len(live)
                 )
-            except ScheduleExhausted as e:
+            except ScheduleExhausted as e:  # raised after the queries before it
                 error = e
                 break
-        if not degrees:
-            return error
         counts = [len(d) for d in degrees]
         firsts = list(itertools.accumulate(counts, initial=0))[:-1]  # each query's C₀
         flat = [g for d in degrees for g in d]
-        ids = [self._anchor_id(c) for live in cubes[: len(degrees)] for c in live]
+        ids = [self._pid_of[self.dec.anchor(c)] for live in cubes[: len(degrees)] for c in live]
         at = [x for x, c in zip(xs, counts) for _ in range(c)]
         series = np.empty((ctx.ncoef, len(flat), self.m))
         for g in dict.fromkeys(flat):  # one Taylor computation per degree
@@ -243,23 +233,12 @@ class Extension:
             series[:, cols] = self.jet.taylor_rows(
                 [ids[j] for j in cols], g, [at[j] for j in cols], ctx.k
             )
-        finite = np.isfinite(series).all(axis=(0, 2))
-        if not finite.all():  # the first query with an overflowing row raises as alone
-            q = bisect.bisect_right(firsts, int(finite.argmin())) - 1
-            own = range(firsts[q], firsts[q] + counts[q])
-            try:
-                for g in dict.fromkeys(degrees[q]):
-                    cols = [j for j in own if flat[j] == g]
-                    self.jet.check_series(series[:, cols], [ids[j] for j in cols], g, xs[q])
-            except ValueError as e:
-                error, counts, firsts = e, counts[:q], firsts[:q]
-        ncols = sum(counts)
-        series = 0.5 * series[:, :ncols]  # so that T_C − T_{C₀} is finite wherever F is
-        total = series[:, firsts]
         with np.errstate(over="ignore", invalid="ignore"):
-            if ncols > len(counts):
+            series *= 0.5  # so that T_C − T_{C₀} is finite wherever F is
+            total = series[:, firsts]
+            if len(flat) > len(counts):
                 diffs = series - np.repeat(total, counts, axis=1)
-                weights = np.repeat(phi.coeffs[:, :ncols], self.m, axis=1)
+                weights = np.repeat(phi.coeffs[:, : len(flat)], self.m, axis=1)
                 terms = taylorarith.mul(
                     taylorarith.TaylorValue(ctx, weights),
                     taylorarith.TaylorValue(ctx, diffs.reshape(ctx.ncoef, -1)),
@@ -271,10 +250,14 @@ class Extension:
         finite = np.isfinite(ders).all(axis=(0, 2))
         if not finite.all():
             q = int(finite.argmin())
-            error = ValueError(f"the derivatives of the extension overflow at {xs[q]}")
-            ders = ders[:, :q]
-        out[rows[: ders.shape[1]]] = ders.transpose(1, 0, 2)
-        return error
+            own = range(firsts[q], firsts[q] + counts[q])
+            for g in dict.fromkeys(degrees[q]):  # its own Taylor rows, as alone
+                cols = [j for j in own if flat[j] == g]
+                self.jet.check_series(series[:, cols], [ids[j] for j in cols], g, xs[q])
+            raise ValueError(f"the derivatives of the extension overflow at {xs[q]}")
+        if error is not None:
+            raise error
+        return ders.transpose(1, 0, 2)
 
     # -- adaptive degree ------------------------------------------------------
 
@@ -282,9 +265,11 @@ class Extension:
         """
         Largest schedule index whose radius still exceeds d(y_C, A); raises
         ScheduleExhausted (at the query x) when that degree is beyond the
-        stored jet.
+        stored jet.  The anchor of C is a nearest point of A to y_C, so
+        d(y_C, A) is the norm of their difference, computed as the scans of
+        A compute it.
         """
-        d = self.A.distance(np.asarray(cube.center))
+        d = math.sqrt(decomp._squares(np.subtract([self.dec.anchor(cube)], cube.center))[0])
         g = 0
         for i, delta in enumerate(self.schedule, start=1):
             if d < delta:
@@ -309,14 +294,14 @@ class Extension:
         return len(pou.phi_taylor([self.dec.supporting_cubes(x)], [x], 0)[0][0])
 
 
-def linearity_probe(f, g, a, b, x, k=None, j_max=52):
+def linearity_probe(f, g, a, b, x, k=None):
     """
     ‖Φ(af+bg)(x) − aΦ(f)(x) − bΦ(g)(x)‖_max — zero up to rounding, since
     the extension is linear in the jet.
     """
-    combined = Extension(jets.linear_combination(a, f, b, g), k=k, j_max=j_max)
-    ext_f = Extension(f, k=k, j_max=j_max)
-    ext_g = Extension(g, k=k, j_max=j_max)
+    combined = Extension(jets.linear_combination(a, f, b, g), k=k)
+    ext_f = Extension(f, k=k)
+    ext_g = Extension(g, k=k)
     r = combined.eval(x) - a * ext_f.eval(x) - b * ext_g.eval(x)
     return float(np.max(np.abs(r)))
 

@@ -1,6 +1,7 @@
 """Dyadic cube decomposition of the complement of a closed set."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -46,6 +47,26 @@ def test_huge_coordinates_are_rejected_without_warnings():
         assert dec.locate(x).level == 0
         assert dec.supporting_cubes(x)
         assert A0.distance(x) == x[0]
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        decomp.make_closed_set(points=[[0.0, 0.0], [1.0, 0.5]]),
+        decomp.make_closed_set(boxes=[[[0.0, 1.0], [0.0, 0.5]]]),
+    ],
+)
+def test_wrong_dimension_query_is_a_value_error(A):
+    dec = decomp.Decomposition(A)
+    for x in [(0.3,), (), (0.3, 0.4, 0.5)]:
+        msg = rf"^query point {re.escape(str(x))} has dimension {len(x)}, expected 2$"
+        for probe in (A.distance, A.around, dec.locate, dec.supporting_cubes):
+            with pytest.raises(ValueError, match=msg):
+                probe(x)
+        with pytest.raises(ValueError, match=msg):
+            dec.enumerate_in_box(x, (2.0, 2.0), 3)
+        with pytest.raises(ValueError, match=msg):
+            dec.enumerate_in_box((-2.0, -2.0), x, 3)
 
 
 def test_distance_point_set():
@@ -460,8 +481,8 @@ def test_locate_matches_level0_walk(n):
             # too coarse or too fine, the two-way step ends on the same cube
             dec = decomp.Decomposition(A)
             for shift in (-6, 6):
-                dec._start_level = lambda d, j_max, f=dec._start_level, s=shift: min(
-                    max(f(d, j_max) + s, 0), j_max
+                dec._start_level = lambda d, f=dec._start_level, s=shift: min(
+                    max(f(d) + s, 0), dec.j_max
                 )
                 try:
                     for x in queries[:6]:

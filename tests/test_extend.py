@@ -122,9 +122,9 @@ def test_jet_recovery_near_set():
 
 def test_resolution_exceeded_off_set_but_too_close():
     j = jet_of("x0", [(0.0,)], 1)
-    F = extend.Extension(j, j_max=8)
+    F = extend.Extension(j)
     with pytest.raises(decomp.ResolutionExceeded):
-        F.eval((1e-7,))
+        F.eval((1e-30,))
 
 
 def test_eval_batch_matches_eval():
@@ -336,6 +336,63 @@ def test_adaptive_error_tracks_taylor_remainder():
         # higher slots; use the crude bound e^{|x|} |x|^{g+1}/(g+1)! with g=1
         bound = math.exp(abs(x)) * abs(x) ** 2 / 2.0
         assert abs(got - math.exp(x)) <= bound * 1.01
+
+
+def test_queries_scan_only_their_views():
+    # after the query's view of A is built, no evaluation scans the whole
+    # set: the cube search, the anchors and the adaptive degrees all run
+    # through the view (a degree reads d(y_C, A) off the cube's anchor)
+    rng = np.random.default_rng(23)
+    pts = [(f"p{i}", tuple(rng.uniform(-1, 1, 2))) for i in range(60)]
+    j = jets.Jet(2, 2, 1, pts, {pid: rng.normal(size=(6, 1)) for pid, _ in pts})
+    F = extend.Extension(j, schedule=(0.3, 0.05))
+    grid = [(float(a), float(b)) for a in np.linspace(-1.1, 1.1, 7) for b in np.linspace(-1.1, 1.3, 5)]
+    want = [F.blend(grid), F.blend(grid, 2), F.blend(grid, adaptive=True)]
+
+    def full_scan(*args):
+        raise AssertionError("a scan of the whole set")
+
+    F = extend.Extension(j, schedule=(0.3, 0.05))
+    F.A.distance = F.A.box_distance = F.A.nearest = full_scan
+    got = [F.blend(grid), F.blend(grid, 2), F.blend(grid, adaptive=True)]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adaptive_degree_reads_the_set_distance_of_the_center(n):
+    # d(y_C, A) from the anchor has the bits of A.distance(y_C): a schedule
+    # radius of exactly that distance gives degree 0, the next float up 1
+    rng = np.random.default_rng(40 + n)
+    for size in (1, 7, 1000):
+        pts = [(f"p{i}", tuple(rng.uniform(-1, 1, n))) for i in range(size)]
+        j = jets.Jet(n, 1, 1, pts, {pid: np.zeros((n + 1, 1)) for pid, _ in pts})
+        F = extend.Extension(j, schedule=(1.0,))
+        for _ in range(40 if size < 1000 else 10):
+            a = np.array(pts[int(rng.integers(size))][1])
+            x = tuple(float(v) for v in a + rng.normal(size=n) * 10.0 ** rng.uniform(-6, 0))
+            for cube in F.dec.supporting_cubes(x):
+                d = F.A.distance(cube.center)
+                F.schedule = (d,)
+                assert F._cube_degree(cube, x) == 0, (x, cube)
+                F.schedule = (float(np.nextafter(d, math.inf)),)
+                assert F._cube_degree(cube, x) == 1, (x, cube)
+
+
+def test_wrong_dimension_query_is_a_value_error():
+    # a query is never broadcast to the set's dimension, nor cut to it
+    j = jet_of("x0*x1", [(0.0, 0.0), (1.0, 0.5)], 2, n=2)
+    F = extend.Extension(j)
+    j1 = jet_of("x0", [(0.0,), (1.0,)], 1)
+    F1 = extend.Extension(j1)
+    for ext, x, msg in [
+        (F, (0.3,), r"^query point \(0\.3,\) has dimension 1, expected 2$"),
+        (F, (0.3, 0.4, 0.5), r"^query point \(0\.3, 0\.4, 0\.5\) has dimension 3, expected 2$"),
+        (F1, (0.3, 0.4), r"^query point \(0\.3, 0\.4\) has dimension 2, expected 1$"),
+        (F1, (), r"^query point \(\) has dimension 0, expected 1$"),
+    ]:
+        for evaluate in (ext.eval, ext.eval_derivs, lambda x: ext.blend([x]), ext.dec.locate):
+            with pytest.raises(ValueError, match=msg):
+                evaluate(x)
 
 
 # -- linearity and continuity --------------------------------------------------------

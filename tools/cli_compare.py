@@ -10,7 +10,8 @@ temporary directory and runs every invocation there in two fresh
 interpreters side by side, one with each tree on PYTHONPATH.  The list
 covers decompose; extend with values, ``--k``, ``--schedule`` and
 ``--derivs`` at n = 1, 2, 3, on a jet file of explicit values with varied
-key spellings, and on grids whose middle row exits 2 or 3; check-jet; fdb;
+key spellings (with values and ``--schedule``), and on grids whose middle
+row exits 2 or 3; check-jet; fdb;
 pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at order 4,
 and a map from R^3 to R^2 at order 3); manifold-extend with values and
 ``--derivs``; and every verify suite.
@@ -187,6 +188,11 @@ INVOCATIONS = [
         ],
     ),
     ("extend 2-D explicit values", ["extend", "--input", "explicit.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
+    # the supporting cubes take schedule degrees 0, 1 and 2 on this grid
+    (
+        "extend 2-D explicit --schedule",
+        ["extend", "--input", "explicit.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31", "--schedule", "0.3,0.05"],
+    ),
     # a middle row fails: F'(0.51) overflows (exit 2), and the fourth of
     # seven rows, 5.55e-17, lies below the dyadic resolution of 0 (exit 3)
     (
