@@ -69,8 +69,8 @@ print("series of sum(phi) :", np.round(series_sum, 12), "(constant 1, rest 0)")
 # not merely small.
 
 far_cube = dec.locate((6.3,))
-print("\nphi of a far cube at x=0.37 is exactly zero:",
-      np.all(pou.phi_cube(far_cube, x, dec, 2).coeffs == 0.0))
+print("\npsi of a far cube at x=0.37 is exactly zero:",
+      np.all(pou.psi_taylor([far_cube], x, 2).coeffs == 0.0))
 
 ###############################################################################
 # Derivative growth

@@ -29,7 +29,7 @@ theorem, construction is the caller's choice.
 
 import numpy as np
 
-from . import exprlang, extend, fdb, jets, multiindex, taylorarith
+from . import decomp, exprlang, extend, fdb, jets, multiindex, taylorarith
 
 _SLACK = 1e-12
 
@@ -371,6 +371,7 @@ class ManifoldExtension:
         if not 0 <= upto <= self.k:
             raise ValueError(f"order {upto} exceeds extension degree {self.k}")
         x = tuple(float(c) for c in x)
+        decomp._check_query(x, self.n)
         ctx = taylorarith.context(self.n, upto)
         seeds = taylorarith.seeds(x, upto)
         total = np.zeros((ctx.ncoef, self.m))

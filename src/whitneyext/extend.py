@@ -61,9 +61,9 @@ the batch is one array computation over its (query, cube) columns: one
 one anchored Taylor computation per distinct degree, and one batched
 product for the halved blend.  Every column has the arithmetic of a
 one-query call, and each query's sums run in cube order, so a row has the
-bits of the query evaluated alone.  A batch fails as its first failing
-query, in row order, fails alone; one finiteness check on the blend
-finds that query (see ``Extension._blend``).
+bits of the query evaluated alone.  A failing batch is re-run one query
+at a time, in row order, and so raises what its first failing query
+raises alone.
 
 An Extension is not changed by evaluation apart from an idempotent anchor
 memo; concurrent calls give the same results as sequential ones.
@@ -173,9 +173,9 @@ class Extension:
         The rows ∂^α F(x) for |α| ≤ upto at every query x of xs (a sequence
         of points, or a (Q, n) array), as a (Q, C(n+upto, n), m) array; the
         cube C contributes its anchored Taylor polynomial of degree k, or of
-        its schedule degree when `adaptive` (see the module docstring).  Of
-        the queries that fail, the first in row order raises what it raises
-        alone, whichever stage the others fail at.
+        its schedule degree when `adaptive` (see the module docstring).  A
+        failing batch is re-run one query at a time, in row order, so it
+        raises what its first failing query raises alone.
         """
         if not 0 <= upto <= self.k:
             raise ValueError(f"order {upto} exceeds evaluation degree {self.k}")
@@ -184,79 +184,59 @@ class Extension:
         ctx = taylorarith.context(self.n, upto)
         xs = [tuple(float(c) for c in x) for x in xs]
         out = np.empty((len(xs), ctx.ncoef, self.m))
-        error = None
-        off, groups = [], []  # the queries off A, and their supporting cubes
+        off = []  # the queries off A
         for r, x in enumerate(xs):
             pid = self._pid_of.get(x)
-            if pid is not None:
+            if pid is None:
+                off.append(r)
+            else:
                 out[r] = self.jet.values[pid][: ctx.ncoef]
-                continue
+        if off:
             try:
-                groups.append(self.dec.supporting_cubes(x))
-            except (ValueError, decomp.ResolutionExceeded) as e:
-                error = e
-                break
-            off.append(r)
-        if off:  # raises for a failing query before the search error
-            out[off] = self._blend([xs[r] for r in off], groups, ctx, adaptive)
-        if error is not None:
-            raise error
+                out[off] = self._blend([xs[r] for r in off], ctx, adaptive)
+            except (ValueError, decomp.ResolutionExceeded, ScheduleExhausted):
+                if len(off) > 1:  # as its first failing query fails alone
+                    for r in off:
+                        self._blend([xs[r]], ctx, adaptive)
+                raise
         return out
 
-    def _blend(self, xs, groups, ctx, adaptive):
+    def _blend(self, xs, ctx, adaptive):
         """
-        The blends at the queries xs off A, supported by `groups`, as a
-        (len(xs), ncoef, m) array; the first failing query raises what it
-        raises alone.  A non-finite Taylor row leaves its own query's blend
-        non-finite (the product pair (0, i) carries row i of T_C − T_{C₀}
-        into the result, and inf − inf, 0·inf and inf + x stay non-finite),
-        so one check on the blend finds the first failing query.
+        The blends at the queries xs off A, as a (len(xs), ncoef, m) array:
+        T_{C₀} + Σ_{C≠C₀} φ_C·(T_C − T_{C₀}) over each query's supporting
+        cubes, summed in cube order by ``pou.group_sums``.  A failing batch
+        raises at its first failing stage (a result beyond the float range
+        is a ValueError); ``blend`` re-runs it one query at a time.
         """
-        cubes, phi = pou.phi_taylor(groups, xs, ctx.k)
-        error, degrees = None, []
-        for x, live in zip(xs, cubes):
-            try:
-                degrees.append(
-                    [self._cube_degree(c, x) for c in live] if adaptive else [self.k] * len(live)
-                )
-            except ScheduleExhausted as e:  # raised after the queries before it
-                error = e
-                break
-        counts = [len(d) for d in degrees]
-        firsts = list(itertools.accumulate(counts, initial=0))[:-1]  # each query's C₀
-        flat = [g for d in degrees for g in d]
-        ids = [self._pid_of[self.dec.anchor(c)] for live in cubes[: len(degrees)] for c in live]
+        cubes, phi = pou.phi_taylor([self.dec.supporting_cubes(x) for x in xs], xs, ctx.k)
+        counts = [len(live) for live in cubes]
+        flat = [
+            self._cube_degree(c, x) if adaptive else self.k
+            for x, live in zip(xs, cubes)
+            for c in live
+        ]
+        ids = [self._pid_of[self.dec.anchor(c)] for live in cubes for c in live]
         at = [x for x, c in zip(xs, counts) for _ in range(c)]
         series = np.empty((ctx.ncoef, len(flat), self.m))
         for g in dict.fromkeys(flat):  # one Taylor computation per degree
             cols = [j for j, d in enumerate(flat) if d == g]
-            series[:, cols] = self.jet.taylor_rows(
+            series[:, cols] = self.jet.taylor_series(
                 [ids[j] for j in cols], g, [at[j] for j in cols], ctx.k
             )
+        firsts = list(itertools.accumulate(counts, initial=0))[:-1]  # each query's C₀
         with np.errstate(over="ignore", invalid="ignore"):
             series *= 0.5  # so that T_C − T_{C₀} is finite wherever F is
-            total = series[:, firsts]
-            if len(flat) > len(counts):
-                diffs = series - np.repeat(total, counts, axis=1)
-                weights = np.repeat(phi.coeffs[:, : len(flat)], self.m, axis=1)
-                terms = taylorarith.mul(
-                    taylorarith.TaylorValue(ctx, weights),
-                    taylorarith.TaylorValue(ctx, diffs.reshape(ctx.ncoef, -1)),
-                ).coeffs.reshape(diffs.shape)
-                for q, first in enumerate(firsts):  # φ_C·(T_C − T_{C₀}) in cube order
-                    for j in range(first + 1, first + counts[q]):
-                        total[:, q] += terms[:, j]
-            ders = total * (2.0 * ctx.factorials)[:, None, None]
-        finite = np.isfinite(ders).all(axis=(0, 2))
-        if not finite.all():
-            q = int(finite.argmin())
-            own = range(firsts[q], firsts[q] + counts[q])
-            for g in dict.fromkeys(degrees[q]):  # its own Taylor rows, as alone
-                cols = [j for j in own if flat[j] == g]
-                self.jet.check_series(series[:, cols], [ids[j] for j in cols], g, xs[q])
+            diffs = series - np.repeat(series[:, firsts], counts, axis=1)
+            terms = taylorarith.mul(
+                taylorarith.TaylorValue(ctx, np.repeat(phi.coeffs, self.m, axis=1)),
+                taylorarith.TaylorValue(ctx, diffs.reshape(ctx.ncoef, -1)),
+            ).coeffs.reshape(diffs.shape)
+            terms[:, firsts] = series[:, firsts]
+            ders = pou.group_sums(terms, counts) * (2.0 * ctx.factorials)[:, None, None]
+        if not np.isfinite(ders).all():
+            q = np.isfinite(ders).all(axis=(0, 2)).argmin()
             raise ValueError(f"the derivatives of the extension overflow at {xs[q]}")
-        if error is not None:
-            raise error
         return ders.transpose(1, 0, 2)
 
     # -- adaptive degree ------------------------------------------------------

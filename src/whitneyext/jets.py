@@ -168,14 +168,9 @@ class Jet:
         float power of Python, so every anchor's row 0 keeps the bits of
         the plain graded-lex sum, and every column has the bits of a
         one-anchor call.  A monomial, term or row beyond the float range is
-        a ValueError naming its anchor (``check_series``).
+        a ValueError naming the first anchor whose column it leaves
+        non-finite.
         """
-        out = self.taylor_rows(y_ids, l, x, upto)
-        self.check_series(out, y_ids, l, x)
-        return out
-
-    def taylor_rows(self, y_ids, l, x, upto):
-        """The rows of ``taylor_series``, inf or nan where they overflow."""
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
         if not 0 <= upto <= l:
@@ -196,19 +191,15 @@ class Jet:
             mono = mono / ctx.factorials
             terms = mono.T[ctx.pair_j[:p], :, None] * values[ctx.pair_t[:p]]
             out = np.bincount(keys, weights=terms.ravel(), minlength=rows * width)
-            return out.reshape(rows, len(y_ids), self.m) / ctx.factorials[:rows, None, None]
-
-    def check_series(self, out, y_ids, l, x):
-        """Raise the ValueError of ``taylor_series`` for the first anchor of
-        `y_ids` whose column of `out` is not finite (x as there)."""
-        finite = np.isfinite(out).all(axis=(0, 2))
-        if not finite.all():
-            j = int(finite.argmin())
-            y = self.coords[y_ids[j]]
-            at = np.broadcast_to(np.asarray(x, dtype=float), (len(y_ids), self.n))[j]
+            out = out.reshape(rows, len(y_ids), self.m) / ctx.factorials[:rows, None, None]
+        if not np.isfinite(out).all():
+            j = int(np.isfinite(out).all(axis=(0, 2)).argmin())
+            at = np.broadcast_to(np.asarray(x, dtype=float), h.shape)[j]
             raise ValueError(
-                f"the order-{l} Taylor polynomial anchored at {y} overflows at {tuple(at.tolist())}"
+                f"the order-{l} Taylor polynomial anchored at {self.coords[y_ids[j]]} "
+                f"overflows at {tuple(at.tolist())}"
             )
+        return out
 
     def remainder(self, y_id, l, x_id):
         """f_0(x) - T^l_y f(x) for stored points x, y."""

@@ -44,6 +44,8 @@ boundary.  (On the closed plateau boundary the true expansion *is* the
 constant series — the junctions are flat.)
 """
 
+import itertools
+
 import numpy as np
 
 from . import taylorarith
@@ -142,8 +144,8 @@ def phi_taylor(groups, xs, k):
     (those cubes, one list per query; one TaylorValue with a column per
     cube, query after query).  The psi matrix of all queries is one batch,
     and each query's columns are divided once by their sum, which is added
-    in cube order; every column has the bits of a one-query call.  Row 0
-    holds the weights phi_C(x).
+    in cube order (``group_sums``); every column has the bits of a
+    one-query call.  Row 0 holds the weights phi_C(x).
     """
     psi = psi_taylor(
         [c for g in groups for c in g], np.repeat(xs, [len(g) for g in groups], axis=0), k
@@ -153,33 +155,24 @@ def phi_taylor(groups, xs, k):
     for g in groups:
         live.append([c for c, keep in zip(g, alive[start:]) if keep])
         start += len(g)
-    cols = psi.coeffs[:, alive]
-    total = np.empty_like(cols)
-    start = 0
-    for g in live:  # each query's sum, added in cube order
-        end = start + len(g)
-        total[:, start] = cols[:, start]
-        for j in range(start + 1, end):
-            total[:, start] += cols[:, j]
-        total[:, start + 1 : end] = total[:, start : start + 1]
-        start = end
+    cols, counts = psi.coeffs[:, alive], [len(g) for g in live]
+    total = np.repeat(group_sums(cols, counts), counts, axis=1)
     return live, taylorarith.div(TaylorValue(psi.ctx, cols), TaylorValue(psi.ctx, total))
 
 
-def phi_cube(cube, x, dec, k):
+def group_sums(cols, counts):
     """
-    Order-k expansion of phi_C at x: psi_C / sum psi over the cubes
-    supporting x, and exactly the zero series when psi_C(x) is 0, in
-    particular when x is outside the enlarged box D_C (the support of
-    psi_C).
+    The sum of each run of consecutive columns of `cols` (runs of the
+    lengths `counts`, each at least 1), one column per run: every run's
+    columns are added in column order, so each element of a sum sees the
+    additions of a one-run call, in the same order.
     """
-    if cube.enlarged_contains(x):
-        for c, series in partition_taylor(x, dec, k):
-            if c == cube:
-                return series
-    else:
-        dec.locate(x)  # raises on A or beyond resolution, as for any query
-    return constant(0.0, dec.n, k)
+    firsts = list(itertools.accumulate(counts, initial=0))[:-1]
+    total = cols[:, firsts]
+    for q, (first, count) in enumerate(zip(firsts, counts)):
+        for j in range(first + 1, first + count):
+            total[:, q] += cols[:, j]
+    return total
 
 
 def estimate_derivative_constant(dec, k, sample_points):

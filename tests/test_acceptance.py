@@ -164,19 +164,19 @@ def test_partition_of_unity_sums_to_one():
             worst = max(worst, float(np.max(np.abs(total))))
         assert worst < 1e-11, (label, worst)
 
-        # supports are exactly the enlarged cubes: the weight series of any
-        # nearby family cube whose enlargement misses x is identically zero
+        # supports are exactly the enlarged cubes: the bump series (and so
+        # the weight series) of any nearby family cube whose enlargement
+        # misses x is identically zero
         for x in accepted[:50]:
             loc = dec.locate(x)
             reach = 2.0 * loc.side
             nearby = dec.enumerate_in_box(
                 np.subtract(x, reach), np.add(x, reach), loc.level + 1
             )
-            for cube in nearby:
-                if cube.enlarged_contains(x):
-                    continue
-                phi = pou.phi_cube(cube, x, dec, k)
-                assert np.all(phi.coeffs == 0.0), (label, cube)
+            outside = [c for c in nearby if not c.enlarged_contains(x)]
+            if outside:
+                psi = pou.psi_taylor(outside, x, k)
+                assert np.all(psi.coeffs == 0.0), (label, x)
             for cube in dec.supporting_cubes(x):
                 assert cube.enlarged_contains(x)
 

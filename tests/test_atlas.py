@@ -253,6 +253,18 @@ def test_manifold_values_are_row_zero_of_the_derivatives(chart, t, near):
     assert np.array_equal(value, me.eval_derivs(chart, x, 2)[(0,)])
 
 
+def test_manifold_wrong_dimension_query_is_a_value_error():
+    # a query with the wrong number of chart coordinates is rejected before
+    # it is mapped into any chart
+    at = atlas.FiniteAtlas(2, [atlas.Chart("u")], {})
+    f = jets.Jet.from_expr(el.VectorExpr.parse(["x0*x1"], 2), [("p", (0.0, 0.0)), ("q", (1.0, 0.5))], 2)
+    me = atlas.ManifoldExtension(atlas.AtlasJet({"u": f}), at, [("u", el.parse("1", 2))])
+    for x, dim in [((0.3,), 1), ((0.3, 0.4, 0.5), 3)]:
+        for query in (me.eval, me.eval_derivs):
+            with pytest.raises(ValueError, match=rf"has dimension {dim}, expected 2$"):
+                query("u", x)
+
+
 def test_partition_deficit_detected():
     at = doubling_atlas()
     aj = doubling_jet()

@@ -354,7 +354,15 @@ def test_queries_scan_only_their_views():
 
     F = extend.Extension(j, schedule=(0.3, 0.05))
     F.A.distance = F.A.box_distance = F.A.nearest = full_scan
-    got = [F.blend(grid), F.blend(grid, 2), F.blend(grid, adaptive=True)]
+    # and a successful batch searches once per query off A: no re-run
+    searches = []
+    search = F.dec.supporting_cubes
+    F.dec.supporting_cubes = lambda x: searches.append(x) or search(x)
+    got = []
+    for args in [(), (2,), (0, True)]:
+        searches.clear()
+        got.append(F.blend(grid, *args))
+        assert searches == grid
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 

@@ -243,14 +243,16 @@ def test_partition_constant_term_always_tight():
 
 
 def test_phi_zero_outside_enlarged_cube():
+    # psi_C, and so phi_C = psi_C / sum psi, is the zero series off D_C;
+    # x lies 0.78 side lengths from the center of the cube [3.5, 4]
     dec = decomp.Decomposition(decomp.make_closed_set(points=[[0.0]]))
-    x = (3.3,)
+    x = (3.36,)
     home = dec.locate(x)
     reach = 2.0 * home.side
-    for c in dec.enumerate_in_box(np.subtract(x, reach), np.add(x, reach), home.level + 1):
-        if not c.enlarged_contains(x):
-            s = pou.phi_cube(c, x, dec, 3)
-            assert np.all(s.coeffs == 0.0)
+    nearby = dec.enumerate_in_box(np.subtract(x, reach), np.add(x, reach), home.level + 1)
+    outside = [c for c in nearby if not c.enlarged_contains(x)]
+    assert outside
+    assert np.all(pou.psi_taylor(outside, x, 3).coeffs == 0.0)
 
 
 def test_phi_far_isolated_cube_is_constant_one():
@@ -258,7 +260,8 @@ def test_phi_far_isolated_cube_is_constant_one():
     x = (10.5,)  # deep inside its side-1 cube, no other D region reaches it
     sup = dec.supporting_cubes(x)
     assert len(sup) == 1
-    s = pou.phi_cube(sup[0], x, dec, 3)
+    [(cube, s)] = pou.partition_taylor(x, dec, 3)
+    assert cube == sup[0]
     assert s.const == 1.0
     assert np.all(s.coeffs[1:] == 0.0)
 

@@ -11,7 +11,8 @@ interpreters side by side, one with each tree on PYTHONPATH.  The list
 covers decompose; extend with values, ``--k``, ``--schedule`` and
 ``--derivs`` at n = 1, 2, 3, on a jet file of explicit values with varied
 key spellings (with values and ``--schedule``), and on grids whose middle
-row exits 2 or 3; check-jet; fdb;
+row overflows (exit 2), lies below the resolution (exit 3) or exhausts the
+degree schedule (exit 3); check-jet; fdb;
 pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at order 4,
 and a map from R^3 to R^2 at order 3); manifold-extend with values and
 ``--derivs``; and every verify suite.
@@ -200,6 +201,12 @@ INVOCATIONS = [
         ["extend", "--input", "slopes.json", "--derivs", "(1)", "--grid=0.5:0.52:0.01"],
     ),
     ("extend resolution at a middle row", ["extend", "--input", "jet1.json", "--grid=-0.3:0.3:0.1"]),
+    # the fourth of seven rows, -1.4, needs schedule degree 3 of an order-2
+    # jet (exit 3)
+    (
+        "extend schedule exhausted at a middle row",
+        ["extend", "--input", "jet1.json", "--grid=-2.6:-0.2:0.4", "--schedule", "4,1.5,0.5"],
+    ),
     ("check-jet", ["check-jet", "--input", "jet2.json"]),
     ("fdb", ["fdb", "--alpha", "(2,1)", "--target-dim", "2"]),
     ("pullback", ["pullback", "--input", "bundle.json"]),
