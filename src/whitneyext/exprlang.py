@@ -336,10 +336,13 @@ def eval_real(e, x):
 
 
 def eval_taylor_env(e, env):
-    """Evaluate over TaylorValues with the given per-variable series."""
+    """
+    Evaluate over TaylorValues with the given per-variable series.  Series
+    with (ncoef, B) columns (seeds at B points) evaluate the expression at
+    every column at once; a constant takes the shape of the columns.
+    """
     if isinstance(e, Num):
-        ref = env[0]
-        return taylorarith.constant(e.value, ref.n, ref.k)
+        return taylorarith.constant_like(e.value, env[0])
     if isinstance(e, Var):
         return env[e.index]
     if isinstance(e, Neg):
@@ -370,12 +373,13 @@ def eval_taylor_env(e, env):
 
 def eval_taylor(e, x0, k):
     """
-    Order-k Taylor expansion of the expression at the point x0.
+    Order-k Taylor expansion of the expression at the point x0, or at
+    every row of a (B, n) batch x0 as (ncoef, B) columns with the bits of
+    one-point calls.
 
     The result's :func:`taylorarith.extract_derivative` values are the exact
     mixed partials of the expression (truncation is exact through order k).
     """
-    n = len(x0)
     env = taylorarith.seeds(x0, k)
     if not env:
         raise ValueError("dimension must be >= 1")

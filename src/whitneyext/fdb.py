@@ -20,8 +20,10 @@ and p_{α,0} = 0 for α ≠ 0.
 Pulling a k-jet back along g gives a k-jet on the preimage points.  It
 is computed as a truncated Taylor composition rather than from the
 tables: at each source point x the jet's Taylor polynomial at g(x) is
-composed with the series of g at x (:func:`jet_pullback`), one matrix
-product per point for all output components.  The pullback is linear in
+composed with the series of g at x (:func:`jet_pullback`).  The series of
+g and their monomial products are one batched series computation over
+all source points, and each point's rows are then one small matrix
+product for all output components.  The pullback is linear in
 the jet and functorial: pulling back along g then h equals pulling back
 along h∘g.
 
@@ -246,22 +248,35 @@ def jet_pullback(g, f, points, tol=1e-12):
     At x the jet's Taylor polynomial at y = g(x) is composed with the
     series of g at x: with w = g(x + h) − y truncated at order k, the
     Taylor coefficient of (f∘g) at α is Σ_β [h^α] w^β · f_β(y)/β!.  The
-    rows are one matrix product W · f(y) with W[α, β] = α!/β! · [h^α] w^β,
-    so an entry of W that is exactly 1 passes f_β through unrounded.  A
-    row beyond the float range is a ValueError naming its source point.
+    series of g and the table of products w^β are computed once for all
+    source points, as (ncoef, B) columns; each point's rows are then one
+    matrix product W · f(y) with W[α, β] = α!/β! · [h^α] w^β, so an entry
+    of W that is exactly 1 passes f_β through unrounded.  A row beyond the
+    float range is a ValueError naming its source point.  A failing batch
+    is pulled back again one point at a time, in point order, so it raises
+    what its first failing point raises alone.
     """
     if g.m != f.n:
         raise ValueError(f"g maps into dimension {g.m}, jet lives in {f.n}")
+    points = list(points)
+    try:
+        rows = _pulled_rows(g, f, points, tol) if points else []
+    except (ValueError, IndexError):
+        if len(points) < 2:
+            raise
+        rows = [_pulled_rows(g, f, [p], tol)[0] for p in points]
+    return jets.Jet(g.n, f.k, f.m, points, dict(zip([pid for pid, _ in points], rows)))
+
+
+def _pulled_rows(g, f, points, tol):
+    """The rows of the pullback of f along g at the source points, a list
+    in point order; see :func:`jet_pullback`."""
     k = f.k
     stored = f.point_array().reshape(len(f.ids), f.n)
-    fact = np.array([multiindex.factorial(b) for b in f.indices], dtype=float)
-    weights = taylorarith.context(g.n, k).factorials[:, None] / fact
-    newpoints = []
-    values = {}
+    xs, matched = [], []
     for pid, x in points:
-        x = tuple(float(c) for c in x)
-        newpoints.append((pid, x))
-        gx = np.array(g.eval_real(x))
+        xs.append(tuple(float(c) for c in x))
+        gx = np.array(g.eval_real(xs[-1]))
         dist = np.max(np.abs(stored - gx), axis=1)
         best = float(dist.min()) if len(dist) else None
         if best is None or best > tol:
@@ -269,12 +284,17 @@ def jet_pullback(g, f, points, tol=1e-12):
                 f"image {tuple(float(c) for c in gx)} of point {pid!r} matches "
                 f"no stored point (closest at distance {best})"
             )
-        bid = f.ids[int(np.argmin(dist))]
-        inners = [tv - tv.const for tv in g.eval_taylor(x, k)]
-        products = taylorarith.monomial_products(inners, k)
-        M = np.stack([products[b].coeffs for b in f.indices], axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values[pid] = (M * weights) @ f.values[bid]
-        if not np.isfinite(values[pid]).all():
-            raise ValueError(f"the pulled-back jet overflows at point {pid}")
-    return jets.Jet(g.n, k, f.m, newpoints, values)
+        matched.append(f.values[f.ids[int(np.argmin(dist))]])
+    inners = [taylorarith.centered(tv) for tv in g.eval_taylor(xs, k)]
+    products = taylorarith.monomial_products(inners, k)
+    fact = np.array([multiindex.factorial(b) for b in f.indices], dtype=float)
+    weights = taylorarith.context(g.n, k).factorials[:, None] / fact
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (B, ncoef_s, ncoef_t), so that each point's matrix is C-contiguous
+        W = np.stack([products[b].coeffs.T for b in f.indices], axis=2) * weights
+        for (pid, _), M, fy in zip(points, W, matched):
+            rows.append(M @ fy)
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"the pulled-back jet overflows at point {pid}")
+    return rows

@@ -127,19 +127,22 @@ class Jet:
     def from_expr(cls, f, points, k):
         """
         Induce a jet from a smooth vector expression: f_alpha(p) is the exact
-        mixed partial of f at p, obtained through Taylor arithmetic.
+        mixed partial of f at p, obtained through Taylor arithmetic.  Each
+        component is expanded at all the points in one series evaluation,
+        with the bits of one-point calls.  A failing batch is expanded again
+        one point at a time, in point order, so it raises what its first
+        failing point raises alone.
         """
         if isinstance(f, (list, tuple)):
             raise TypeError("f must be a VectorExpr; parse the components first")
-        n = f.n
-        values = {}
-        # series that overflow are rejected by the finiteness check of __init__
-        with np.errstate(over="ignore", invalid="ignore"):
-            for pid, x in points:
-                tvs = f.eval_taylor(tuple(x), k)
-                cols = [tv.coeffs * tv.ctx.factorials for tv in tvs]
-                values[pid] = np.stack(cols, axis=1)
-        return cls(n, k, f.m, points, values)
+        xs = [x for _, x in points]
+        try:
+            rows = _induced(f, xs, k) if xs else []
+        except (ValueError, IndexError):
+            if len(xs) < 2:
+                raise
+            rows = [_induced(f, [x], k)[0] for x in xs]
+        return cls(f.n, k, f.m, points, dict(zip([pid for pid, _ in points], rows)))
 
     # -- Taylor polynomial and remainder -----------------------------------
 
@@ -356,6 +359,15 @@ class Jet:
         except (ValueError, TypeError):
             values = [_point_values(pid, r, indices, m) for (pid, _), r in zip(points, rows)]
         return cls(n, k, m, points, dict(zip([pid for pid, _ in points], values)))
+
+
+def _induced(f, xs, k):
+    """The jet rows of the vector expression f at the points xs, as a
+    (len(xs), ncoef, m) array."""
+    # series that overflow are rejected by the finiteness check of Jet
+    with np.errstate(over="ignore", invalid="ignore"):
+        tvs = f.eval_taylor(xs, k)
+        return np.stack([tv.coeffs.T * tv.ctx.factorials for tv in tvs], axis=2)
 
 
 def _point_values(pid, rows, indices, m):

@@ -14,12 +14,16 @@ Multiplication is then a plain truncated convolution, and
 :func:`extract_derivative` rescales on the way out.
 
 The coefficients may also be an (ncoef, B) array: B expansions of the same
-shape side by side, one per column (several cutoffs at once, or the m
-components of a vector-valued function).  The ring operations, ``div``,
-the elementary functions and ``compose`` act column by column, and a
-1-D operand is broadcast over the columns of the other.  Each column is
-computed with the same operations in the same order as a 1-D call on it,
-so batching never changes a bit.
+shape side by side, one per column (the expansions at B points, several
+cutoffs at once, or the m components of a vector-valued function).
+:func:`seeds` of a (B, n) batch of points gives the coordinate series at
+every point as such columns, so one evaluation of a formula expands it
+at the whole batch.  The ring operations, ``div``, the elementary
+functions and ``compose`` act column by column, and a 1-D operand is
+lifted to one column and broadcast over the columns of the other, so a
+constant lands in row 0 of every column.  Each column is computed with
+the same operations in the same order as a 1-D call on it, so batching
+never changes a bit.
 
 The convolution runs over a pair table precomputed once per (n, k) and
 shared by every value of that shape (see :class:`Context`); the tables are
@@ -107,6 +111,12 @@ def context(n, k):
     return ctx
 
 
+def _lift(a, b):
+    """Coefficient arrays a and b with the 1-D one lifted to one column, so
+    that it broadcasts over the columns of the other."""
+    return (a[:, None], b) if a.ndim == 1 else (a, b[:, None])
+
+
 class TaylorValue:
     """
     Order-k truncated Taylor expansion in n variables.
@@ -157,8 +167,10 @@ class TaylorValue:
             out = self.coeffs.copy()
             out[0] += other
             return TaylorValue(self.ctx, out)
-        other = self._coerce(other)
-        return TaylorValue(self.ctx, self.coeffs + other.coeffs)
+        a, b = self.coeffs, self._coerce(other).coeffs
+        if a.ndim != b.ndim:
+            a, b = _lift(a, b)
+        return TaylorValue(self.ctx, a + b)
 
     __radd__ = __add__
 
@@ -167,8 +179,10 @@ class TaylorValue:
             out = self.coeffs.copy()
             out[0] -= other
             return TaylorValue(self.ctx, out)
-        other = self._coerce(other)
-        return TaylorValue(self.ctx, self.coeffs - other.coeffs)
+        a, b = self.coeffs, self._coerce(other).coeffs
+        if a.ndim != b.ndim:
+            a, b = _lift(a, b)
+        return TaylorValue(self.ctx, a - b)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -208,9 +222,17 @@ def constant(c, n, k):
     return TaylorValue(ctx, coeffs)
 
 
+def constant_like(c, a):
+    """The constant series c in the shape of a: one column per column of a."""
+    coeffs = np.zeros(a.coeffs.shape)
+    coeffs[0] = c
+    return TaylorValue(a.ctx, coeffs)
+
+
 def seed_variable(x0, i, n, k):
     """
-    The coordinate function x_i expanded at the point x0.
+    The coordinate function x_i expanded at the point x0, or at every row
+    of a (B, n) array x0 as (ncoef, B) columns.
 
     Constant term x0[i], coefficient 1 at the unit index e_i, zero
     elsewhere (for k = 0 the linear term is truncated away).
@@ -218,8 +240,9 @@ def seed_variable(x0, i, n, k):
     if not 0 <= i < n:
         raise IndexError(f"coordinate index {i} out of range for dimension {n}")
     ctx = context(n, k)
-    coeffs = np.zeros(ctx.ncoef)
-    coeffs[0] = x0[i]
+    x0 = np.asarray(x0, dtype=float)
+    coeffs = np.zeros((ctx.ncoef,) + x0.shape[:-1])
+    coeffs[0] = x0[..., i]
     if k >= 1:
         e_i = tuple(1 if j == i else 0 for j in range(n))
         coeffs[ctx.pos[e_i]] = 1.0
@@ -227,8 +250,13 @@ def seed_variable(x0, i, n, k):
 
 
 def seeds(x0, k):
-    """All n coordinate seeds at x0 — the usual starting point of an evaluation."""
-    n = len(x0)
+    """
+    All n coordinate seeds at x0 — the usual starting point of an
+    evaluation.  x0 is one point, or a (B, n) batch of points whose seeds
+    have (ncoef, B) columns, one per point.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[-1]
     return [seed_variable(x0, i, n, k) for i in range(n)]
 
 
@@ -284,6 +312,14 @@ def pow_int(a, e):
     for _ in range(int(e)):
         out = mul(out, a)
     return out
+
+
+def centered(a):
+    """a − a(base point), column by column: the zero-constant inner series
+    that :func:`compose` takes."""
+    out = a.coeffs.copy()
+    out[0] -= a.coeffs[0]
+    return TaylorValue(a.ctx, out)
 
 
 # -- univariate composition ---------------------------------------------
@@ -441,11 +477,11 @@ def monomial_products(factors, degree):
 
     Each product is obtained from a previously computed one by a single
     multiplication, so the whole table costs one mul per index.  Used to
-    compose an outer expansion with inner series.
+    compose an outer expansion with inner series.  Factors with (ncoef, B)
+    columns give products with columns, the constant entry included.
     """
     s = len(factors)
-    ctx = factors[0].ctx
-    table = {(0,) * s: constant(1.0, ctx.n, ctx.k)}
+    table = {(0,) * s: constant_like(1.0, factors[0])}
     for a, parent, j in _product_steps(s, degree):
         table[a] = mul(table[parent], factors[j])
     return table
@@ -461,6 +497,10 @@ def compose(outer, inners):
     constant term 0 and represents (g_i - p_i).  Returns the truncated
     expansion of outer ∘ (p + inners).  Outer coefficients of shape
     (ncoef, B) compose B outer expansions with the same inners at once.
+    Inners with (ncoef, Q) columns compose column q of an outer of shape
+    (ncoef, Q) or (ncoef, Q, B) with their own column q, with the bits of
+    a one-column call: a term whose outer coefficients in a column are all
+    zero is left out of that column.
     """
     s = outer.n
     if len(inners) != s:
@@ -469,9 +509,12 @@ def compose(outer, inners):
         raise ValueError("inner series must have zero constant term")
     table = monomial_products(inners, outer.k)
     ctx = inners[0].ctx
+    width = inners[0].coeffs.ndim - 1  # 1 when the inners have columns
     out = np.zeros((ctx.ncoef,) + outer.coeffs.shape[1:])
-    nonzero = outer.coeffs.reshape(len(outer.coeffs), -1).any(axis=1)
-    for a, c, used in zip(outer.ctx.indices, outer.coeffs, nonzero):
-        if used:
-            out += np.multiply.outer(table[a].coeffs, c)
+    used = outer.coeffs.any(axis=tuple(range(1 + width, outer.coeffs.ndim)))
+    for a, c, u in zip(outer.ctx.indices, outer.coeffs, used):
+        if u.any():
+            tail = (1,) * (c.ndim - width)
+            t = table[a].coeffs
+            np.add(out, t.reshape(t.shape + tail) * c, out=out, where=u.reshape(u.shape + tail))
     return TaylorValue(ctx, out)

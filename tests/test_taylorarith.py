@@ -237,7 +237,7 @@ def test_division_inverts_multiplication(a, b):
 
 _BATCH_CTX = ta.context(2, 3)
 _batch_entries = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
-batches = st.integers(1, 4).flatmap(
+batches = st.one_of(st.integers(1, 4), st.just(_BATCH_CTX.ncoef)).flatmap(
     lambda w: hnp.arrays(np.float64, (_BATCH_CTX.ncoef, w), elements=_batch_entries)
 )
 
@@ -249,8 +249,9 @@ def _column(tv, j):
 @given(batches, st.data())
 @settings(max_examples=200)
 def test_batched_ops_match_columnwise_calls(a, data):
-    # column j of a batched mul / div / exp has the bits of the 1-D call on
-    # column j, and a 1-D operand is broadcast over the other's columns
+    # column j of a batched +, -, mul, div and exp has the bits of the 1-D
+    # call on column j, and a 1-D operand is broadcast over the other's
+    # columns, also when there are as many columns as coefficients
     b = data.draw(hnp.arrays(np.float64, a.shape, elements=_batch_entries))
     b[0] = np.where(np.abs(b[0]) < 1e-3, 1.0, b[0])  # divisors need b0 != 0
     x, y = ta.TaylorValue(_BATCH_CTX, a), ta.TaylorValue(_BATCH_CTX, b)
@@ -259,6 +260,9 @@ def test_batched_ops_match_columnwise_calls(a, data):
         "mul": (ta.mul(x, y), lambda j: ta.mul(_column(x, j), _column(y, j))),
         "div": (ta.div(x, y), lambda j: ta.div(_column(x, j), _column(y, j))),
         "exp": (ta.exp(x), lambda j: ta.exp(_column(x, j))),
+        "add 1-D to 2-D": (x0 + y, lambda j: x0 + _column(y, j)),
+        "sub 2-D minus 1-D": (x - y0, lambda j: _column(x, j) - y0),
+        "sub 1-D minus 2-D": (x0 - y, lambda j: x0 - _column(y, j)),
         "mul 1-D by 2-D": (ta.mul(x0, y), lambda j: ta.mul(x0, _column(y, j))),
         "div 2-D by 1-D": (ta.div(x, y0), lambda j: ta.div(_column(x, j), y0)),
         "div 1-D by 2-D": (ta.div(x0, y), lambda j: ta.div(x0, _column(y, j))),
@@ -280,6 +284,22 @@ def test_batched_compose_matches_columnwise_calls():
     got = ta.compose(outer, inners).coeffs
     for j in range(3):
         assert np.array_equal(got[:, j], ta.compose(_column(outer, j), inners).coeffs)
+    # inners with columns: column q of the outer composes with column q of
+    # the inners; a term left out of one column (its outer coefficients are
+    # zero there) stays out even where its monomial overflows
+    cols = [ta.TaylorValue(ctx, rng.standard_normal((ctx.ncoef, 4))) for _ in range(2)]
+    for w in cols:
+        w.coeffs[0] = 0.0
+    cols[0].coeffs[1, 2] = 1e200  # its square overflows in column 2
+    for shape in [(ctx.ncoef, 4), (ctx.ncoef, 4, 3)]:
+        outer = ta.TaylorValue(ctx, rng.standard_normal(shape))
+        outer.coeffs[3:, 2] = 0.0  # the terms of order 2 and 3 in column 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ta.compose(outer, cols).coeffs
+            for q in range(4):
+                one = ta.compose(_column(outer, q), [_column(w, q) for w in cols]).coeffs
+                assert np.array_equal(got[:, q], one), (shape, q)
+        assert np.isfinite(got[:, 2]).all()
 
 
 @given(st.floats(-3, 3, allow_nan=False))

@@ -13,9 +13,11 @@ covers decompose; extend with values, ``--k``, ``--schedule`` and
 key spellings (with values and ``--schedule``), and on grids whose middle
 row overflows (exit 2), lies below the resolution (exit 3) or exhausts the
 degree schedule (exit 3); check-jet; fdb;
-pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at order 4,
-and a map from R^3 to R^2 at order 3); manifold-extend with values and
-``--derivs``; and every verify suite.
+pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at order 4
+on 3 and on 15 source points, a map from R^3 to R^2 at order 3, and a
+bundle whose middle point overflows, exit 2); manifold-extend with values
+and ``--derivs`` in 1-D, and with ``--derivs`` on a 2-D atlas of two
+charts with a jet in each; and every verify suite.
 
 For each invocation it prints "identical" when exit status, stdout and
 stderr agree byte for byte.  Otherwise it lists the differing fields: CSV
@@ -94,9 +96,19 @@ def explicit_jet(count=300, seed=7):
     return {"dim": 2, "order": 2, "outdim": 1, "points": points}
 
 
+def poly_jet(points, terms):
+    """An order-2 jet in 2-D with explicit values: `terms` maps each index
+    "[a,b]" to a function of (x0, x1)."""
+    return [{"id": pid, "x": x, "values": {key: [fn(*x)] for key, fn in terms.items()}} for pid, x in points]
+
+
 # pullback fixtures whose jets sit at the images of the source points
 SHEAR_POINTS = [[0.3, -0.4], [-0.6, 0.8], [1.1, 0.2]]
 LIFT_POINTS = [[0.5, -0.3, 0.7], [-0.2, 0.9, -1.1]]
+# 15 source points: as many as the series of an order-4 jet in 2-D has
+# coefficients
+_rng = random.Random(15)
+SHEAR15_POINTS = [[round(_rng.uniform(-1.2, 1.2), 3), round(_rng.uniform(-1.2, 1.2), 3)] for _ in range(15)]
 
 FIXTURES = {
     "set1.json": {"dim": 1, "points": [[0.0]]},
@@ -131,6 +143,34 @@ FIXTURES = {
         },
         "points": [{"id": f"l{i}", "x": x} for i, x in enumerate(LIFT_POINTS)],
     },
+    "bundle_shear15.json": {
+        "map": {"from_dim": 2, "expr": ["x0 + 0.3*sin(x1)", "x1"]},
+        "jet": {
+            "dim": 2,
+            "order": 4,
+            "induce": {
+                "expr": ["exp(0.4*x0)*cos(x1) + x0*x1^2", "sqrt(2 + x0^2) / (1 + x1^2)"],
+                "points": [[x0 + 0.3 * math.sin(x1), x1] for x0, x1 in SHEAR15_POINTS],
+            },
+        },
+        "points": [{"id": f"s{i}", "x": x} for i, x in enumerate(SHEAR15_POINTS)],
+    },
+    # the row of s1 overflows (10 * 1e308), and the image of s2 matches no
+    # stored point
+    "bundle_fails.json": {
+        "map": {"from_dim": 1, "expr": ["10*x0"]},
+        "jet": {
+            "dim": 1,
+            "order": 1,
+            "outdim": 1,
+            "points": [
+                {"id": "a", "x": [0.0], "values": {"[0]": [0.0], "[1]": [1.0]}},
+                {"id": "b", "x": [10.0], "values": {"[0]": [0.0], "[1]": [1e308]}},
+                {"id": "c", "x": [20.0], "values": {"[0]": [0.0], "[1]": [1.0]}},
+            ],
+        },
+        "points": [{"id": "s0", "x": [0.0]}, {"id": "s1", "x": [1.0]}, {"id": "s2", "x": [5.0]}],
+    },
     "explicit.json": explicit_jet(),
     "slopes.json": {  # F' leaves the float range between the two points
         "dim": 1,
@@ -158,6 +198,47 @@ FIXTURES = {
             }
         ],
         "pou": [{"chart": "u", "h": ["1"]}],
+    },
+    # two 2-D charts related by the shear, a jet in each, and bumps that
+    # vary with the point
+    "atlas2.json": {
+        "dim": 2,
+        "charts": [{"id": "u", "codomain": "all"}, {"id": "v", "codomain": "all"}],
+        "transitions": [
+            {"from": "u", "to": "v", "map": ["x0 + 0.3*sin(x1)", "x1"]},
+            {"from": "v", "to": "u", "map": ["x0 - 0.3*sin(x1)", "x1"]},
+        ],
+        "jets": [
+            {
+                "chart": "u",
+                "points": poly_jet(
+                    [("p", [0.3, -0.4]), ("q", [-0.6, 0.8]), ("r", [0.9, 0.1])],
+                    {
+                        "[0,0]": lambda a, b: a * a * b - a + 0.5 * b**3,
+                        "[1,0]": lambda a, b: 2 * a * b - 1,
+                        "[0,1]": lambda a, b: a * a + 1.5 * b * b,
+                        "[2,0]": lambda a, b: 2 * b,
+                        "[1,1]": lambda a, b: 2 * a,
+                        "[0,2]": lambda a, b: 3 * b,
+                    },
+                ),
+            },
+            {
+                "chart": "v",
+                "points": poly_jet(
+                    [("s", [0.5, 0.2]), ("t", [-0.7, -0.5])],
+                    {
+                        "[0,0]": lambda a, b: a * b + b * b,
+                        "[1,0]": lambda a, b: b,
+                        "[0,1]": lambda a, b: a + 2 * b,
+                        "[2,0]": lambda a, b: 0.0,
+                        "[1,1]": lambda a, b: 1.0,
+                        "[0,2]": lambda a, b: 2.0,
+                    },
+                ),
+            },
+        ],
+        "pou": [{"chart": "u", "h": ["0.5 + 0.1*sin(x0)"]}, {"chart": "v", "h": ["0.5 - 0.1*sin(x0 - 0.3*sin(x1))"]}],
     },
 }
 
@@ -212,10 +293,21 @@ INVOCATIONS = [
     ("pullback", ["pullback", "--input", "bundle.json"]),
     ("pullback shear s=t=2 k=4", ["pullback", "--input", "bundle_shear.json"]),
     ("pullback R^3 -> R^2 k=3", ["pullback", "--input", "bundle_lift.json"]),
+    ("pullback shear 15 points k=4", ["pullback", "--input", "bundle_shear15.json"]),
+    # the middle point's row overflows before the last image fails to match
+    # (exit 2)
+    ("pullback overflow at a middle point", ["pullback", "--input", "bundle_fails.json"]),
     ("manifold-extend values", ["manifold-extend", "--input", "atlas.json", "--chart", "v", "--grid=-3:2:0.35"]),
     (
         "manifold-extend --derivs",
         ["manifold-extend", "--input", "atlas.json", "--chart", "v", "--grid=-3:2:0.35", "--derivs", "(1) (2)"],
+    ),
+    (
+        "manifold-extend 2-D two charts --derivs",
+        [
+            "manifold-extend", "--input", "atlas2.json", "--chart", "v", "--grid=-1:1:0.25,-1:1:0.3",
+            "--derivs", "(1,0) (0,1) (2,0) (1,1) (0,2)",
+        ],
     ),
     ("verify partition", ["verify", "--suite", "partition"]),
     ("verify lemma-l", ["verify", "--suite", "lemma-l"]),
