@@ -292,9 +292,7 @@ class ManifoldExtension:
     where x_i(p) are the chart-i coordinates of p and F_i extends chart
     i's jet.  Queries are (chart id, coordinates); derivative queries
     differentiate F ∘ chart⁻¹ in that chart's coordinates by composing
-    each F_i's expansion with the transition series.  Every evaluation is
-    one call of ``blend`` on a batch of queries in one chart; ``eval`` and
-    ``eval_derivs`` are its batch of one.
+    each F_i's expansion with the transition series.
 
     `pou` is a list of (chart id, h expression) pairs; each h must be
     supported inside its chart's codomain and the family must sum to 1
@@ -358,74 +356,38 @@ class ManifoldExtension:
 
     def eval(self, chart, x):
         """F at the point with the given chart coordinates, as an (m,) array:
-        row 0 of ``blend`` at order 0."""
-        return self.blend(chart, [x])[0, 0]
+        the zero row of ``eval_derivs(chart, x, 0)``."""
+        return self.eval_derivs(chart, x, 0)[(0,) * self.n]
 
     def eval_derivs(self, chart, x, upto=None):
         """
         All ∂^α(F ∘ chart⁻¹)(x) for |α| ≤ upto, as a dict over multi-index
-        tuples: the rows of ``blend`` at the one query x.
+        tuples.  Each term's extension expansion (at the mapped point) is
+        composed with the transition series, multiplied by the bump series,
+        and summed — all in Taylor arithmetic.  A chart whose bump series is
+        identically zero at x contributes nothing and is skipped.
         """
         upto = self.k if upto is None else int(upto)
-        ders = self.blend(chart, [x], upto)[0]
-        return dict(zip(taylorarith.context(self.n, upto).indices, ders))
-
-    def blend(self, chart, xs, upto=0):
-        """
-        The rows ∂^α(F ∘ chart⁻¹)(x) for |α| ≤ upto at every query x of xs
-        (a sequence of chart coordinates), as a (Q, C(n+upto, n), m) array.
-
-        For each chart i, the queries that stay in its overlap get the
-        transition series τ_i and the bump series h_i ∘ τ_i as one batch of
-        columns.  A query whose bump series is identically zero gets
-        nothing from chart i, and F_i is not evaluated there; the others
-        get F_i's rows at their mapped points from one ``Extension.blend``,
-        composed with their own τ_i, multiplied by the bump series and
-        summed, all in Taylor arithmetic.  Each row has the bits of its
-        query alone, and a failing batch is re-run one query at a time, in
-        row order, so it raises what its first failing query raises alone.
-        """
         if not 0 <= upto <= self.k:
             raise ValueError(f"order {upto} exceeds extension degree {self.k}")
-        try:
-            return self._blend(chart, xs, upto)
-        except (ValueError, decomp.ResolutionExceeded):
-            if len(xs) > 1:  # as its first failing query fails alone
-                for x in xs:
-                    self._blend(chart, [x], upto)
-            raise
-
-    def _blend(self, chart, xs, upto):
-        """The rows of ``blend`` at the queries xs, as a (len(xs), ncoef, m)
-        array; a failing batch raises at its first failing stage."""
-        xs = [tuple(float(c) for c in x) for x in xs]
-        for x in xs:
-            decomp._check_query(x, self.n)
+        x = tuple(float(c) for c in x)
+        decomp._check_query(x, self.n)
         ctx = taylorarith.context(self.n, upto)
-        seeds = taylorarith.seeds(np.reshape(xs, (len(xs), self.n)), upto)
-        total = np.zeros((ctx.ncoef, len(xs), self.m))
+        seeds = taylorarith.seeds(x, upto)
+        total = np.zeros((ctx.ncoef, self.m))
         for cid, h, ext, points in self.pieces:
-            ys = [self._chart_point(chart, x, cid, ext, points) for x in xs]
-            live = [q for q, y in enumerate(ys) if y is not None]
-            if not live:
+            y = self._chart_point(chart, x, cid, ext, points)
+            if y is None:
                 continue
-            env = [taylorarith.TaylorValue(ctx, s.coeffs[:, live]) for s in seeds]
-            tau = self.atlas.transition(chart, cid).eval_taylor_env(env)
-            hseries = exprlang.eval_taylor_env(h, tau).coeffs
-            cols = np.flatnonzero(hseries.any(axis=0))  # h vanishes elsewhere
-            if not cols.size:
-                continue
-            q = [live[c] for c in cols]
-            rows = ext.blend([ys[r] for r in q], upto)
-            outer = taylorarith.TaylorValue(ctx, rows.transpose(1, 0, 2) / ctx.factorials[:, None, None])
-            inners = [taylorarith.centered(taylorarith.TaylorValue(ctx, t.coeffs[:, cols])) for t in tau]
-            composed = taylorarith.compose(outer, inners).coeffs
-            terms = taylorarith.mul(
-                taylorarith.TaylorValue(ctx, np.repeat(hseries[:, cols], self.m, axis=1)),
-                taylorarith.TaylorValue(ctx, composed.reshape(ctx.ncoef, -1)),
-            )
-            total[:, q] += terms.coeffs.reshape(composed.shape)
-        return (total * ctx.factorials[:, None, None]).transpose(1, 0, 2)
+            tau = self.atlas.transition(chart, cid).eval_taylor_env(seeds)
+            hseries = exprlang.eval_taylor_env(h, tau)
+            if not hseries.coeffs.any():
+                continue  # h vanishes here, so F_i is not needed
+            inners = [t - t.const for t in tau]
+            outer = taylorarith.TaylorValue(ctx, ext.derivs(y, upto) / ctx.factorials[:, None])
+            total += (hseries * taylorarith.compose(outer, inners)).coeffs
+        ders = total * ctx.factorials[:, None]
+        return {a: ders[i].copy() for i, a in enumerate(ctx.indices)}
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -316,9 +316,16 @@ def cmd_manifold_extend(args):
     derivs = _parse_derivs(args.derivs, at.dim) if args.derivs else []
     upto = max((sum(a) for a in derivs), default=0)
     grid = list(_grid_points(_parse_grid(args.grid, at.dim, need_step=True)))
-    blend = mext.blend(args.chart, grid, upto)  # the whole grid is one batch
-    pos = taylorarith.context(at.dim, upto).pos
-    results = [(d[0], {a: d[pos[a]] for a in derivs}) for d in blend]
+    results = []
+    for x in grid:
+        try:
+            if derivs:
+                ders = mext.eval_derivs(args.chart, x, upto)
+                results.append((ders[(0,) * at.dim], ders))
+            else:
+                results.append((mext.eval(args.chart, x), {}))
+        except decomp.ResolutionExceeded as e:
+            raise _NumericAtPoint(x, e) from e
     header, rows = _derivative_rows(at.dim, aj.m, grid, results, derivs)
     _write_rows(args.out, header, rows)
     return 0

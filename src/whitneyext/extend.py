@@ -192,13 +192,9 @@ class Extension:
             else:
                 out[r] = self.jet.values[pid][: ctx.ncoef]
         if off:
-            try:
-                out[off] = self._blend([xs[r] for r in off], ctx, adaptive)
-            except (ValueError, decomp.ResolutionExceeded, ScheduleExhausted):
-                if len(off) > 1:  # as its first failing query fails alone
-                    for r in off:
-                        self._blend([xs[r]], ctx, adaptive)
-                raise
+            out[off] = taylorarith._run_batch(
+                lambda batch: self._blend(batch, ctx, adaptive), [xs[r] for r in off]
+            )
         return out
 
     def _blend(self, xs, ctx, adaptive):

@@ -252,19 +252,15 @@ def jet_pullback(g, f, points, tol=1e-12):
     source points, as (ncoef, B) columns; each point's rows are then one
     matrix product W · f(y) with W[α, β] = α!/β! · [h^α] w^β, so an entry
     of W that is exactly 1 passes f_β through unrounded.  A row beyond the
-    float range is a ValueError naming its source point.  A failing batch
-    is pulled back again one point at a time, in point order, so it raises
-    what its first failing point raises alone.
+    float range is a ValueError naming its source point, and so is a
+    source point of another dimension than g's.  A failing batch is pulled
+    back again one point at a time (:func:`taylorarith._run_batch`), so it
+    raises what its first failing point raises alone.
     """
     if g.m != f.n:
         raise ValueError(f"g maps into dimension {g.m}, jet lives in {f.n}")
     points = list(points)
-    try:
-        rows = _pulled_rows(g, f, points, tol) if points else []
-    except (ValueError, IndexError):
-        if len(points) < 2:
-            raise
-        rows = [_pulled_rows(g, f, [p], tol)[0] for p in points]
+    rows = taylorarith._run_batch(lambda b: _pulled_rows(g, f, b, tol), points) if points else []
     return jets.Jet(g.n, f.k, f.m, points, dict(zip([pid for pid, _ in points], rows)))
 
 
@@ -275,6 +271,8 @@ def _pulled_rows(g, f, points, tol):
     stored = f.point_array().reshape(len(f.ids), f.n)
     xs, matched = [], []
     for pid, x in points:
+        if len(x) != g.n:
+            raise ValueError(f"point {pid} has dimension {len(x)}, expected {g.n}")
         xs.append(tuple(float(c) for c in x))
         gx = np.array(g.eval_real(xs[-1]))
         dist = np.max(np.abs(stored - gx), axis=1)

@@ -130,18 +130,12 @@ class Jet:
         mixed partial of f at p, obtained through Taylor arithmetic.  Each
         component is expanded at all the points in one series evaluation,
         with the bits of one-point calls.  A failing batch is expanded again
-        one point at a time, in point order, so it raises what its first
-        failing point raises alone.
+        one point at a time (:func:`taylorarith._run_batch`), so it raises
+        what its first failing point raises alone.
         """
         if isinstance(f, (list, tuple)):
             raise TypeError("f must be a VectorExpr; parse the components first")
-        xs = [x for _, x in points]
-        try:
-            rows = _induced(f, xs, k) if xs else []
-        except (ValueError, IndexError):
-            if len(xs) < 2:
-                raise
-            rows = [_induced(f, [x], k)[0] for x in xs]
+        rows = taylorarith._run_batch(lambda b: _induced(f, b, k), list(points)) if points else []
         return cls(f.n, k, f.m, points, dict(zip([pid for pid, _ in points], rows)))
 
     # -- Taylor polynomial and remainder -----------------------------------
@@ -361,12 +355,16 @@ class Jet:
         return cls(n, k, m, points, dict(zip([pid for pid, _ in points], values)))
 
 
-def _induced(f, xs, k):
-    """The jet rows of the vector expression f at the points xs, as a
-    (len(xs), ncoef, m) array."""
+def _induced(f, points, k):
+    """The jet rows of the vector expression f at the points, as a
+    (len(points), ncoef, m) array; a point of another dimension than f's is
+    a ValueError naming it."""
+    for pid, x in points:
+        if len(x) != f.n:
+            raise ValueError(f"point {pid} has dimension {len(x)}, expected {f.n}")
     # series that overflow are rejected by the finiteness check of Jet
     with np.errstate(over="ignore", invalid="ignore"):
-        tvs = f.eval_taylor(xs, k)
+        tvs = f.eval_taylor([x for _, x in points], k)
         return np.stack([tv.coeffs.T * tv.ctx.factorials for tv in tvs], axis=2)
 
 

@@ -23,7 +23,8 @@ functions and ``compose`` act column by column, and a 1-D operand is
 lifted to one column and broadcast over the columns of the other, so a
 constant lands in row 0 of every column.  Each column is computed with
 the same operations in the same order as a 1-D call on it, so batching
-never changes a bit.
+never changes a bit.  Callers that batch points run the batch through
+:func:`_run_batch`, which keeps the error of the first failing point.
 
 The convolution runs over a pair table precomputed once per (n, k) and
 shared by every value of that shape (see :class:`Context`); the tables are
@@ -109,6 +110,24 @@ def context(n, k):
     if ctx is None:
         ctx = _CONTEXTS[key] = Context(n, k)
     return ctx
+
+
+def _run_batch(run, items):
+    """
+    run(items) on a batch of points or queries whose results have the bits
+    of one-item calls.  A failing batch is run again one item at a time, in
+    order, so it raises what its first failing item raises alone; if no
+    item fails alone, the batch's own error is raised.  It is private, so
+    per-layer profiles that wrap public functions charge the batch to the
+    layer that runs it.
+    """
+    try:
+        return run(items)
+    except Exception:
+        if len(items) > 1:
+            for item in items:
+                run([item])
+        raise
 
 
 def _lift(a, b):
@@ -497,10 +516,6 @@ def compose(outer, inners):
     constant term 0 and represents (g_i - p_i).  Returns the truncated
     expansion of outer ∘ (p + inners).  Outer coefficients of shape
     (ncoef, B) compose B outer expansions with the same inners at once.
-    Inners with (ncoef, Q) columns compose column q of an outer of shape
-    (ncoef, Q) or (ncoef, Q, B) with their own column q, with the bits of
-    a one-column call: a term whose outer coefficients in a column are all
-    zero is left out of that column.
     """
     s = outer.n
     if len(inners) != s:
@@ -509,12 +524,9 @@ def compose(outer, inners):
         raise ValueError("inner series must have zero constant term")
     table = monomial_products(inners, outer.k)
     ctx = inners[0].ctx
-    width = inners[0].coeffs.ndim - 1  # 1 when the inners have columns
     out = np.zeros((ctx.ncoef,) + outer.coeffs.shape[1:])
-    used = outer.coeffs.any(axis=tuple(range(1 + width, outer.coeffs.ndim)))
-    for a, c, u in zip(outer.ctx.indices, outer.coeffs, used):
-        if u.any():
-            tail = (1,) * (c.ndim - width)
-            t = table[a].coeffs
-            np.add(out, t.reshape(t.shape + tail) * c, out=out, where=u.reshape(u.shape + tail))
+    nonzero = outer.coeffs.reshape(len(outer.coeffs), -1).any(axis=1)
+    for a, c, used in zip(outer.ctx.indices, outer.coeffs, nonzero):
+        if used:
+            out += np.multiply.outer(table[a].coeffs, c)
     return TaylorValue(ctx, out)

@@ -1,14 +1,12 @@
-"""The chart path on point batches: induced jets, pullbacks and manifold
-queries computed for a whole batch have the bits of one-point calls, and a
-failing batch raises what its first failing point raises alone."""
-
-import functools
+"""The chart path on point batches: series, induced jets and pullbacks
+computed for a whole batch have the bits of one-point calls, and a failing
+batch raises what its first failing point raises alone."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whitneyext import atlas, exprlang as el, fdb, jets, multiindex, taylorarith
+from whitneyext import exprlang as el, fdb, jets, multiindex, taylorarith
 
 
 def components(n):
@@ -21,31 +19,12 @@ def components(n):
     ]
 
 
-# invertible chart changes u -> v and v -> u of R^n
+# invertible maps of R^n to pull back along
 SHEARS = {
-    1: (["2*x0"], ["x0/2"]),
-    2: (["x0 + 0.3*sin(x1)", "x1"], ["x0 - 0.3*sin(x1)", "x1"]),
-    3: (["x0 + 0.2*x1*x2", "x1", "x2"], ["x0 - 0.2*x1*x2", "x1", "x2"]),
+    1: ["2*x0"],
+    2: ["x0 + 0.3*sin(x1)", "x1"],
+    3: ["x0 + 0.2*x1*x2", "x1", "x2"],
 }
-
-
-@functools.cache
-def manifold(n, k):
-    """Two charts related by the shear, the jet of `components(n)` on six
-    points of chart u and its transport to chart v, and bumps that vary
-    with the point and sum to 1."""
-    fwd, back = SHEARS[n]
-    at = atlas.FiniteAtlas(
-        n,
-        [atlas.Chart("u"), atlas.Chart("v")],
-        {("u", "v"): el.VectorExpr.parse(fwd, n), ("v", "u"): el.VectorExpr.parse(back, n)},
-    )
-    rng = np.random.default_rng(n * 10 + k)
-    pts = [(f"p{i}", tuple(rng.uniform(-1.0, 1.0, n))) for i in range(6)]
-    ju = jets.Jet.from_expr(el.VectorExpr.parse(components(n), n), pts, k)
-    jv = atlas.transport(atlas.AtlasJet({"u": ju}), at, "v")
-    bumps = [("u", el.parse("0.5 + 0.1*sin(x0)", n)), ("v", el.parse(f"0.5 - 0.1*sin({back[0]})", n))]
-    return atlas.ManifoldExtension(atlas.AtlasJet({"u": ju, "v": jv}), at, bumps)
 
 
 coords = st.floats(-1.2, 1.2, allow_nan=False, allow_infinity=False)
@@ -71,7 +50,7 @@ def rows(tv):
 def test_batch_rows_match_one_point_calls(batch, data):
     n, k, pts = batch
     f = el.VectorExpr.parse(components(n), n)
-    # repeated points are allowed in series and manifold queries
+    # repeated points are allowed in series
     repeats = data.draw(st.lists(st.sampled_from(pts), max_size=3))
     xs = pts + repeats
     for e in f.exprs:
@@ -81,7 +60,7 @@ def test_batch_rows_match_one_point_calls(batch, data):
     # induced jets and pullbacks on distinct points
     distinct = [(f"p{i}", x) for i, x in enumerate(dict.fromkeys(pts))]
     induced = jets.Jet.from_expr(f, distinct, k)
-    g = el.VectorExpr.parse(SHEARS[n][0], n)
+    g = el.VectorExpr.parse(SHEARS[n], n)
     images = [(pid, tuple(g.eval_real(x))) for pid, x in distinct]
     if len(set(y for _, y in images)) < len(images):
         return  # two points with one image
@@ -91,17 +70,6 @@ def test_batch_rows_match_one_point_calls(batch, data):
         assert np.array_equal(induced.values[pid], jets.Jet.from_expr(f, [(pid, x)], k).values[pid])
         alone = fdb.jet_pullback(g, target, [(pid, x)]).values[pid]
         assert np.array_equal(pulled.values[pid], alone)
-    # manifold queries, some of them on or near the jet points
-    me = manifold(n, k)
-    stored = list(me.aj.jets["v"].coords.values())
-    xs = xs + [stored[0], tuple(c + 1e-9 for c in stored[1])]
-    upto = data.draw(st.integers(0, k))
-    got = me.blend("v", xs, upto)
-    assert got.shape == (len(xs), multiindex.count_upto(n, upto), 3)
-    for x, row in zip(xs, got):
-        assert np.array_equal(row, me.blend("v", [x], upto)[0])
-        ders = me.eval_derivs("v", x, upto)
-        assert np.array_equal(row, np.array(list(ders.values())))
 
 
 def test_from_expr_raises_for_the_first_failing_point():
@@ -125,19 +93,17 @@ def test_pullback_raises_for_the_first_failing_point():
         fdb.jet_pullback(g, f, [pts[0], pts[2], pts[1]])
 
 
-def test_manifold_batch_raises_for_the_first_failing_query():
-    # chart v reaches chart u through ln: the middle query leaves its
-    # domain, and the last one, which has the wrong dimension, is the one
-    # the batch rejects first
-    at = atlas.FiniteAtlas(
-        1,
-        [atlas.Chart("u"), atlas.Chart("v")],
-        {("u", "v"): el.VectorExpr.parse(["exp(x0)"], 1), ("v", "u"): el.VectorExpr.parse(["ln(x0)"], 1)},
-    )
-    f = jets.Jet.from_expr(el.VectorExpr.parse(["sin(x0)"], 1), [("p", (0.5,)), ("q", (1.0,))], 2)
-    me = atlas.ManifoldExtension(atlas.AtlasJet({"u": f}), at, [("u", el.parse("1", 1))])
-    queries = [(2.0,), (-1.0,), (1.0, 2.0)]
-    with pytest.raises(el.DomainError, match=r"^ln of non-positive value -1.0$"):
-        me.blend("v", queries, 1)
-    with pytest.raises(ValueError, match=r"has dimension 2, expected 1$"):
-        me.blend("v", [queries[0], queries[2], queries[1]], 1)
+def test_points_of_another_dimension_are_named():
+    # a point with too few or too many coordinates is named before any
+    # series is evaluated, in the batch and alone
+    f = el.VectorExpr.parse(["x0*x1"], 2)
+    pts = [("p0", (0.0, 0.0)), ("p1", (1.0,)), ("p2", (1.0, 1.0, 1.0))]
+    with pytest.raises(ValueError, match=r"^point p1 has dimension 1, expected 2$"):
+        jets.Jet.from_expr(f, pts, 2)
+    with pytest.raises(ValueError, match=r"^point p2 has dimension 3, expected 2$"):
+        jets.Jet.from_expr(f, [pts[0], pts[2]], 2)
+    g = el.VectorExpr.parse(["2*x0"], 1)
+    target = jets.Jet.from_expr(el.VectorExpr.parse(["sin(x0)"], 1), [("a", (0.0,)), ("b", (2.0,))], 2)
+    for source in [[("s0", (0.0,)), ("s1", (1.0, 5.0))], [("s1", (1.0, 5.0))]]:
+        with pytest.raises(ValueError, match=r"^point s1 has dimension 2, expected 1$"):
+            fdb.jet_pullback(g, target, source)
