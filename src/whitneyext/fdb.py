@@ -22,10 +22,10 @@ is computed as a truncated Taylor composition rather than from the
 tables: at each source point x the jet's Taylor polynomial at g(x) is
 composed with the series of g at x (:func:`jet_pullback`).  The series of
 g and their monomial products are one batched series computation over
-all source points, and each point's rows are then one small matrix
-product for all output components.  The pullback is linear in
-the jet and functorial: pulling back along g then h equals pulling back
-along h∘g.
+all source points, the images are matched against the stored points in
+one array pass, and all rows come from one stacked matrix product.  The
+pullback is linear in the jet and functorial: pulling back along g then
+h equals pulling back along h∘g.
 
 The tables remain the combinatorial object behind
 :func:`chain_derivative` and the ``fdb`` subcommand, and serve as the
@@ -242,20 +242,24 @@ def jet_pullback(g, f, points, tol=1e-12):
 
     Each source point's image g(x) must match a stored point of f to
     within `tol` per coordinate (floating-point images rarely reproduce
-    stored coordinates bit-exactly); the nearest stored point is used and
-    an unmatched image is an error.
+    stored coordinates bit-exactly); the nearest stored point is used,
+    the first in the jet's order among equally near ones, and an unmatched
+    or NaN image is an error.  The images are matched by one sup-distance
+    reduction against the stored points, taken in blocks of images so that
+    its memory stays bounded.
 
     At x the jet's Taylor polynomial at y = g(x) is composed with the
     series of g at x: with w = g(x + h) − y truncated at order k, the
     Taylor coefficient of (f∘g) at α is Σ_β [h^α] w^β · f_β(y)/β!.  The
     series of g and the table of products w^β are computed once for all
-    source points, as (ncoef, B) columns; each point's rows are then one
-    matrix product W · f(y) with W[α, β] = α!/β! · [h^α] w^β, so an entry
-    of W that is exactly 1 passes f_β through unrounded.  A row beyond the
-    float range is a ValueError naming its source point, and so is a
-    source point of another dimension than g's.  A failing batch is pulled
-    back again one point at a time (:func:`taylorarith._run_batch`), so it
-    raises what its first failing point raises alone.
+    source points, as (ncoef, B) columns; the rows of all points are then
+    one stacked matrix product W · f(y), with W[α, β] = α!/β! · [h^α] w^β
+    per point, so an entry of W that is exactly 1 passes f_β through
+    unrounded.  A row beyond the float range is a ValueError naming its
+    source point, and so is a source point of another dimension than g's.
+    A failing batch is pulled back again one point at a time
+    (:func:`taylorarith._run_batch`), so it raises what its first failing
+    point raises alone.
     """
     if g.m != f.n:
         raise ValueError(f"g maps into dimension {g.m}, jet lives in {f.n}")
@@ -265,34 +269,42 @@ def jet_pullback(g, f, points, tol=1e-12):
 
 
 def _pulled_rows(g, f, points, tol):
-    """The rows of the pullback of f along g at the source points, a list
-    in point order; see :func:`jet_pullback`."""
+    """The rows of the pullback of f along g at the source points, a
+    (B, ncoef, m) array in point order; see :func:`jet_pullback`."""
     k = f.k
-    stored = f.point_array().reshape(len(f.ids), f.n)
-    xs, matched = [], []
     for pid, x in points:
         if len(x) != g.n:
             raise ValueError(f"point {pid} has dimension {len(x)}, expected {g.n}")
-        xs.append(tuple(float(c) for c in x))
-        gx = np.array(g.eval_real(xs[-1]))
-        dist = np.max(np.abs(stored - gx), axis=1)
-        best = float(dist.min()) if len(dist) else None
-        if best is None or best > tol:
-            raise ValueError(
-                f"image {tuple(float(c) for c in gx)} of point {pid!r} matches "
-                f"no stored point (closest at distance {best})"
-            )
-        matched.append(f.values[f.ids[int(np.argmin(dist))]])
-    inners = [taylorarith.centered(tv) for tv in g.eval_taylor(xs, k)]
-    products = taylorarith.monomial_products(inners, k)
+    xs = [tuple(float(c) for c in x) for _, x in points]
+    images = np.array([g.eval_real(x) for x in xs])
+    stored = f.point_array().reshape(len(f.ids), f.n)
+    # sup distances to all stored points, for blocks of images whose
+    # (block, N, t) differences hold about 2^18 floats; a NaN image fails
+    # the test, and a jet without points matches nothing
+    best, near = np.full(len(xs), np.inf), np.zeros(len(xs), dtype=int)
+    step = max(1, 2**18 // max(1, stored.size))
+    for s in range(0, len(xs) if f.ids else 0, step):
+        dist = np.max(np.abs(stored - images[s : s + step, None, :]), axis=2)
+        best[s : s + step] = np.min(dist, axis=1)
+        near[s : s + step] = np.argmin(dist, axis=1)
+    unmatched = ~(best <= tol)
+    if unmatched.any():
+        i = int(unmatched.argmax())
+        raise ValueError(
+            f"image {tuple(images[i].tolist())} of point {points[i][0]!r} matches no "
+            f"stored point (closest at distance {float(best[i]) if f.ids else None})"
+        )
+    F = np.stack([f.values[f.ids[j]] for j in near])
     fact = np.array([multiindex.factorial(b) for b in f.indices], dtype=float)
     weights = taylorarith.context(g.n, k).factorials[:, None] / fact
-    rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        # (B, ncoef_s, ncoef_t), so that each point's matrix is C-contiguous
+        inners = [taylorarith.centered(tv) for tv in g.eval_taylor(xs, k)]
+        products = taylorarith.monomial_products(inners, k)
+        # (B, ncoef_s, ncoef_t) @ (B, ncoef_t, m): one product of C-contiguous
+        # matrices per point, with the bits of a one-point call
         W = np.stack([products[b].coeffs.T for b in f.indices], axis=2) * weights
-        for (pid, _), M, fy in zip(points, W, matched):
-            rows.append(M @ fy)
-            if not np.isfinite(rows[-1]).all():
-                raise ValueError(f"the pulled-back jet overflows at point {pid}")
+        rows = W @ F
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"the pulled-back jet overflows at point {points[int(finite.argmin())][0]}")
     return rows

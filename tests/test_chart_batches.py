@@ -107,3 +107,47 @@ def test_points_of_another_dimension_are_named():
     for source in [[("s0", (0.0,)), ("s1", (1.0, 5.0))], [("s1", (1.0, 5.0))]]:
         with pytest.raises(ValueError, match=r"^point s1 has dimension 2, expected 1$"):
             fdb.jet_pullback(g, target, source)
+
+
+def test_a_nan_image_matches_no_stored_point():
+    # inf - inf: the image of p0 is NaN, which no distance test may accept;
+    # p1 maps onto a
+    g = el.VectorExpr.parse(["x0*x0*1e300 - x0*x0*1e300"], 1)
+    f = jets.Jet(1, 1, 1, [("a", (0.0,))], {"a": [[1.0], [2.0]]})
+    msg = r"^image \(nan,\) of point 'p0' matches no stored point \(closest at distance nan\)$"
+    for source in [[("p1", (0.0,)), ("p0", (1e10,))], [("p0", (1e10,))]]:
+        with pytest.raises(ValueError, match=msg):
+            fdb.jet_pullback(g, f, source)
+
+
+@pytest.mark.parametrize("order", [["b", "a", "c"], ["a", "b", "c"]])
+def test_a_tie_goes_to_the_first_stored_point(order):
+    # the image 5e-14 is exactly as far from a = 0 as from b = 1e-13; the
+    # identity map passes the matched point's values through
+    coords = {"a": (0.0,), "b": (1e-13,), "c": (2.0,)}
+    values = {"a": [[1.0], [10.0]], "b": [[2.0], [20.0]], "c": [[3.0], [30.0]]}
+    f = jets.Jet(1, 1, 1, [(pid, coords[pid]) for pid in order], values)
+    g = el.VectorExpr.parse(["x0"], 1)
+    x = 1e-13 / 2
+    assert abs(coords["a"][0] - x) == abs(coords["b"][0] - x)
+    for source in [[("s1", (2.0,)), ("s0", (x,))], [("s0", (x,))]]:
+        pulled = fdb.jet_pullback(g, f, source)
+        assert pulled.values["s0"].tolist() == values[order[0]]
+
+
+def test_a_jet_without_points_matches_nothing():
+    g = el.VectorExpr.parse(["2*x0"], 1)
+    f = jets.Jet(1, 1, 1, [], {})
+    msg = r"^image \(2.0,\) of point 's0' matches no stored point \(closest at distance None\)$"
+    for source in [[("s0", (1.0,)), ("s1", (2.0,))], [("s0", (1.0,))]]:
+        with pytest.raises(ValueError, match=msg):
+            fdb.jet_pullback(g, f, source)
+
+
+def test_images_match_across_blocks():
+    # 600 images against 600 stored points are matched in more than one
+    # block; each source point is its own image
+    pts = [(f"p{i}", (i / 64,)) for i in range(600)]
+    f = jets.Jet(1, 0, 1, pts, {pid: [[float(i)]] for i, (pid, _) in enumerate(pts)})
+    pulled = fdb.jet_pullback(el.VectorExpr.parse(["x0"], 1), f, pts[::-1])
+    assert all(pulled.values[pid].tolist() == f.values[pid].tolist() for pid, _ in pts)

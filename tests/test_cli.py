@@ -477,6 +477,43 @@ def test_pullback_overflowing_jet(tmp_path, capsys):
     assert capsys.readouterr().err == "error: the pulled-back jet overflows at point s\n"
 
 
+@pytest.mark.parametrize(
+    "bundle, err",
+    [
+        # inf - inf: a NaN image matches no stored point
+        pytest.param(
+            {
+                "map": {"from_dim": 1, "expr": ["x0*1e308*10 - x0*1e308*10"]},
+                "jet": {"dim": 1, "order": 1, "outdim": 1, "points": [
+                    {"id": "a", "x": [0.0], "values": {"[0]": [1.0], "[1]": [2.0]}}]},
+                "points": [{"id": "p0", "x": [1.0]}],
+            },
+            "error: image (nan,) of point 'p0' matches no stored point (closest at distance nan)\n",
+            id="nan-image",
+        ),
+        # the series of exp at 300 overflows in its monomial products
+        pytest.param(
+            {
+                "map": {"from_dim": 1, "expr": ["exp(x0)"]},
+                "jet": {"dim": 1, "order": 3, "outdim": 1, "points": [
+                    {"id": "a", "x": [math.exp(300.0)], "values": {f"[{i}]": [1.0] for i in range(4)}}]},
+                "points": [{"id": "s", "x": [300.0]}],
+            },
+            "error: the pulled-back jet overflows at point s\n",
+            id="series-overflow",
+        ),
+    ],
+)
+def test_pullback_failure_prints_no_numpy_warning(bundle, err, tmp_path, capsys):
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(bundle))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["pullback", "--input", str(p), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == err
+
+
 # -- manifold-extend ---------------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """
-Run one fixed list of CLI invocations against two source trees and compare
-what they print.
+Run one fixed list of 35 CLI invocations against two source trees and
+compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
 
@@ -14,10 +14,11 @@ key spellings (with values and ``--schedule``), and on grids whose middle
 row overflows (exit 2), lies below the resolution (exit 3) or exhausts the
 degree schedule (exit 3); check-jet; fdb;
 pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at order 4
-on 3 and on 15 source points, a map from R^3 to R^2 at order 3, and a
-bundle whose middle point overflows, exit 2); manifold-extend with values
-and ``--derivs`` in 1-D, and with ``--derivs`` on a 2-D atlas of two
-charts with a jet in each; and every verify suite.
+on 3 and on 15 source points and at order 3 on 64, a map from R^3 to R^2
+at order 3, and a bundle whose middle point overflows, exit 2);
+manifold-extend with values and ``--derivs`` in 1-D, and with
+``--derivs`` on a 2-D atlas of two charts with a jet in each; and every
+verify suite.
 
 For each invocation it prints "identical" when exit status, stdout and
 stderr agree byte for byte.  Otherwise it lists the differing fields: CSV
@@ -109,6 +110,9 @@ LIFT_POINTS = [[0.5, -0.3, 0.7], [-0.2, 0.9, -1.1]]
 # coefficients
 _rng = random.Random(15)
 SHEAR15_POINTS = [[round(_rng.uniform(-1.2, 1.2), 3), round(_rng.uniform(-1.2, 1.2), 3)] for _ in range(15)]
+# 64 source points, matched and multiplied as one batch
+_rng = random.Random(64)
+SHEAR64_POINTS = [[round(_rng.uniform(-1.2, 1.2), 4), round(_rng.uniform(-1.2, 1.2), 4)] for _ in range(64)]
 
 FIXTURES = {
     "set1.json": {"dim": 1, "points": [[0.0]]},
@@ -154,6 +158,18 @@ FIXTURES = {
             },
         },
         "points": [{"id": f"s{i}", "x": x} for i, x in enumerate(SHEAR15_POINTS)],
+    },
+    "bundle_shear64.json": {
+        "map": {"from_dim": 2, "expr": ["x0 + 0.3*sin(x1)", "x1"]},
+        "jet": {
+            "dim": 2,
+            "order": 3,
+            "induce": {
+                "expr": ["cos(0.7*x0)*exp(0.2*x1) + x0^2*x1", "ln(3 + x0*x1) - x1^3/6"],
+                "points": [[x0 + 0.3 * math.sin(x1), x1] for x0, x1 in SHEAR64_POINTS],
+            },
+        },
+        "points": [{"id": f"s{i}", "x": x} for i, x in enumerate(SHEAR64_POINTS)],
     },
     # the row of s1 overflows (10 * 1e308), and the image of s2 matches no
     # stored point
@@ -294,6 +310,7 @@ INVOCATIONS = [
     ("pullback shear s=t=2 k=4", ["pullback", "--input", "bundle_shear.json"]),
     ("pullback R^3 -> R^2 k=3", ["pullback", "--input", "bundle_lift.json"]),
     ("pullback shear 15 points k=4", ["pullback", "--input", "bundle_shear15.json"]),
+    ("pullback shear 64 points k=3", ["pullback", "--input", "bundle_shear64.json"]),
     # the middle point's row overflows before the last image fails to match
     # (exit 2)
     ("pullback overflow at a middle point", ["pullback", "--input", "bundle_fails.json"]),
