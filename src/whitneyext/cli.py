@@ -416,11 +416,11 @@ def _suite_lemma_l(args):
             max_level = 6
             lo, hi = [-5.0] * n, [6.0] * n
             cubes = dec.enumerate_in_box(lo, hi, max_level)
-            lower = all(
-                dec.cube_distance(c) >= dec.threshold(c.level) for c in cubes
-            )
-            upper = all(
-                dec.cube_distance(c) < math.ldexp(10.0 * math.sqrt(n), -c.level)
+            # margins: each value is at most its bound 1 (below it where the
+            # bound is strict) exactly when the property holds for every cube
+            lower = max(dec.threshold(c.level) / dec.cube_distance(c) for c in cubes)
+            upper = max(
+                dec.cube_distance(c) / math.ldexp(10.0 * math.sqrt(n), -c.level)
                 for c in cubes
                 if c.level >= 1
             )
@@ -429,23 +429,22 @@ def _suite_lemma_l(args):
             los = np.array([c.lo for c in cubes])
             his = np.array([c.hi for c in cubes])
             sides = np.array([c.side for c in cubes])
-            ratios = set()
+            ratio = 0.0  # the largest |log2| of the side ratio of touching cubes
             for i in range(len(cubes) - 1):
                 touch = np.all((los[i] <= his[i + 1 :]) & (los[i + 1 :] <= his[i]), axis=1)
-                ratios.update((sides[i] / sides[i + 1 :][touch]).tolist())
-            ratio_ok = ratios <= {0.5, 1.0, 2.0}
-            dstar_ok = True
+                logs = np.abs(np.log2(sides[i] / sides[i + 1 :][touch]))
+                ratio = float(np.max(logs, initial=ratio))
+            dstar = 0.0
             for c in cubes:
                 for _ in range(5):
                     y = tuple(
                         ci + 0.75 * c.side * u
                         for ci, u in zip(c.center, rng.uniform(-1.0, 1.0, size=n))
                     )
-                    if A.distance(y) >= 14.0 * math.sqrt(n) * c.side:
-                        dstar_ok = False
+                    dstar = max(dstar, A.distance(y) / (14.0 * math.sqrt(n) * c.side))
             centers = np.array([c.center for c in cubes])
             radii = 0.75 * sides[:, None]
-            support_ok = True
+            mismatches = 0
             worst_count = 0
             tested = 0
             while tested < 1000:
@@ -457,19 +456,16 @@ def _suite_lemma_l(args):
                 # every cube scanned; the D_C test of WhitneyCube.enlarged_contains
                 inside = np.all(np.abs(np.asarray(x) - centers) < radii, axis=1)
                 brute = [cubes[i] for i in np.flatnonzero(inside)]
-                if sorted(got) != sorted(brute):
-                    support_ok = False
+                mismatches += sorted(got) != sorted(brute)
                 worst_count = max(worst_count, len(got))
             name = f"{label}/{type(A).__name__}"
-            checks.append(_check(f"{name}: lower distance bound", 0.0, 0.0, ok=lower))
-            checks.append(_check(f"{name}: upper distance bound", 0.0, 0.0, ok=upper))
+            checks.append(_check(f"{name}: lower distance bound", lower, 1.0))
+            checks.append(_check(f"{name}: upper distance bound", upper, 1.0, ok=upper < 1.0))
+            checks.append(_check(f"{name}: touching side ratios", ratio, 1.0))
             checks.append(
-                _check(f"{name}: touching side ratios", 0.0, 0.0, ok=ratio_ok)
+                _check(f"{name}: d(y*,A) < 14 sqrt(n) l_C", dstar, 1.0, ok=dstar < 1.0)
             )
-            checks.append(_check(f"{name}: d(y*,A) < 14 sqrt(n) l_C", 0.0, 0.0, ok=dstar_ok))
-            checks.append(
-                _check(f"{name}: supporting cubes vs brute force", 0.0, 0.0, ok=support_ok)
-            )
+            checks.append(_check(f"{name}: supporting cubes vs brute force", mismatches, 0))
             constants[f"max supporting cubes ({name})"] = worst_count
     return checks, constants
 

@@ -22,26 +22,32 @@ on, and a cube is in W exactly when it qualifies and its parent does not
 (distances are monotone rounded operations on exact dyadic bounds, so the
 computed verdicts inherit too).  The level-j ancestor C of x has
 d(x,A) - sqrt(n)/2^j <= d(C,A) <= d(x,A), so the home level of x (the
-level of its cube in W) follows from d(x,A) to within about one level:
-`locate` starts just below it and steps coarser while the parent
-qualifies, otherwise finer until a cube qualifies.  A cube C of side s
+level of its cube in W) follows from d(x,A) to within about one level,
+and the first qualifying level is found from a few levels around it.
+A cube C of side s
 has x in D_C exactly when C meets the open box x ± s/4; such cubes touch
 the cube of W holding x, so they lie at most one level above or below it.
 
-One query's tests see A through a view (``A.around(x)``), which holds
-all of that query's state: d = d(x,A), the box distances it has measured
-(so the tests of one query share their verdicts), and for a finite set
-the distances |p - x| of all points, computed once, and its candidate
-rows.  Every scan after the first runs only on the candidates
-|p - x| <= d + 2 rho, rho the distance from x to the farthest point of
-the box being tested (for a nearest point to a centre y, rho = |y - x|).
-With q a point nearest x and p nearest the box C, c the point of C
-nearest p: |p - x| <= d(p,C) + |c - x| <= d(q,C) + rho <= d + 2 rho, and
-with p nearest y: |p - x| <= |p - y| + rho <= |q - y| + rho <= d + 2 rho.
-So the candidates hold every minimizer and every tie, and as each row's
-norm is computed as in the full scan, the distances, verdicts and anchors
-come out identical.  The radius carries a small relative slack that
-covers the rounding of the distances it compares.
+A query's cubes are measured in two array passes.  ``A.reach(x)`` checks
+the query and measures d = d(x,A); for a finite set it keeps the
+distances |p - x| of all points, computed once.  Pass 1 stacks the
+ancestors of x on the levels `_start_level` - 1 .. + 3 and measures their
+distances to A at once; the home level is the first that qualifies (a
+block that does not decide it is followed by the next block of levels).
+Pass 2 lists, on the levels home - 1 .. home + 1, the cubes whose D_C
+holds x and measures them and their parents at once; the anchors of the
+cubes returned come from the same scan.  A pass scans only the
+candidates |p - x| <= d + 2 rho, rho the largest distance from x to the
+farthest point of any box of its stack.  For one box of farthest-point
+distance rho_C <= rho, with q a point nearest x and p nearest the box C,
+c the point of C nearest p: |p - x| <= d(p,C) + |c - x| <= d(q,C) + rho_C
+<= d + 2 rho_C, and for a nearest point p to a centre y of C (|y - x| <=
+rho_C): |p - x| <= |p - y| + |y - x| <= |q - y| + rho_C <= d + 2 rho_C.
+So the candidates at the widest radius of a stack are a superset of each
+box's own candidates, and hold every minimizer and every tie of every
+box; as each row's norm is computed as in the full scan, the distances,
+verdicts and anchors come out identical.  The radius carries a small
+relative slack that covers the rounding of the distances it compares.
 
 Coordinates of a point set and of queries must stay below MAX_COORD =
 2^500 in magnitude: distances are formed from squared differences, which
@@ -50,7 +56,6 @@ then stay finite, and so do the dyadic corners of every level up to 520.
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,21 +122,39 @@ class FinitePoints:
         _check_query(x, self.n)
         return math.sqrt(_squares(self.points - np.asarray(x, float)).min())
 
+    def reach(self, x):
+        """d(x, A) and a function giving, for a radius r, the points of the
+        set within r of x (as a FinitePoints), from one distance vector;
+        checks the query."""
+        _check_query(x, self.n)
+        dists = np.sqrt(_squares(self.points - np.asarray(x, float)))
+        return float(dists.min()), lambda r: self._subset(dists <= r)
+
+    def _subset(self, keep):
+        sub = object.__new__(FinitePoints)  # rows of a checked set
+        sub.points, sub.n = self.points[keep], self.n
+        return sub
+
     def _contains(self, x):
         """Exact membership: x equals one of the points coordinate by coordinate."""
         return bool(np.any(np.all(self.points == np.asarray(x, float), axis=1)))
 
     def nearest(self, x):
         """A nearest point; ties break to the lexicographically smallest."""
-        return _nearest(self.points, x)
+        d2 = _squares(self.points - np.asarray(x, float))
+        return min(tuple(self.points[i]) for i in np.flatnonzero(d2 == d2.min()))
 
     def box_distance(self, lo, hi):
         """Distance from the closed box [lo, hi] to the set."""
-        return _box_distance(self.points, lo, hi)
+        return float(self.box_distances(np.array([lo], float), np.array([hi], float))[0])
 
-    def around(self, x):
-        """The set as seen from the query x (see :class:`PointsAround`)."""
-        return PointsAround(self, x)
+    def box_distances(self, lo, hi):
+        """Distances from the closed boxes [lo[i], hi[i]] to the set, for
+        (M, n) arrays lo and hi: the least row norm of each box's gaps (the
+        root is monotone), summed along the last axis as ``_squares`` sums."""
+        p = self.points
+        gaps = np.maximum(0.0, np.maximum(lo[:, None] - p, p - hi[:, None]))
+        return np.sqrt(np.add.reduce(gaps * gaps, axis=-1).min(axis=-1))
 
 
 def _squares(v):
@@ -140,90 +163,11 @@ def _squares(v):
     return np.add.reduce(v * v, axis=1)
 
 
-def _nearest(points, x):
-    d2 = _squares(points - np.asarray(x, float))
-    return min(tuple(points[i]) for i in np.flatnonzero(d2 == d2.min()))
-
-
-def _box_distance(points, lo, hi):
-    gaps = np.maximum(0.0, np.maximum(np.subtract(lo, points), np.subtract(points, hi)))
-    return math.sqrt(_squares(gaps).min())  # the least norm, as the root is monotone
-
-
-class Around:
-    """
-    A closed set as seen from one query x, holding the query's state:
-    `distance` is d(x, A), measured once (which checks the query), and
-    `cube_distance` keeps every cube distance it measures, so that the
-    tests made around x share their verdicts.  `box_distance` and `nearest`
-    serve those tests; this base scans the whole set every time, as a union
-    of a few boxes is cheap to scan.
-    """
-
-    def __init__(self, A, x):
-        self.A = A
-        self.x = tuple(x)
-        self.distance = self._measure()
-        self._cubes = {}
-
-    def _measure(self):
-        return self.A.distance(self.x)
-
-    def cube_distance(self, cube):
-        """d(C, A), measured once per cube for this query."""
-        key = (cube.level, cube.corner)  # not the cube, which keeps its geometry
-        d = self._cubes.get(key)
-        if d is None:
-            d = self._cubes[key] = self.box_distance(cube.lo, cube.hi)
-        return d
-
-    def box_distance(self, lo, hi):
-        return self.A.box_distance(lo, hi)
-
-    def nearest(self, c):
-        return self.A.nearest(c)
-
-
 # Candidate radii are widened by this factor and this term, far beyond the
 # few-ulp rounding of the distances they compare and the underflow of
 # squared differences below 2^-537.
 _SLACK = 1.0 + 2.0**-40
 _TINY = 2.0**-500
-
-
-class PointsAround(Around):
-    """
-    A finite set as seen from one query x: the distances |p - x| of all
-    points p are computed once, and a later scan runs only on the
-    candidates |p - x| <= d + 2 rho, where rho is the distance from x to
-    the farthest point of the box being tested, or to the centre given to
-    `nearest`.  They hold every minimizer and every tie (see the module
-    docstring), so the minimum, the tie set and the lexicographic
-    tie-break come out as in the full scan.
-    """
-
-    def _measure(self):
-        _check_query(self.x, self.A.n)
-        self._dists = np.sqrt(_squares(self.A.points - np.asarray(self.x, float)))
-        self._limit = -math.inf
-        return float(self._dists.min())
-
-    def _candidates(self, rho):
-        """The points within d + 2 rho of x, or the superset kept from the
-        widest radius asked before (a superset gives the same minimum)."""
-        limit = (self.distance + 2.0 * rho) * _SLACK + _TINY
-        if limit > self._limit:
-            self._limit = limit
-            self._rows = self.A.points[self._dists <= limit]
-        return self._rows
-
-    def box_distance(self, lo, hi):
-        # rho = |(max(x_i - lo_i, hi_i - x_i))_i|, the farthest point of the box
-        rho = math.hypot(*map(max, map(operator.sub, self.x, lo), map(operator.sub, hi, self.x)))
-        return _box_distance(self._candidates(rho), lo, hi)
-
-    def nearest(self, c):
-        return _nearest(self._candidates(math.dist(self.x, c)), c)
 
 
 class BoxUnion:
@@ -237,6 +181,13 @@ class BoxUnion:
             b = np.asarray(b, dtype=float)  # shape (n, 2): rows (lo, hi)
             if b.ndim != 2 or b.shape[1] != 2 or np.any(b[:, 0] > b[:, 1]):
                 raise ValueError(f"malformed box {b!r}")
+            if not np.all(np.isfinite(b)):
+                raise ValueError(f"box {b.tolist()} of the closed set is not finite")
+            if np.any(np.abs(b) >= MAX_COORD):
+                raise ValueError(
+                    f"box {b.tolist()} of the closed set is too large: "
+                    f"coordinates must stay below 2^500"
+                )
             self.boxes.append(b)
         self.n = self.boxes[0].shape[0]
         if any(b.shape[0] != self.n for b in self.boxes):
@@ -245,6 +196,11 @@ class BoxUnion:
     def distance(self, x):
         _check_query(x, self.n)
         return self.box_distance(x, x)
+
+    def reach(self, x):
+        """d(x, A) and, for any radius, the whole union, as a few boxes are
+        cheap to scan; checks the query."""
+        return self.distance(x), lambda r: self
 
     def _contains(self, x):
         """Exact membership: lo <= x <= hi in some box."""
@@ -265,16 +221,17 @@ class BoxUnion:
                 cands.append(tuple(p))
         return min(cands)
 
-    def around(self, x):
-        """The set as seen from the query x (see :class:`Around`)."""
-        return Around(self, x)
-
     def box_distance(self, lo, hi):
         best = math.inf
         for b in self.boxes:
             gap = np.maximum(0.0, np.maximum(b[:, 0] - hi, lo - b[:, 1]))
             best = min(best, float(np.linalg.norm(gap)))
         return best
+
+    def box_distances(self, lo, hi):
+        """Distances from the closed boxes [lo[i], hi[i]] to the union, for
+        (M, n) arrays lo and hi, each as `box_distance` measures it."""
+        return np.array([self.box_distance(l, h) for l, h in zip(lo, hi)])
 
 
 def make_closed_set(points=None, boxes=None):
@@ -381,9 +338,8 @@ class Decomposition:
     def cube_distance(self, cube):
         return self.A.box_distance(cube.lo, cube.hi)
 
-    def _qualifies(self, cube, near=None):
-        d = self.cube_distance(cube) if near is None else near.cube_distance(cube)
-        return d >= self.threshold(cube.level)
+    def _qualifies(self, cube):
+        return self.cube_distance(cube) >= self.threshold(cube.level)
 
     def _start_level(self, d):
         """The level just below the home level that d = d(x,A) implies: as
@@ -395,81 +351,111 @@ class Decomposition:
         j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) - 1 if d else self.j_max
         return min(max(j, 0), self.j_max)
 
-    def locate(self, x, near=None):
+    def _measure(self, x, d, reach, levels, corners):
+        """Whether each cube (levels[i], corners[i]) qualifies, as a bool
+        array, from one stacked scan of the part of A that `_candidates`
+        gives for the cubes, and that part."""
+        levels = np.asarray(levels)
+        sides = np.ldexp(1.0, -levels)[:, None]
+        z = np.asarray(corners, float)
+        lo, hi = z * sides, (z + 1.0) * sides
+        scan = _candidates(x, d, reach, lo, hi)
+        return scan.box_distances(lo, hi) >= np.ldexp(4.0 * self._sqrt_n, -levels), scan
+
+    def _home(self, x):
+        """
+        The home level of x (the level of its cube in W), d = d(x,A) and the
+        set's `reach` for x.  The home level is the first level whose
+        ancestor of x qualifies; the ancestors on `_start_level` - 1 .. + 3
+        are measured in one pass, and a block that does not decide it is
+        followed by the next five levels finer, or coarser.
+        """
+        d, reach = self.A.reach(x)  # checks the query
+        if d == 0.0 and self.A._contains(x):  # a point of A is at distance 0
+            raise OnSet(x)
+
+        def qualifying(lo, hi):
+            levels = np.arange(lo, hi + 1)
+            corners = np.floor(np.ldexp(np.asarray(x, float), levels[:, None]))
+            return self._measure(x, d, reach, levels, corners)[0].tolist()
+
+        j = self._start_level(d)
+        lo, hi = max(j - 1, 0), min(j + 3, self.j_max)
+        ok = qualifying(lo, hi)
+        while not any(ok):  # the home level is finer
+            if hi == self.j_max:
+                raise ResolutionExceeded(x, self.j_max)
+            lo, hi = hi + 1, min(hi + 5, self.j_max)
+            ok = qualifying(lo, hi)
+        home = lo + ok.index(True)
+        while home == lo > 0:  # the home level may be coarser
+            lo, hi = max(lo - 5, 0), lo - 1
+            ok = qualifying(lo, hi)
+            if any(ok):
+                home = lo + ok.index(True)
+        return home, d, reach
+
+    def locate(self, x):
         """
         The unique cube of W containing x under the half-open convention
         [z/2^j, (z+1)/2^j): the dyadic ancestor of x at the smallest level
-        whose distance to A meets the threshold.  Membership in A is decided
-        exactly, so a query a subnormal distance away is not on the set.
-        A query of the wrong dimension, a non-finite one, or one beyond
-        MAX_COORD is a ValueError.
-
-        The search starts at `_start_level`, then steps coarser while the
-        parent qualifies, else finer until a cube qualifies.  `near` is the
-        query's view of A (``A.around(x)``), which narrows the scans and
-        keeps their verdicts.
+        whose distance to A meets the threshold, found by `_home`.
+        Membership in A is decided exactly, so a query a subnormal distance
+        away is not on the set.  A query of the wrong dimension, a
+        non-finite one, or one beyond MAX_COORD is a ValueError.
         """
-        near = self.A.around(x) if near is None else near  # checks the query
-        if near.distance == 0.0 and self.A._contains(x):  # a point of A is at distance 0
-            raise OnSet(x)
+        j = self._home(x)[0]
+        return WhitneyCube(j, tuple(math.floor(math.ldexp(xi, j)) for xi in x))
 
-        def ancestor(j):
-            return WhitneyCube(j, tuple(math.floor(math.ldexp(xi, j)) for xi in x))
-
-        j = self._start_level(near.distance)
-        if self._qualifies(ancestor(j), near):
-            while j > 0 and self._qualifies(ancestor(j - 1), near):
-                j -= 1
-            return ancestor(j)
-        while j < self.j_max:
-            j += 1
-            cube = ancestor(j)
-            if self._qualifies(cube, near):
-                return cube
-        raise ResolutionExceeded(x, self.j_max)
-
-    def in_family(self, cube, near=None):
+    def in_family(self, cube):
         """Membership test: the cube qualifies and is at level 0 or its
-        parent does not qualify (see the module docstring).  `near`, a
-        query's view of A, narrows the scans and keeps their verdicts."""
-        if not self._qualifies(cube, near):
+        parent does not qualify (see the module docstring)."""
+        if not self._qualifies(cube):
             return False
         if cube.level == 0:
             return True
         parent = WhitneyCube(cube.level - 1, tuple(z >> 1 for z in cube.corner))
-        return not self._qualifies(parent, near)
+        return not self._qualifies(parent)
 
-    def anchor(self, cube, near=None):
+    def anchor(self, cube):
         """A fixed nearest point of A to the cube's center (memoized;
-        ties break lexicographically so the choice is reproducible).
-        `near`, a query's view of A, only narrows the scan."""
+        ties break lexicographically so the choice is reproducible)."""
         key = (cube.level, cube.corner)  # not the cube, which keeps its geometry
         a = self._anchors.get(key)
         if a is None:
-            scans = self.A if near is None else near
-            a = self._anchors[key] = scans.nearest(cube.center)
+            a = self._anchors[key] = self.A.nearest(cube.center)
         return a
 
     def supporting_cubes(self, x):
         """
         All cubes of W whose enlarged box D_C contains x, in (level, corner)
-        order: the cubes meeting the box x ± side/4 on the levels next to
-        the cube holding x, filtered by D_C and by membership.  All tests
-        run through one view of A around x, which also fixes the anchors of
-        the cubes returned.
+        order: on the levels next to the home level, the cubes meeting the
+        box x ± side/4 whose D_C holds x, measured with their parents in one
+        pass; a cube is in W when it qualifies and is at level 0 or its
+        parent does not.  The anchors of the cubes returned come from the
+        same part of A.
         """
-        near = self.A.around(x)
-        home = self.locate(x, near)
-        out = []
-        for lv in range(max(0, home.level - 1), home.level + 2):
-            r = math.ldexp(0.25, -lv)
+        home, d, reach = self._home(x)
+        found = []
+        for lv in range(max(0, home - 1), home + 2):
+            s = math.ldexp(1.0, -lv)
+            r, half = 0.25 * s, 0.75 * s
             window = _window([xi - r for xi in x], [xi + r for xi in x], lv)
-            for corner in itertools.product(*window):
-                cube = WhitneyCube(lv, corner)
-                if cube.enlarged_contains(x) and self.in_family(cube, near):
-                    out.append(cube)
+            # D_C holds x exactly when every axis does (WhitneyCube.enlarged_contains)
+            axes = [[z for z in w if abs(xi - (z + 0.5) * s) < half] for xi, w in zip(x, window)]
+            found += [(lv, z) for z in itertools.product(*axes)]
+        parents = [(lv - 1, tuple(zi >> 1 for zi in z)) for lv, z in found if lv]
+        keys = list(dict.fromkeys(found + parents))
+        ok, scan = self._measure(x, d, reach, *zip(*keys))
+        ok = dict(zip(keys, ok.tolist()))
+        out = [
+            WhitneyCube(lv, z)
+            for lv, z in found
+            if ok[lv, z] and (lv == 0 or not ok[lv - 1, tuple(zi >> 1 for zi in z)])
+        ]
         for cube in out:
-            self.anchor(cube, near)
+            if (cube.level, cube.corner) not in self._anchors:
+                self._anchors[cube.level, cube.corner] = scan.nearest(cube.center)
         return out
 
     def enumerate_in_box(self, lo, hi, max_level):
@@ -497,6 +483,17 @@ class Decomposition:
                 stack.extend(WhitneyCube(lv, z) for z in itertools.product(*kids))
         out.sort()
         return out
+
+
+def _candidates(x, d, reach, lo, hi):
+    """The part of A that decides the distances of the boxes [lo[i], hi[i]]
+    (rows of (M, n) arrays) and the nearest points to any point of them,
+    given d = d(x,A) and the set's `reach` for x: the points within
+    d + 2 rho of x, rho the farthest any of the boxes reaches from x (see
+    the module docstring)."""
+    x = np.asarray(x, float)
+    rho = math.sqrt(_squares(np.maximum(x - lo, hi - x)).max())
+    return reach((d + 2.0 * rho) * _SLACK + _TINY)
 
 
 def _window(lo, hi, level):

@@ -53,13 +53,14 @@ full stored order; requesting a degree beyond the stored jet raises
 Every evaluation is one call of ``Extension.blend`` on a batch of queries;
 ``eval``, ``derivs``, ``eval_derivs`` and ``eval_adaptive`` are its batch
 of one, ``eval_batch`` its order-0 rows.  Each query's cubes and anchors
-come from ``Decomposition.supporting_cubes``, which runs the search on the
-query's own view of A (one distance vector, then scans of the few points
-that can decide the cubes and anchors), and the series work of
-the batch is one array computation over its (query, cube) columns: one
-ψ/φ batch with a single division of each query's columns by its own Σ ψ,
-one anchored Taylor computation per distinct degree, and one batched
-product for the halved blend.  Every column has the arithmetic of a
+come from ``Decomposition.supporting_cubes``, which measures them in two
+array passes (one distance vector, then one stacked scan for the home
+level and one for the cubes next to it and their anchors, each of the few
+points that can decide them), and the series work of the batch is one
+array computation over its (query, cube) columns: one ψ/φ batch with a
+single division of each query's columns by its own Σ ψ, one anchored
+Taylor computation per distinct degree, and one batched product for the
+halved blend.  Every column has the arithmetic of a
 one-query call, and each query's sums run in cube order, so a row has the
 bits of the query evaluated alone.  A failing batch is re-run one query
 at a time, in row order, and so raises what its first failing query

@@ -330,6 +330,25 @@ def test_decompose_non_finite_grid(setfile, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        ("NaN", "box [[0.0, nan]] of the closed set is not finite"),
+        ("1e400", "box [[0.0, inf]] of the closed set is not finite"),
+        (
+            "1e200",
+            "box [[0.0, 1e+200]] of the closed set is too large: coordinates must stay below 2^500",
+        ),
+    ],
+)
+def test_decompose_unrepresentable_box(tmp_path, capsys, bound, message):
+    p = tmp_path / "set.json"
+    p.write_text('{"dim": 1, "boxes": [[[0.0, %s]]]}' % bound)
+    rc = run(["decompose", "--input", str(p), "--grid=-1:1", "--max-level", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _UNREPRESENTABLE_JETS = {
     "nan-value": (
         '{"dim": 1, "order": 1, "outdim": 1, "points": ['
@@ -545,6 +564,25 @@ def test_verify_extension_passes(tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert rep["suite"] == "extension"
     assert all(c["pass"] for c in rep["checks"])
+
+
+def test_verify_lemma_l_reports_margins(tmp_path, capsys):
+    # each check reports a margin against bound 1 (a count against bound 0),
+    # not a bare verdict
+    out = tmp_path / "r.json"
+    rc = run(["verify", "--suite", "lemma-l", "--out", str(out)])
+    assert rc == 0
+    assert "result: pass" in capsys.readouterr().out
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 20 and all(c["pass"] for c in checks)
+    for c in checks:
+        kind = c["name"].split(": ", 1)[1]
+        if kind == "supporting cubes vs brute force":
+            assert (c["value"], c["bound"]) == (0, 0)
+        elif kind == "touching side ratios":
+            assert (c["value"], c["bound"]) == (1.0, 1.0)  # neighbours one level apart
+        else:
+            assert 0.0 < c["value"] <= c["bound"] == 1.0, c
 
 
 def test_verify_correspondence_fail_exit(tmp_path):

@@ -27,6 +27,29 @@ def test_finite_points_reject_non_finite_point(bad):
         decomp.FinitePoints([[0.0, 0.0], [1.0, bad]])
 
 
+@pytest.mark.parametrize(
+    "box, shown",
+    [
+        ([[0.0, math.nan]], "[[0.0, nan]]"),
+        ([[0.0, math.inf]], "[[0.0, inf]]"),
+        ([[-math.inf, 0.0]], "[[-inf, 0.0]]"),
+    ],
+)
+def test_box_union_rejects_non_finite_box(box, shown):
+    msg = rf"^box {re.escape(shown)} of the closed set is not finite$"
+    with pytest.raises(ValueError, match=msg):
+        decomp.BoxUnion([[[-1.0, -0.5]], box])
+
+
+def test_box_union_rejects_huge_box():
+    msg = r"box \[\[0\.0, 1e\+200\]\] of the closed set is too large"
+    with pytest.raises(ValueError, match=msg):
+        decomp.BoxUnion([[[-1.0, -0.5]], [[0.0, 1e200]]])
+    with pytest.raises(ValueError, match="too large"):
+        decomp.BoxUnion([[[-decomp.MAX_COORD, 0.0]]])
+    assert decomp.BoxUnion([[[0.0, 0.9 * decomp.MAX_COORD]]]).distance((-1.0,)) == 1.0
+
+
 def test_huge_coordinates_are_rejected_without_warnings():
     # at 2^500 and beyond, squared distances (and dyadic corners at 1e308)
     # would overflow: a query or a point there is a ValueError, and no
@@ -60,7 +83,7 @@ def test_wrong_dimension_query_is_a_value_error(A):
     dec = decomp.Decomposition(A)
     for x in [(0.3,), (), (0.3, 0.4, 0.5)]:
         msg = rf"^query point {re.escape(str(x))} has dimension {len(x)}, expected 2$"
-        for probe in (A.distance, A.around, dec.locate, dec.supporting_cubes):
+        for probe in (A.distance, A.reach, dec.locate, dec.supporting_cubes):
             with pytest.raises(ValueError, match=msg):
                 probe(x)
         with pytest.raises(ValueError, match=msg):
@@ -207,8 +230,8 @@ def _supporting_by_enumeration(dec, x, reach, max_level):
     }
 
 
-def _near_set_queries(A, rng, count):
-    """Points 1e-9 .. 1e-3 away from A, off A."""
+def _near_set_queries(A, rng, count, farthest=-3):
+    """Points 1e-9 .. 10^farthest away from A, off A."""
     out = []
     while len(out) < count:
         if isinstance(A, decomp.FinitePoints):
@@ -219,7 +242,8 @@ def _near_set_queries(A, rng, count):
             axis = rng.integers(A.n)
             base[axis] = box[axis, rng.integers(2)]  # a point on a face
         u = rng.normal(size=A.n)
-        x = tuple(float(v) for v in base + 10.0 ** rng.uniform(-9, -3) * u / np.linalg.norm(u))
+        step = 10.0 ** rng.uniform(-9, farthest) * u / np.linalg.norm(u)
+        x = tuple(float(v) for v in base + step)
         if A.distance(x) > 0.0:
             out.append(x)
     return out
@@ -256,6 +280,60 @@ def test_supporting_cubes_match_brute_force():
             assert fast == sorted(fast)
             slow = _supporting_by_enumeration(dec, x, 2.0 * home.side, home.level + 2)
             assert {(c.level, c.corner) for c in fast} == slow, x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_supporting_cubes_match_walk_and_enumeration(n):
+    # the two passes against the oracles: the cubes around the home cube of
+    # the level-0 walk, found by enumeration, in (level, corner) order, and
+    # the full scans' nearest points as their anchors, on 360 queries per
+    # dimension, half of them 1e-9 .. 1e-1 from A
+    rng = np.random.default_rng(300 + n)
+    lo = rng.uniform(-1.0, 1.0, size=(4, n))
+    fixtures = [
+        decomp.make_closed_set(points=rng.uniform(-1.0, 1.0, size=(50, n))),
+        decomp.make_closed_set(boxes=[np.stack([l, l + 0.2], axis=1) for l in lo]),
+    ]
+    for A in fixtures:
+        dec = decomp.Decomposition(A)
+        far = []
+        while len(far) < 90:
+            x = tuple(float(v) for v in rng.uniform(-2.5, 2.5, size=n))
+            if A.distance(x) > 0.0:
+                far.append(x)
+        for x in _near_set_queries(A, rng, 90, farthest=-1) + far:
+            home = _locate_by_walk(dec, x, 52)
+            got = dec.supporting_cubes(x)
+            # a cube C with x in D_C meets x ± side_C / 4, and is no coarser
+            # than one level above the home cube (module docstring)
+            want = _supporting_by_enumeration(dec, x, 0.5 * home.side, home.level + 2)
+            assert [(c.level, c.corner) for c in got] == sorted(want), x
+            anchors = [dec._anchors[c.level, c.corner] for c in got]
+            assert anchors == [A.nearest(c.center) for c in got], x
+
+
+def test_supporting_cubes_leave_out_the_boundary_of_d_c():
+    # D_C is open: a query exactly 3/4 side from a cube's centre (on an
+    # axis) is not in its D_C, as |10.75 - 11.5| = 3/4 for the cube [11, 12];
+    # queries snapped to a quarter of the finest window side meet such
+    # boundaries often
+    dec = decomp.Decomposition(A0)
+    assert [c.corner for c in dec.supporting_cubes((10.75,))] == [(10,)]
+    rng = np.random.default_rng(12)
+    fixtures = [
+        decomp.make_closed_set(points=[[0.0, 0.0], [0.75, 0.5]]),
+        decomp.make_closed_set(boxes=[[[-1.0, 0.0], [-1.0, 0.0]], [[0.5, 1.5], [0.25, 0.75]]]),
+    ]
+    for A in fixtures:
+        dec = decomp.Decomposition(A)
+        for x in _near_set_queries(A, rng, 60, farthest=-1):
+            j = dec.locate(x).level + 3
+            x = tuple(math.ldexp(round(math.ldexp(xi, j)), -j) for xi in x)
+            if A.distance(x) == 0.0:
+                continue
+            home = dec.locate(x)
+            want = _supporting_by_enumeration(dec, x, 0.5 * home.side, home.level + 2)
+            assert [(c.level, c.corner) for c in dec.supporting_cubes(x)] == sorted(want), x
 
 
 def _in_family_by_ancestors(dec, cube):
@@ -443,42 +521,40 @@ def _closed_sets(n, size, rng):
 def test_locate_matches_level0_walk(n):
     # the home-level start must find the cube the walk from level 0 finds,
     # or raise the same OnSet / ResolutionExceeded, at the default j_max and
-    # at small ones, with few box scans at the default j_max
+    # at small ones, with few stacked passes at the default j_max
     rng = np.random.default_rng(200 + n)
     calls = located = 0
     outcomes = set()
     for size in (1, 8, 200):
         for A in _closed_sets(n, size, rng):
-            around = A.around
+            reach = A.reach
 
             def counted(x):
-                # the query's view of A, counting the box scans it runs
-                near = around(x)
-                scans = near.box_distance
+                # d(x,A) and the set's reach, counting the stacked passes
+                d, near = reach(x)
 
-                def scan(lo, hi):
+                def scan(r):
                     nonlocal calls
                     calls += 1
-                    return scans(lo, hi)
+                    return near(r)
 
-                near.box_distance = scan
-                return near
+                return d, scan
 
             queries = _locate_queries(A, rng, 40 if size < 200 else 8)
             for j_max in (52, 0, 3, 9):
                 dec = decomp.Decomposition(A, j_max=j_max)
                 for x in queries:
                     expected = _outcome(_locate_by_walk, dec, x, j_max)
-                    A.around = counted if j_max == 52 else around
+                    A.reach = counted if j_max == 52 else reach
                     try:
                         got = _outcome(dec.locate, x)
                     finally:
-                        del A.around
+                        del A.reach
                     located += j_max == 52
                     assert got == expected, (x, j_max)
                     outcomes.add(got.level if isinstance(got, decomp.WhitneyCube) else got)
             # the start level is only a hint: from a start up to six levels
-            # too coarse or too fine, the two-way step ends on the same cube
+            # too coarse or too fine, the block search ends on the same cube
             dec = decomp.Decomposition(A)
             for shift in (-6, 6):
                 dec._start_level = lambda d, f=dec._start_level, s=shift: min(
@@ -491,7 +567,7 @@ def test_locate_matches_level0_walk(n):
                     del dec._start_level
     assert {0, decomp.OnSet, decomp.ResolutionExceeded} <= outcomes
     assert max(o for o in outcomes if isinstance(o, int)) > 30
-    assert calls / located <= 5.0, calls / located
+    assert calls / located <= 1.25, calls / located
 
 
 def _nearest_by_list(points, x):
@@ -501,11 +577,12 @@ def _nearest_by_list(points, x):
 
 
 def test_candidate_scans_match_full_scans():
-    # the scans of a query's view run on the points within d + 2 rho of x;
-    # they must give the full scans' box distances and nearest points, on
-    # small-integer sets (duplicate points, exact ties) queried at integer
-    # and half-integer points, boxes and centres, both from a fresh view and
-    # from one view asked in turn (whose candidate set only grows)
+    # a pass scans only the points within d + 2 rho of x, rho the widest
+    # reach of its stack of boxes; the stacked box distances must be the
+    # full scans' bit for bit, and the nearest points to the points of the
+    # boxes (the anchor pass) the full scans' too, on small-integer sets
+    # (duplicate points, exact ties) queried at integer and half-integer
+    # points, boxes and centres, each box alone and the whole stack at once
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         for size in (1, 6, 40):
@@ -515,23 +592,30 @@ def test_candidate_scans_match_full_scans():
                 x = tuple(float(v) for v in rng.integers(-8, 9, size=n) / 2.0)
                 if A._contains(x):
                     continue
-                shared = A.around(x)
-                for _ in range(8):
-                    lo = rng.integers(-8, 9, size=n) / 2.0
-                    hi = lo + rng.integers(0, 4, size=n) / 2.0
-                    lo, hi = tuple(lo.tolist()), tuple(hi.tolist())
-                    want = A.box_distance(lo, hi)
-                    assert A.around(x).box_distance(lo, hi) == want, (pts, x, lo, hi)
-                    assert shared.box_distance(lo, hi) == want, (pts, x, lo, hi)
-                    c = tuple(float(v) for v in rng.integers(-8, 9, size=n) / 2.0)
-                    assert A.around(x).nearest(c) == A.nearest(c), (pts, x, c)
-                    assert shared.nearest(c) == A.nearest(c), (pts, x, c)
+                d, reach = A.reach(x)
+                assert d == A.distance(x)
+                lo = rng.integers(-8, 9, size=(8, n)) / 2.0
+                hi = lo + rng.integers(0, 4, size=(8, n)) / 2.0
+                want = [A.box_distance(tuple(l), tuple(h)) for l, h in zip(lo, hi)]
+                stack = decomp._candidates(x, d, reach, lo, hi)
+                assert stack.box_distances(lo, hi).tolist() == want, (pts, x, lo, hi)
+                for i in range(len(lo)):
+                    alone = decomp._candidates(x, d, reach, lo[i : i + 1], hi[i : i + 1])
+                    assert alone.box_distances(lo[i : i + 1], hi[i : i + 1])[0] == want[i]
+                    c = tuple((lo[i] + (hi[i] - lo[i]) * rng.integers(0, 3, size=n) / 2.0).tolist())
+                    assert alone.nearest(c) == A.nearest(c), (pts, x, c)
+                    assert stack.nearest(c) == A.nearest(c), (pts, x, c)
     # a tie exactly at the candidate radius: from x = 0 with d = 1, the
-    # centre -2 is 3 from both 1 and -5, and -5 = -(d + 2 rho) wins the
-    # lexicographic tie-break; the box [-2, -2] is 3 from both too
+    # centre -2 of the box [-2, -2] (rho = 2) is 3 from both 1 and -5, and
+    # -5 = -(d + 2 rho) wins the lexicographic tie-break; the box is 3 from
+    # both too
     A = decomp.FinitePoints([[1.0], [-5.0], [9.0]])
-    assert A.around((0.0,)).nearest((-2.0,)) == (-5.0,) == A.nearest((-2.0,))
-    assert A.around((0.0,)).box_distance((-2.0,), (-2.0,)) == 3.0
+    d, reach = A.reach((0.0,))
+    box = np.array([[-2.0]])
+    scan = decomp._candidates((0.0,), d, reach, box, box)
+    assert scan.nearest((-2.0,)) == (-5.0,) == A.nearest((-2.0,))
+    assert scan.box_distances(box, box).tolist() == [3.0]
+    assert scan.points.tolist() == [[1.0], [-5.0]]
 
 
 def test_nearest_tie_break_matches_list_rule():

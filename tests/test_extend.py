@@ -339,9 +339,9 @@ def test_adaptive_error_tracks_taylor_remainder():
 
 
 def test_queries_scan_only_their_views():
-    # after the query's view of A is built, no evaluation scans the whole
-    # set: the cube search, the anchors and the adaptive degrees all run
-    # through the view (a degree reads d(y_C, A) off the cube's anchor)
+    # after d(x, A) is measured, no evaluation scans the whole set: the
+    # passes of the cube search and the anchors run on candidate subsets,
+    # and a degree reads d(y_C, A) off the cube's anchor
     rng = np.random.default_rng(23)
     pts = [(f"p{i}", tuple(rng.uniform(-1, 1, 2))) for i in range(60)]
     j = jets.Jet(2, 2, 1, pts, {pid: rng.normal(size=(6, 1)) for pid, _ in pts})
@@ -353,7 +353,7 @@ def test_queries_scan_only_their_views():
         raise AssertionError("a scan of the whole set")
 
     F = extend.Extension(j, schedule=(0.3, 0.05))
-    F.A.distance = F.A.box_distance = F.A.nearest = full_scan
+    F.A.distance = F.A.box_distance = F.A.box_distances = F.A.nearest = full_scan
     # and a successful batch searches once per query off A: no re-run
     searches = []
     search = F.dec.supporting_cubes

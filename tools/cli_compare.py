@@ -1,5 +1,5 @@
 """
-Run one fixed list of 35 CLI invocations against two source trees and
+Run one fixed list of 37 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -9,7 +9,8 @@ OLD_SRC and NEW_SRC are directories that hold the ``whitneyext`` package
 temporary directory and runs every invocation there in two fresh
 interpreters side by side, one with each tree on PYTHONPATH.  The list
 covers decompose; extend with values, ``--k``, ``--schedule`` and
-``--derivs`` at n = 1, 2, 3, on a jet file of explicit values with varied
+``--derivs`` at n = 1, 2, 3, with ``--derivs`` on rows 1e-9 .. 1e-3 from
+a jet point at n = 3, with values at n = 4, on a jet file of explicit values with varied
 key spellings (with values and ``--schedule``), and on grids whose middle
 row overflows (exit 2), lies below the resolution (exit 3) or exhausts the
 degree schedule (exit 3); check-jet; fdb;
@@ -59,6 +60,14 @@ JETS = {
         "induce": {
             "expr": ["exp(x0)*x1 + x2^2", "cos(x2)"],
             "points": [[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [-0.5, 1.0, 0.25], [0.3, -0.7, 0.9]],
+        },
+    },
+    "jet4.json": {
+        "dim": 4,
+        "order": 2,
+        "induce": {
+            "expr": ["exp(x0)*x1 + x2*x3^2"],
+            "points": [[0.0, 0.0, 0.0, 0.0], [0.5, -0.5, 0.25, 1.0], [-0.75, 0.5, -0.5, 0.25], [0.25, 0.75, 0.5, -0.5]],
         },
     },
 }
@@ -285,6 +294,16 @@ INVOCATIONS = [
             "--derivs", "(1,0,0) (0,1,1) (2,1,1)",
         ],
     ),
+    # rows 1e-9 .. 1.4e-3 from the jet point at the origin: home levels
+    # about 13 to 31
+    (
+        "extend 3-D --derivs near a jet point",
+        [
+            "extend", "--input", "jet3.json", "--grid=1e-9:1e-3:4.9e-4,-2e-9:1e-3:5e-4,3e-9:3e-9:1",
+            "--derivs", "(1,1,0) (0,0,2) (3,1,0)",
+        ],
+    ),
+    ("extend 4-D values", ["extend", "--input", "jet4.json", "--grid=-1:1:0.7,-1:1:0.7,-1:1:0.7,-1:1:0.7"]),
     ("extend 2-D explicit values", ["extend", "--input", "explicit.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
     # the supporting cubes take schedule degrees 0, 1 and 2 on this grid
     (
