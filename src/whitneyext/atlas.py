@@ -188,15 +188,13 @@ def correspondence_check(aj, atlas, phi, psi, tol=1e-9):
     with the shared-point count, the max residual, and the verdict.
     """
     f_phi, f_psi = aj.jets[phi], aj.jets[psi]
-    shared = [pid for pid in f_phi.ids if pid in f_psi.coords]
+    shared = [pid for pid in f_phi.ids if pid in f_psi.row]
     report = {"from": phi, "to": psi, "points": len(shared), "residual": 0.0}
     if shared:
         trans = atlas.transition(phi, psi)
-        pts = [(pid, f_phi.coords[pid]) for pid in shared]
-        pulled = fdb.jet_pullback(trans, f_psi, pts, tol=max(tol, _SLACK))
-        a = np.array([pulled.values[pid] for pid in shared])
-        b = np.array([f_phi.values[pid] for pid in shared])
-        report["residual"] = float(np.max(np.abs(a - b)))
+        rows = [f_phi.row[pid] for pid in shared]
+        pulled = fdb.jet_pullback(trans, f_psi, zip(shared, f_phi.X[rows]), tol=max(tol, _SLACK))
+        report["residual"] = float(np.max(np.abs(pulled.F - f_phi.F[rows])))
     report["pass"] = report["residual"] <= tol
     return report
 
@@ -314,15 +312,15 @@ class ManifoldExtension:
                     raise ValueError(f"bump for chart {cid!r} must be scalar")
                 h = h.exprs[0]
             ext = extend.Extension(aj.jets[cid], k=self.k)
-            self.pieces.append((str(cid), h, ext, ext.jet.point_array()))
+            self.pieces.append((str(cid), h, ext))
         if not self.pieces:
             raise ValueError("empty partition of unity")
         self._check_partition(tol)
 
-    def _chart_point(self, frm, x, cid, ext, points):
+    def _chart_point(self, frm, x, cid, ext):
         """
         Chart-cid coordinates of the point with frm-coordinates x, snapped
-        to the first stored jet point (rows of `points`, in jet order)
+        to the first stored jet point (rows of ``ext.jet.X``, in jet order)
         within matching tolerance, or None when the point leaves the
         overlap.  Snapping keeps transition rounding from stranding queries
         just off the anchor set.
@@ -332,16 +330,17 @@ class ManifoldExtension:
         y = self.atlas.map_point(frm, cid, x) if frm != cid else tuple(x)
         if not self.atlas.chart(cid).contains(y):
             return None
+        points = ext.jet.X
         near = np.flatnonzero(np.max(np.abs(points - np.asarray(y)), axis=1) <= _SLACK)
         if near.size:
-            return ext.jet.coords[ext.jet.ids[near[0]]]
+            return tuple(points[near[0]].tolist())
         return y
 
     def _check_partition(self, tol):
         for pid in self.aj.point_ids():
             total = 0.0
             anywhere = False
-            for cid, h, _, _ in self.pieces:
+            for cid, h, _ in self.pieces:
                 x = self.aj.coords_in_chart(self.atlas, pid, cid)
                 if x is None:
                     continue
@@ -373,8 +372,8 @@ class ManifoldExtension:
         ctx = taylorarith.context(self.n, upto)
         seeds = taylorarith.seeds(x, upto)
         total = np.zeros((ctx.ncoef, self.m))
-        for cid, h, ext, points in self.pieces:
-            y = self._chart_point(chart, x, cid, ext, points)
+        for cid, h, ext in self.pieces:
+            y = self._chart_point(chart, x, cid, ext)
             if y is None:
                 continue
             tau = self.atlas.transition(chart, cid).eval_taylor_env(seeds)
@@ -392,12 +391,17 @@ class ManifoldExtension:
 
 
 def _jet_from_points(n, pointlist):
-    """Build a Jet from the interchange point list, inferring order and m."""
+    """Build a Jet from the interchange point list, inferring order and m
+    from the values of its first point.  Where those values are malformed,
+    order 0 and m = 1 stand in, and ``Jet.from_dict`` names the fault."""
     if not pointlist:
         raise ValueError("chart jet has no points")
-    first = pointlist[0]["values"]
-    k = max(sum(multiindex.parse(key, n)) for key in first)
-    m = len(next(iter(first.values())))
+    first = pointlist[0] if isinstance(pointlist, list) else None
+    values = first.get("values") if isinstance(first, dict) else None
+    values = values if isinstance(values, dict) else {}
+    k = max((sum(multiindex.parse(key, n)) for key in values), default=0)
+    row = next(iter(values.values()), None)
+    m = len(row) if isinstance(row, list) else 1
     doc = {"dim": n, "order": k, "outdim": m, "points": pointlist}
     return jets.Jet.from_dict(doc)
 

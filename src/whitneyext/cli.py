@@ -135,7 +135,7 @@ def load_jet_spec(doc):
     A jet from its file form: either explicit per-point values or
     {"induce": {"expr": [...], "points": [...]}} with "dim" and "order".
     """
-    if "induce" in doc:
+    if isinstance(doc, dict) and "induce" in doc:
         n, k = int(doc["dim"]), int(doc["order"])
         ind = doc["induce"]
         f = exprlang.VectorExpr.parse(list(ind["expr"]), n)

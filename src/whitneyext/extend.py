@@ -117,7 +117,7 @@ class Extension:
         self.m = jet.m
         self.A = decomp.FinitePoints(jet.point_array())
         self.dec = decomp.Decomposition(self.A)
-        self._pid_of = {jet.coords[pid]: pid for pid in jet.ids}
+        self._row_of = dict(zip(map(tuple, jet.X.tolist()), range(len(jet.ids))))
         if schedule is None:
             self.schedule = None
         else:
@@ -187,11 +187,11 @@ class Extension:
         out = np.empty((len(xs), ctx.ncoef, self.m))
         off = []  # the queries off A
         for r, x in enumerate(xs):
-            pid = self._pid_of.get(x)
-            if pid is None:
+            row = self._row_of.get(x)
+            if row is None:
                 off.append(r)
             else:
-                out[r] = self.jet.values[pid][: ctx.ncoef]
+                out[r] = self.jet.F[row, : ctx.ncoef]
         if off:
             out[off] = taylorarith._run_batch(
                 lambda batch: self._blend(batch, ctx, adaptive), [xs[r] for r in off]
@@ -213,13 +213,13 @@ class Extension:
             for x, live in zip(xs, cubes)
             for c in live
         ]
-        ids = [self._pid_of[self.dec.anchor(c)] for live in cubes for c in live]
+        rows = [self._row_of[self.dec.anchor(c)] for live in cubes for c in live]
         at = [x for x, c in zip(xs, counts) for _ in range(c)]
         series = np.empty((ctx.ncoef, len(flat), self.m))
         for g in dict.fromkeys(flat):  # one Taylor computation per degree
             cols = [j for j, d in enumerate(flat) if d == g]
             series[:, cols] = self.jet.taylor_series(
-                [ids[j] for j in cols], g, [at[j] for j in cols], ctx.k
+                [rows[j] for j in cols], g, [at[j] for j in cols], ctx.k
             )
         firsts = list(itertools.accumulate(counts, initial=0))[:-1]  # each query's C₀
         with np.errstate(over="ignore", invalid="ignore"):

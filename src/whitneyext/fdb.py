@@ -265,7 +265,8 @@ def jet_pullback(g, f, points, tol=1e-12):
         raise ValueError(f"g maps into dimension {g.m}, jet lives in {f.n}")
     points = list(points)
     rows = taylorarith._run_batch(lambda b: _pulled_rows(g, f, b, tol), points) if points else []
-    return jets.Jet(g.n, f.k, f.m, points, dict(zip([pid for pid, _ in points], rows)))
+    ids, xs = [pid for pid, _ in points], [x for _, x in points]
+    return jets.Jet._from_arrays(g.n, f.k, f.m, ids, xs, rows)
 
 
 def _pulled_rows(g, f, points, tol):
@@ -277,7 +278,7 @@ def _pulled_rows(g, f, points, tol):
             raise ValueError(f"point {pid} has dimension {len(x)}, expected {g.n}")
     xs = [tuple(float(c) for c in x) for _, x in points]
     images = np.array([g.eval_real(x) for x in xs])
-    stored = f.point_array().reshape(len(f.ids), f.n)
+    stored = f.X
     # sup distances to all stored points, for blocks of images whose
     # (block, N, t) differences hold about 2^18 floats; a NaN image fails
     # the test, and a jet without points matches nothing
@@ -294,7 +295,7 @@ def _pulled_rows(g, f, points, tol):
             f"image {tuple(images[i].tolist())} of point {points[i][0]!r} matches no "
             f"stored point (closest at distance {float(best[i]) if f.ids else None})"
         )
-    F = np.stack([f.values[f.ids[j]] for j in near])
+    F = f.F[near]
     fact = np.array([multiindex.factorial(b) for b in f.indices], dtype=float)
     weights = taylorarith.context(g.n, k).factorials[:, None] / fact
     with np.errstate(over="ignore", invalid="ignore"):

@@ -16,6 +16,8 @@ coordinate seminorms q_i(v) = |v_i| and their maximum q_max.
 
 import functools
 import math
+import sys
+import types
 
 import numpy as np
 
@@ -55,50 +57,61 @@ class Jet:
         Point ids (strings) with pairwise distinct coordinates.
     values : dict id -> ndarray of shape (C(n+k,n), m)
         Rows follow the graded-lex multi-index enumeration.
+
+    The jet is held as two stacked arrays in the order of ``ids``: ``X``,
+    the (N, n) points, and ``F``, the (N, C(n+k,n), m) values; ``row`` maps
+    an id to its row.  The read-only mappings ``coords`` (id -> tuple of
+    floats) and ``values`` (id -> a view of the point's row of F) are built
+    from them on first use.
     """
 
     def __init__(self, n, k, m, points, values):
-        self.n = n
-        self.k = k
-        self.m = m
+        points = list(points)
+        ids = [pid for pid, _ in points]
+        self._set(n, k, m, ids, [x for _, x in points],
+                  [values[pid] if pid in values else None for pid in ids])
+
+    @classmethod
+    def _from_arrays(cls, n, k, m, ids, xs, vs):
+        """The jet on the ids with points xs and values vs, in row order,
+        through the checks of ``__init__``."""
+        jet = cls.__new__(cls)
+        jet._set(n, k, m, ids, xs, vs)
+        return jet
+
+    def _set(self, n, k, m, ids, xs, vs):
+        """
+        Hold the points xs and values vs of the ids, each an array stacked in
+        row order or a sequence of per-point entries that stacks to one (an
+        entry of vs is None when its point has no values).  Every check runs
+        once, on the whole arrays; when one fails, the per-point checks of
+        :func:`_name_bad_point` name the first failing point, as
+        ``taylorarith._run_batch`` does for a batch.
+        """
+        self.n, self.k, self.m = n, k, m
         self.indices = multiindex.enumerate_upto(n, k)
         self.pos = {a: i for i, a in enumerate(self.indices)}
-        self.ids = [pid for pid, _ in points]
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("duplicate point ids")
-        self.coords = {pid: tuple(map(float, x)) for pid, x in points}
-        xs = list(self.coords.values())
-        try:  # checked on the stacked coordinates; a failure is named below
-            stacked = np.array(xs)
-            clean = stacked.shape == (len(xs), n) and np.isfinite(stacked).all()
-        except ValueError:  # points of different dimensions
-            clean = False
-        if not (clean and len(set(xs)) == len(xs)):
-            seen = set()
-            for pid, x in self.coords.items():
-                if len(x) != n:
-                    raise ValueError(f"point {pid} has dimension {len(x)}, expected {n}")
-                if not all(math.isfinite(c) for c in x):
-                    raise ValueError(f"point {pid} has non-finite coordinates {x}")
-                if x in seen:
-                    raise ValueError(f"point coordinates {x} appear twice")
-                seen.add(x)
-        ncoef = len(self.indices)
-        self.values = {}
-        for pid in self.ids:
-            if pid not in values:
-                raise ValueError(f"no values for point {pid}")
-            arr = np.asarray(values[pid], dtype=float)
-            if arr.shape != (ncoef, m):
-                raise ValueError(
-                    f"values for point {pid} have shape {arr.shape}, expected {(ncoef, m)}"
-                )
-            self.values[pid] = arr
-        if self.ids:
-            finite = np.isfinite(np.array(list(self.values.values()))).all(axis=(1, 2))
-            if not finite.all():
-                pid = self.ids[int(finite.argmin())]
-                raise ValueError(f"values for point {pid} are not all finite")
+        self.ids = list(ids)
+        self.row = {pid: r for r, pid in enumerate(self.ids)}
+        N, ncoef = len(self.ids), len(self.indices)
+        try:
+            X = np.asarray(xs, dtype=float) if N else np.empty((0, n))
+            F = np.asarray(vs, dtype=float) if N else np.empty((0, ncoef, m))
+            if not (len(self.row) == N and X.shape == (N, n) and F.shape == (N, ncoef, m)
+                    and np.isfinite(X).all() and np.isfinite(F).all() and not _repeats(X)):
+                raise ValueError("the stacked jet fails a check")
+        except (TypeError, ValueError):
+            _name_bad_point(n, ncoef, m, self.ids, xs, vs)
+            raise
+        self.X, self.F = X, F
+
+    @functools.cached_property
+    def coords(self):
+        return types.MappingProxyType(dict(zip(self.ids, map(tuple, self.X.tolist()))))
+
+    @functools.cached_property
+    def values(self):
+        return types.MappingProxyType(dict(zip(self.ids, self.F)))
 
     # -- basic queries ----------------------------------------------------
 
@@ -107,15 +120,15 @@ class Jet:
 
     def value(self, pid, alpha):
         """f_alpha at the point with the given id, as an (m,) array."""
-        return self.values[pid][self.pos[tuple(alpha)]]
+        return self.F[self.row[pid], self.pos[tuple(alpha)]]
 
     def point_array(self):
-        return np.array([self.coords[pid] for pid in self.ids])
+        """The (N, n) array of the points, the jet's own ``X``."""
+        return self.X
 
     def diameter(self, ids=None):
         """Largest pairwise distance of the selected points."""
-        ids = list(ids) if ids is not None else self.ids
-        pts = np.array([self.coords[p] for p in ids])
+        pts = self.X if ids is None else self.X[[self.row[p] for p in ids]]
         d = 0.0
         for i in range(len(pts) - 1):
             d = max(d, float(np.max(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1))))
@@ -135,8 +148,10 @@ class Jet:
         """
         if isinstance(f, (list, tuple)):
             raise TypeError("f must be a VectorExpr; parse the components first")
-        rows = taylorarith._run_batch(lambda b: _induced(f, b, k), list(points)) if points else []
-        return cls(f.n, k, f.m, points, dict(zip([pid for pid, _ in points], rows)))
+        points = list(points)
+        rows = taylorarith._run_batch(lambda b: _induced(f, b, k), points) if points else []
+        ids, xs = [pid for pid, _ in points], [x for _, x in points]
+        return cls._from_arrays(f.n, k, f.m, ids, xs, rows)
 
     # -- Taylor polynomial and remainder -----------------------------------
 
@@ -146,15 +161,15 @@ class Jet:
         evaluated at an arbitrary point x: sum over |a| <= l of
         (x-y)^a / a! * f_a(y), added in graded-lex order.
         """
-        return self.taylor_series([y_id], l, x, 0)[0, 0]
+        return self.taylor_series([self.row[y_id]], l, x, 0)[0, 0]
 
-    def taylor_series(self, y_ids, l, x, upto):
+    def taylor_series(self, rows, l, x, upto):
         """
         T = T^l_y f, the order-l Taylor polynomial anchored at the stored
-        point y, expanded at x, for every y of `y_ids` (x one point, or one
-        point per anchor): the Taylor-normalized rows d^b T(x) / b! for
-        |b| <= upto <= l, as a (C(n+upto, n), len(y_ids), m) array in
-        graded-lex order of b.
+        point y, expanded at x, for the point y of every row of `rows` (x one
+        point, or one point per anchor): the Taylor-normalized rows
+        d^b T(x) / b! for |b| <= upto <= l, as a (C(n+upto, n), len(rows), m)
+        array in graded-lex order of b.
 
         The rows come from the shift identity
             d^b T^l_y f(x) = sum over |g| <= l - |b| of (x-y)^g / g! * f_{b+g}(y):
@@ -173,13 +188,14 @@ class Jet:
         if not 0 <= upto <= l:
             raise ValueError(f"derivative order {upto} outside 0..{l}")
         ctx = taylorarith.context(self.n, l)
-        h = np.asarray(x, dtype=float) - np.array([self.coords[y] for y in y_ids])
+        h = np.asarray(x, dtype=float) - self.X[rows]
         powers = [_power(v, e) for v in h.ravel().tolist() for e in range(l + 1)]
-        powers = np.array(powers).reshape(len(y_ids), self.n, l + 1)
-        rows = multiindex.count_upto(self.n, upto)
-        p = int(np.searchsorted(ctx.pair_i, rows))  # the pairs with |b| <= upto
-        values = np.stack([self.values[y] for y in y_ids], axis=1)
-        width = len(y_ids) * self.m
+        powers = np.array(powers).reshape(len(rows), self.n, l + 1)
+        nrows = multiindex.count_upto(self.n, upto)
+        p = int(np.searchsorted(ctx.pair_i, nrows))  # the pairs with |b| <= upto
+        # contiguous, as gathering rows from the transposed view is slower
+        values = np.ascontiguousarray(self.F[rows].transpose(1, 0, 2))
+        width = len(rows) * self.m
         keys = (ctx.pair_i[:p, None] * width + np.arange(width)).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             mono = powers[:, 0, ctx.exponents[:, 0]]
@@ -187,13 +203,13 @@ class Jet:
                 mono = mono * powers[:, i, ctx.exponents[:, i]]
             mono = mono / ctx.factorials
             terms = mono.T[ctx.pair_j[:p], :, None] * values[ctx.pair_t[:p]]
-            out = np.bincount(keys, weights=terms.ravel(), minlength=rows * width)
-            out = out.reshape(rows, len(y_ids), self.m) / ctx.factorials[:rows, None, None]
+            out = np.bincount(keys, weights=terms.ravel(), minlength=nrows * width)
+            out = out.reshape(nrows, len(rows), self.m) / ctx.factorials[:nrows, None, None]
         if not np.isfinite(out).all():
             j = int(np.isfinite(out).all(axis=(0, 2)).argmin())
             at = np.broadcast_to(np.asarray(x, dtype=float), h.shape)[j]
             raise ValueError(
-                f"the order-{l} Taylor polynomial anchored at {self.coords[y_ids[j]]} "
+                f"the order-{l} Taylor polynomial anchored at {tuple(self.X[rows[j]].tolist())} "
                 f"overflows at {tuple(at.tolist())}"
             )
         return out
@@ -217,16 +233,14 @@ class Jet:
         knew = self.k - sum(alpha)
         new_indices = multiindex.enumerate_upto(self.n, knew)
         rows = [self.pos[multiindex.add(alpha, b)] for b in new_indices]
-        values = {pid: self.values[pid][rows] for pid in self.ids}
-        return Jet(self.n, knew, self.m, [(p, self.coords[p]) for p in self.ids], values)
+        return Jet._from_arrays(self.n, knew, self.m, self.ids, self.X, self.F[:, rows])
 
     def project(self, l):
         """Truncate to order l <= k (drop the higher-order values)."""
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
         ncoef = multiindex.count_upto(self.n, l)
-        values = {pid: self.values[pid][:ncoef] for pid in self.ids}
-        return Jet(self.n, l, self.m, [(p, self.coords[p]) for p in self.ids], values)
+        return Jet._from_arrays(self.n, l, self.m, self.ids, self.X, self.F[:, :ncoef])
 
     # -- seminorms ----------------------------------------------------------
 
@@ -303,56 +317,168 @@ class Jet:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):
-        pts = []
-        for pid in self.ids:
-            vals = {
-                multiindex.fmt(a): [float(v) for v in self.values[pid][i]]
-                for i, a in enumerate(self.indices)
-            }
-            pts.append({"id": pid, "x": list(self.coords[pid]), "values": vals})
+        keys = [multiindex.fmt(a) for a in self.indices]
+        pts = [
+            {"id": pid, "x": x, "values": dict(zip(keys, rows))}
+            for pid, x, rows in zip(self.ids, self.X.tolist(), self.F.tolist())
+        ]
         return {"dim": self.n, "order": self.k, "outdim": self.m, "points": pts}
 
     @classmethod
     def from_dict(cls, d):
         """
-        A jet from its file form.  The key layout of a point (each index's
-        position among its keys, the last spelling of an index winning) is
-        resolved once per distinct tuple of key spellings, and the values
-        of all points become one (N, ncoef, m) array; errors name the first
-        bad point, in the order of the per-point checks.
+        A jet from its file form.  The coordinates of all points are
+        converted in one array conversion, and the values in one per key
+        layout (each index's position among a point's keys, the last
+        spelling of an index winning): one in the usual case, where every
+        point spells its keys alike.  A malformed jet is a ValueError: the
+        points are then read one at a time (:func:`_read_points`), so that
+        it names the first bad point and field, in the order of the
+        per-point checks.
         """
-        n, k, m = int(d["dim"]), int(d["order"]), int(d["outdim"])
+        if not isinstance(d, dict):
+            raise ValueError(f"the jet is {_kind(d)}, expected an object")
+        n, k, m = (_integer(d, field) for field in ("dim", "order", "outdim"))
         indices = multiindex.enumerate_upto(n, k)
         parse = functools.cache(lambda key: multiindex.parse(key, n))  # once per spelling
         layouts = {}
-        points, rows = [], []
+
+        def layout(keys, pid):
+            """The position of each index among the keys, or None when the
+            keys are the indices in order."""
+            if keys not in layouts:
+                got = {parse(key): i for i, key in enumerate(keys)}
+                missing = [a for a in indices if a not in got]
+                if missing:
+                    raise ValueError(f"point {pid} is missing values for indices {missing[:4]}")
+                pos = [got[a] for a in indices]
+                layouts[keys] = None if pos == list(range(len(keys))) else pos
+            return layouts[keys]
+
         try:
-            for p in d["points"]:
-                pid = str(p["id"])
-                points.append((pid, tuple(map(float, p["x"]))))
-                vals = p["values"]
-                keys = tuple(vals)
-                if keys not in layouts:
-                    got = {parse(key): i for i, key in enumerate(keys)}
-                    missing = [a for a in indices if a not in got]
-                    if missing:
-                        raise ValueError(
-                            f"point {pid} is missing values for indices {missing[:4]}"
-                        )
-                    pos = [got[a] for a in indices]
-                    layouts[keys] = None if pos == list(range(len(keys))) else pos
-                pos = layouts[keys]  # None: the keys are the indices in order
-                v = list(vals.values())
-                rows.append(v if pos is None else [v[i] for i in pos])
-        except Exception:
-            for (pid, _), r in zip(points, rows):  # an earlier point's values fail first
-                _point_values(pid, r, indices, m)
+            pts = d["points"]
+            ids = [str(p["id"]) for p in pts]
+            groups = {}  # key layout -> rows
+            for r, p in enumerate(pts):
+                groups.setdefault(tuple(p["values"]), []).append(r)
+            blocks, order = [], []
+            for keys, rows in groups.items():
+                pos = layout(keys, ids[rows[0]])
+                vals = [list(pts[r]["values"].values()) for r in rows]
+                if pos is not None:
+                    vals = [[v[i] for i in pos] for v in vals]
+                blocks.append(np.array(vals, dtype=float))
+                order += rows
+            if len(blocks) > 1:  # back to file order
+                blocks = [np.concatenate(blocks)[np.argsort(order)]]
+            values = blocks[0] if blocks else []
+            return cls._from_arrays(n, k, m, ids, [p["x"] for p in pts], values)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+            cls._from_arrays(n, k, m, *_read_points(d, n, m, indices, layout))
             raise
-        try:
-            values = np.array(rows, dtype=float)
-        except (ValueError, TypeError):
-            values = [_point_values(pid, r, indices, m) for (pid, _), r in zip(points, rows)]
-        return cls(n, k, m, points, dict(zip([pid for pid, _ in points], values)))
+
+
+def _repeats(X):
+    """Whether two rows of X are equal coordinate by coordinate (-0.0 equals
+    0.0): a lexicographic sort puts equal rows next to each other."""
+    if len(X) < 2:
+        return False
+    X = X[np.lexsort(X.T[::-1])]
+    return bool((X[1:] == X[:-1]).all(axis=1).any())
+
+
+def _name_bad_point(n, ncoef, m, ids, xs, vs):
+    """
+    The checks of a jet one point at a time, in their order: duplicate ids,
+    then each point's dimension, finiteness and repetition, then each
+    point's values (present, of shape (ncoef, m)), then their finiteness.
+    The first that fails is a ValueError naming its point; the function
+    returns when none fails.
+    """
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate point ids")
+    seen = set()
+    for pid, x in zip(ids, [tuple(map(float, x)) for x in xs]):
+        if len(x) != n:
+            raise ValueError(f"point {pid} has dimension {len(x)}, expected {n}")
+        if not all(math.isfinite(c) for c in x):
+            raise ValueError(f"point {pid} has non-finite coordinates {x}")
+        if x in seen:
+            raise ValueError(f"point coordinates {x} appear twice")
+        seen.add(x)
+    arrays = []
+    for pid, v in zip(ids, vs):
+        if v is None:
+            raise ValueError(f"no values for point {pid}")
+        arrays.append(np.asarray(v, dtype=float))
+        if arrays[-1].shape != (ncoef, m):
+            raise ValueError(
+                f"values for point {pid} have shape {arrays[-1].shape}, expected {(ncoef, m)}"
+            )
+    for pid, v in zip(ids, arrays):
+        if not np.isfinite(v).all():
+            raise ValueError(f"values for point {pid} are not all finite")
+
+
+def _kind(v):
+    """What a value decoded from JSON is, for messages."""
+    kinds = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
+    return "null" if v is None else kinds.get(type(v), "a number")
+
+
+def _integer(d, field):
+    """The integer field of a jet file; a value int() does not take is a ValueError."""
+    try:
+        return int(d[field])
+    except TypeError:
+        raise ValueError(f'"{field}" is {_kind(d[field])}, expected an integer') from None
+
+
+def _read_points(d, n, m, indices, layout):
+    """
+    The points of a jet file read one at a time: their ids, coordinate
+    tuples and value arrays, for ``Jet._from_arrays``.  The first malformed
+    point is a ValueError naming it and its field; the values of an earlier
+    point fail first.
+    """
+    if "points" not in d:
+        raise ValueError('the jet has no "points"')
+    if not isinstance(d["points"], list):
+        raise ValueError(f'"points" is {_kind(d["points"])}, expected a list')
+    ids, xs, rows = [], [], []
+    try:
+        for i, p in enumerate(d["points"]):
+            if not isinstance(p, dict):
+                raise ValueError(f"points[{i}] is {_kind(p)}, expected an object")
+            if "id" not in p:
+                raise ValueError(f'points[{i}] has no "id"')
+            pid = str(p["id"])
+            if "x" not in p:
+                raise ValueError(f'point {pid} has no "x"')
+            try:
+                x = tuple(map(float, p["x"])) if isinstance(p["x"], list) else None
+            except (OverflowError, TypeError, ValueError):
+                x = None
+            if x is None:
+                raise ValueError(
+                    f'"x" of point {pid} is {p["x"]!r}, expected a list of dim = {n} numbers'
+                )
+            vals = p.get("values")
+            if not isinstance(vals, dict):
+                raise ValueError(
+                    f'point {pid} has no "values"' if "values" not in p
+                    else f'"values" of point {pid} is {_kind(vals)}, expected an object'
+                )
+            pos = layout(tuple(vals), pid)
+            v = list(vals.values())
+            ids.append(pid)
+            xs.append(x)
+            rows.append(v if pos is None else [v[i] for i in pos])
+    except ValueError:
+        for pid, r in zip(ids, rows):  # an earlier point's values fail first
+            _point_values(pid, r, indices, m)
+        raise
+    return ids, xs, [_point_values(pid, r, indices, m) for pid, r in zip(ids, rows)]
 
 
 def _induced(f, points, k):
@@ -373,10 +499,12 @@ def _point_values(pid, rows, indices, m):
     malformed row."""
     try:
         return np.array(rows, dtype=float)
-    except ValueError:
+    except (OverflowError, TypeError, ValueError):
         for a, row in zip(indices, rows):
-            if not (isinstance(row, list) and len(row) == m
-                    and all(isinstance(v, (int, float)) for v in row)):
+            if not (isinstance(row, list) and len(row) == m and all(
+                isinstance(v, float) or isinstance(v, int) and abs(v) <= sys.float_info.max
+                for v in row
+            )):
                 raise ValueError(
                     f"values for point {pid} at index {multiindex.fmt(a)} "
                     f"are {row!r}, expected a list of outdim = {m} numbers"
@@ -391,35 +519,42 @@ def glue(pieces, tol=1e-12):
     `pieces` is a list of (jet, ids) with ids a subset of the jet's points.
     On shared ids all pieces must agree on every value to within `tol`
     (absolute, per coordinate) and carry matching point coordinates; the
-    result restricts back to each piece.
+    result restricts back to each piece.  Its rows are taken from each
+    piece's arrays, in the order the ids first appear.
     """
     if not pieces:
         raise ValueError("nothing to glue")
     first = pieces[0][0]
     n, k, m = first.n, first.k, first.m
-    points, values, owner = [], {}, {}
-    for jet, ids in pieces:
+    ids, parts, owner = [], [], {}  # owner: id -> (jet, row)
+    for jet, piece_ids in pieces:
         if (jet.n, jet.k, jet.m) != (n, k, m):
             raise ValueError("pieces have mismatched shape (n, k, m)")
-        for pid in ids:
-            if pid not in jet.coords:
+        rows = []
+        for pid in piece_ids:
+            r = jet.row.get(pid)
+            if r is None:
                 raise KeyError(f"piece does not contain point id {pid!r}")
-            if pid in values:
-                if jet.coords[pid] != owner[pid]:
+            if pid in owner:
+                other, s = owner[pid]
+                if (jet.X[r] != other.X[s]).any():
                     raise GlueMismatch(
                         f"point {pid} has conflicting coordinates "
-                        f"{jet.coords[pid]} vs {owner[pid]}"
+                        f"{tuple(jet.X[r].tolist())} vs {tuple(other.X[s].tolist())}"
                     )
-                dev = float(np.max(np.abs(jet.values[pid] - values[pid])))
+                dev = float(np.max(np.abs(jet.F[r] - other.F[s])))
                 if dev > tol:
                     raise GlueMismatch(
                         f"pieces disagree at point {pid}: max deviation {dev:.3e} > {tol:.3e}"
                     )
             else:
-                points.append((pid, jet.coords[pid]))
-                values[pid] = jet.values[pid]
-                owner[pid] = jet.coords[pid]
-    return Jet(n, k, m, points, values)
+                owner[pid] = (jet, r)
+                ids.append(pid)
+                rows.append(r)
+        parts.append((jet, rows))
+    X = np.concatenate([jet.X[rows] for jet, rows in parts])
+    F = np.concatenate([jet.F[rows] for jet, rows in parts])
+    return Jet._from_arrays(n, k, m, ids, X, F)
 
 
 def linear_combination(a, f, b, g):
@@ -428,5 +563,5 @@ def linear_combination(a, f, b, g):
         raise ValueError("jets have mismatched shape")
     if f.coords != g.coords:
         raise ValueError("jets live on different point sets")
-    values = {pid: a * f.values[pid] + b * g.values[pid] for pid in f.ids}
-    return Jet(f.n, f.k, f.m, [(p, f.coords[p]) for p in f.ids], values)
+    F = a * f.F + b * g.F[[g.row[pid] for pid in f.ids]]
+    return Jet._from_arrays(f.n, f.k, f.m, f.ids, f.X, F)

@@ -387,6 +387,142 @@ def test_extend_rejects_unrepresentable_jet(case, tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+def _jet_file(points, **header):
+    """A 1-D order-1 jet file (dim, order, outdim overridable) around the
+    given point list."""
+    return {"dim": 1, "order": 1, "outdim": 1, **header, "points": points}
+
+
+def _point(pid, x, values=None):
+    return {"id": pid, "x": x, "values": values or {"[0]": [1.0], "[1]": [2.0]}}
+
+
+def _second_point(**fields):
+    """Three good points, the second (id b) with the given fields replaced
+    (a field given as None is removed)."""
+    pts = [_point("a", [0.0]), _point("b", [1.0]), _point("c", [2.0])]
+    pts[1] = {key: v for key, v in {**pts[1], **fields}.items() if v is not None}
+    return _jet_file(pts)
+
+
+_PLANE_VALUES = {"[0,0]": [1.0], "[1,0]": [2.0], "[0,1]": [3.0]}
+
+# malformed jet files and the one error line each prints (exit 2); the
+# first group printed a TypeError traceback before the jet was loaded as
+# stacked arrays, the second already exited 2 with these lines
+_MALFORMED_JETS = {
+    "no-points": ({"dim": 1, "order": 1, "outdim": 1}, 'the jet has no "points"'),
+    "points-int": (_jet_file(3), '"points" is a number, expected a list'),
+    "points-object": (_jet_file({"a": 1}), '"points" is an object, expected a list'),
+    "point-is-list": (
+        _jet_file([_point("a", [0.0]), ["b", [1.0]]]), "points[1] is a list, expected an object"
+    ),
+    "point-without-id": (_second_point(id=None), 'points[1] has no "id"'),
+    "point-without-x": (_second_point(x=None), 'point b has no "x"'),
+    "x-scalar": (_second_point(x=1.0), '"x" of point b is 1.0, expected a list of dim = 1 numbers'),
+    "x-nested": (
+        _second_point(x=[[1.0]]), '"x" of point b is [[1.0]], expected a list of dim = 1 numbers'
+    ),
+    "x-null": (
+        _second_point(x=[None]), '"x" of point b is [None], expected a list of dim = 1 numbers'
+    ),
+    "values-list": (
+        _second_point(values=[[1.0], [2.0]]), '"values" of point b is a list, expected an object'
+    ),
+    "values-null": (
+        _jet_file([_point("a", [0.0]), {"id": "b", "x": [1.0], "values": None}]),
+        '"values" of point b is null, expected an object',
+    ),
+    "document-list": ([_point("a", [0.0])], "the jet is a list, expected an object"),
+    "dim-null": (_jet_file([_point("a", [0.0])], dim=None), '"dim" is null, expected an integer'),
+    "document-number": (3, "the jet is a number, expected an object"),
+    "x-integer-beyond-floats": (
+        _second_point(x=[10**400]),
+        f'"x" of point b is [{10**400}], expected a list of dim = 1 numbers',
+    ),
+    "value-object": (
+        _second_point(values={"[0]": [{}], "[1]": [2.0]}),
+        "values for point b at index [0] are [{}], expected a list of outdim = 1 numbers",
+    ),
+    "x-short": (
+        _jet_file(
+            [_point("a", [0.0, 0.0], _PLANE_VALUES), _point("b", [1.0], _PLANE_VALUES),
+             _point("c", [0.0, 1.0], _PLANE_VALUES)],
+            dim=2,
+        ),
+        "point b has dimension 1, expected 2",
+    ),
+    "value-scalar": (
+        _second_point(values={"[0]": 1.0, "[1]": [2.0]}),
+        "values for point b at index [0] are 1.0, expected a list of outdim = 1 numbers",
+    ),
+    "value-string": (
+        _second_point(values={"[0]": "1.0", "[1]": [2.0]}),
+        "values for point b at index [0] are '1.0', expected a list of outdim = 1 numbers",
+    ),
+    "value-too-long": (
+        _second_point(values={"[0]": [1.0, 3.0], "[1]": [2.0]}),
+        "values for point b at index [0] are [1.0, 3.0], expected a list of outdim = 1 numbers",
+    ),
+    "key-unparseable": (
+        _second_point(values={"[0]": [1.0], "[x]": [2.0]}), "cannot parse multi-index from '[x]'"
+    ),
+    "earlier-values-first": (
+        _jet_file([_point("a", [0.0], {"[0]": [1.0, 3.0], "[1]": [2.0]}), _point("b", [None])]),
+        "values for point a at index [0] are [1.0, 3.0], expected a list of outdim = 1 numbers",
+    ),
+    "duplicate-ids": (_second_point(id="a"), "duplicate point ids"),
+    "duplicate-coordinates": (_second_point(x=[0.0]), "point coordinates (0.0,) appear twice"),
+    "value-null": (
+        _second_point(values={"[0]": [None], "[1]": [2.0]}), "values for point b are not all finite"
+    ),
+    "outdim-0": (
+        _jet_file([_point("a", [0.0])], outdim=0),
+        "values for point a have shape (2, 1), expected (2, 0)",
+    ),
+    "no-points-listed": (_jet_file([]), "closed set must be non-empty"),
+    "x-huge": (
+        _second_point(x=[2.0**500]),
+        "point (3.273390607896142e+150,) of the closed set is too large: "
+        "coordinates must stay below 2^500",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_JETS))
+def test_extend_rejects_malformed_jet_file(case, tmp_path, capsys):
+    doc, message = _MALFORMED_JETS[case]
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(doc))
+    rc = run(["extend", "--input", str(p), "--grid=0.5:1.5:0.5"])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (3, '"points" is a number, expected a list'),
+        ([{"id": "p", "x": [0.5], "values": [[0.25], [1.0]]}],
+         '"values" of point p is a list, expected an object'),
+        ([{"id": "p", "x": [0.5]}], 'point p has no "values"'),
+        ([{"id": "p", "x": [0.5], "values": {}}], "point p is missing values for indices [(0,)]"),
+        ([{"id": "p", "x": 0.5, "values": {"[0]": [0.25], "[1]": [1.0]}}],
+         '"x" of point p is 0.5, expected a list of dim = 1 numbers'),
+    ],
+)
+def test_manifold_extend_rejects_malformed_chart_jet(points, message, tmp_path, capsys):
+    doc = {
+        "dim": 1,
+        "charts": [{"id": "u", "codomain": "all"}],
+        "jets": [{"chart": "u", "points": points}],
+        "pou": [{"chart": "u", "h": ["1"]}],
+    }
+    p = tmp_path / "atlas.json"
+    p.write_text(json.dumps(doc))
+    rc = run(["manifold-extend", "--input", str(p), "--chart", "u", "--grid=0:1:0.5"])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
 def test_extend_determinism(jetfile, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -1,6 +1,7 @@
 """Whitney k-jets on finite sets: Taylor polynomials, remainders, seminorms,
 shift/project, moduli, gluing."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitneyext import exprlang as el
-from whitneyext import jets
+from whitneyext import extend, fdb, jets
 from whitneyext import multiindex as mi
 from whitneyext import taylorarith as ta
 
@@ -48,6 +49,10 @@ def test_duplicate_points_rejected():
     f = el.VectorExpr.parse(["x0"], 1)
     with pytest.raises(ValueError):
         jets.Jet.from_expr(f, [("a", (1.0,)), ("b", (1.0,))], 1)
+    # coordinates compare as numbers, so -0.0 repeats 0.0, also among others
+    pts = [("a", (0.0, 1.0)), ("b", (2.0, -0.0)), ("c", (-0.0, 1.0))]
+    with pytest.raises(ValueError, match=r"point coordinates \(-0.0, 1.0\) appear twice"):
+        jets.Jet(2, 0, 1, pts, {pid: [[1.0]] for pid, _ in pts})
 
 
 def test_taylor_poly_quadratic_exact():
@@ -185,7 +190,7 @@ def test_glue_overlap_agreement_and_mismatch():
     assert np.array_equal(merged.values["p1"], j.values["p1"])
 
     bad = jets.glue([(j, ["p1", "p2"])])
-    bad.values["p1"] = bad.values["p1"] + 1e-6
+    bad.F[bad.row["p1"]] += 1e-6
     with pytest.raises(jets.GlueMismatch):
         jets.glue([(left, left.ids), (bad, bad.ids)])
 
@@ -319,7 +324,7 @@ def test_taylor_series_matches_seeded_series():
                     for scale in (1e-3, 1.0, 10.0):
                         x = tuple(float(v) for v in
                                   np.array(j.coords[y]) + scale * rng.standard_normal(n))
-                        got = j.taylor_series([y], l, x, upto)[:, 0]
+                        got = j.taylor_series([j.row[y]], l, x, upto)[:, 0]
                         want = _series_from_seeds(j, y, l, x, upto)
                         bound = 16 * eps * _series_scale(j, y, l, x, upto)
                         assert got.shape == want.shape
@@ -346,9 +351,9 @@ def test_taylor_poly_is_the_graded_lex_sum():
 def test_taylor_series_orders_checked():
     j = random_jet(np.random.default_rng(12), 2, 2, 1, 1)
     with pytest.raises(ValueError):
-        j.taylor_series(["p0"], 3, (0.0, 0.0), 0)
+        j.taylor_series([0], 3, (0.0, 0.0), 0)
     with pytest.raises(ValueError):
-        j.taylor_series(["p0"], 1, (0.0, 0.0), 2)
+        j.taylor_series([0], 1, (0.0, 0.0), 2)
 
 
 def test_seminorm_order_monotonicity():
@@ -410,3 +415,110 @@ def test_from_dict_key_spellings():
     j = jets.Jet.from_dict(doc)
     assert j.values["a"][:, 0].tolist() == [1.0, 2.0, 3.0]
     assert j.values["b"][:, 0].tolist() == [4.0, 5.0, 7.0]
+
+
+# -- stacked arrays against per-point construction ------------------------------
+
+
+def _per_point(n, k, m, points, values):
+    """A jet as each of its points converts alone: ids, coordinate tuples,
+    value arrays and the file form built from them."""
+    ids = [pid for pid, _ in points]
+    coords = {pid: tuple(map(float, x)) for pid, x in points}
+    vals = {pid: np.asarray(values[pid], dtype=float) for pid in ids}
+    keys = [mi.fmt(a) for a in mi.enumerate_upto(n, k)]
+    pts = [
+        {"id": pid, "x": list(coords[pid]),
+         "values": {key: [float(v) for v in row] for key, row in zip(keys, vals[pid])}}
+        for pid in ids
+    ]
+    return ids, coords, vals, {"dim": n, "order": k, "outdim": m, "points": pts}
+
+
+def _assert_per_point_bits(jet, n, k, m, points, values):
+    ids, coords, vals, doc = _per_point(n, k, m, points, values)
+    assert (jet.n, jet.k, jet.m, jet.ids) == (n, k, m, ids)
+    assert list(jet.coords) == list(jet.values) == ids
+    for pid in ids:
+        assert all(type(c) is float for c in jet.coords[pid])
+        assert np.array(jet.coords[pid]).tobytes() == np.array(coords[pid]).tobytes()
+        assert jet.values[pid].shape == vals[pid].shape
+        assert jet.values[pid].tobytes() == vals[pid].tobytes()
+    assert json.dumps(jet.to_dict()) == json.dumps(doc)
+
+
+def _layouts_doc():
+    """A 2-D order-2 jet file with m = 2 whose points spell their keys in
+    three layouts (in order; permuted; with parentheses and a stale first
+    spelling of (1,0)), with integer and negative-zero coordinates."""
+    rng = np.random.default_rng(21)
+    indices = mi.enumerate_upto(2, 2)
+    points = []
+    for i in range(12):
+        x = [int(v) for v in rng.integers(-5, 5, size=2)] if i % 4 == 3 else rng.uniform(-1, 1, 2).tolist()
+        if i == 5:
+            x = [-0.0, 0.25]
+        rows = {a: rng.standard_normal(2).tolist() for a in indices}
+        if i % 3 == 0:
+            values = {mi.fmt(a): rows[a] for a in indices}
+        elif i % 3 == 1:
+            values = {mi.fmt(a): rows[a] for a in reversed(indices)}
+        else:
+            values = {"(1,0)": [99.0, 99.0]}
+            values.update({"(%d,%d)" % a: rows[a] for a in indices})
+        points.append({"id": f"q{i}" if i != 7 else 7, "x": x, "values": values})
+    return {"dim": 2, "order": 2, "outdim": 2, "points": points}
+
+
+def test_from_dict_keeps_the_bits_of_per_point_reading():
+    doc = json.loads(json.dumps(_layouts_doc()))
+    indices = mi.enumerate_upto(2, 2)
+    points, values = [], {}
+    for p in doc["points"]:
+        got = {mi.parse(key, 2): v for key, v in p["values"].items()}  # last spelling wins
+        points.append((str(p["id"]), p["x"]))
+        values[str(p["id"])] = [got[a] for a in indices]
+    _assert_per_point_bits(jets.Jet.from_dict(doc), 2, 2, 2, points, values)
+
+
+def test_producers_keep_the_bits_of_per_point_construction():
+    f = el.VectorExpr.parse(["exp(0.3*x0)*cos(x1)", "x0*x1^2 - x1"], 2)
+    pts = [(f"p{i}", (0.4 * i - 1.0, 0.7 - 0.3 * i)) for i in range(6)]
+    j = jets.Jet.from_expr(f, pts, 3)
+    alone = {pid: jets.Jet.from_expr(f, [(pid, x)], 3).values[pid] for pid, x in pts}
+    _assert_per_point_bits(j, 2, 3, 2, pts, alone)
+
+    g = el.VectorExpr.parse(["x0 + 0.3*sin(x1)", "x1"], 2)
+    src = [(f"s{i}", (x0 - 0.3 * math.sin(x1), x1)) for i, (_, (x0, x1)) in enumerate(pts)]
+    back = fdb.jet_pullback(g, j, src)
+    alone = {pid: fdb.jet_pullback(g, j, [(pid, x)]).values[pid] for pid, x in src}
+    _assert_per_point_bits(back, 2, 3, 2, src, alone)
+
+    rows = [j.pos[mi.add((1, 0), b)] for b in mi.enumerate_upto(2, 2)]
+    _assert_per_point_bits(j.shift((1, 0)), 2, 2, 2, pts, {p: j.values[p][rows] for p, _ in pts})
+    _assert_per_point_bits(j.project(1), 2, 1, 2, pts, {p: j.values[p][:3] for p, _ in pts})
+
+    other = jets.Jet.from_expr(f, pts[2:] + pts[:2], 3)  # the same points in another order
+    _assert_per_point_bits(
+        jets.linear_combination(0.5, j, -3.0, other), 2, 3, 2, pts,
+        {p: 0.5 * j.values[p] - 3.0 * other.values[p] for p, _ in pts},
+    )
+
+    glued = jets.glue([(j, ["p3", "p1"]), (other, ["p1", "p0", "p5"])])
+    order = ["p3", "p1", "p0", "p5"]
+    _assert_per_point_bits(glued, 2, 3, 2, [(p, j.coords[p]) for p in order],
+                           {"p3": j.values["p3"], "p1": j.values["p1"],
+                            "p0": other.values["p0"], "p5": other.values["p5"]})
+
+
+def test_blend_of_a_read_jet_keeps_the_bits_of_per_point_construction():
+    doc = json.loads(json.dumps(_layouts_doc()))
+    read = jets.Jet.from_dict(doc)
+    built = jets.Jet(2, 2, 2, [(pid, read.coords[pid]) for pid in read.ids],
+                     {pid: np.array(read.values[pid]) for pid in read.ids})
+    on = [read.coords[pid] for pid in read.ids]
+    off = [tuple(x) for x in np.random.default_rng(22).uniform(-1.5, 1.5, (20, 2))]
+    a = extend.Extension(read).blend(on + off, 2)
+    b = extend.Extension(built).blend(on + off, 2)
+    assert a.tobytes() == b.tobytes()
+    assert a[: len(on)].tobytes() == np.stack([read.values[pid] for pid in read.ids]).tobytes()

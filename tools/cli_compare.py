@@ -1,5 +1,5 @@
 """
-Run one fixed list of 37 CLI invocations against two source trees and
+Run one fixed list of 41 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -11,7 +11,9 @@ interpreters side by side, one with each tree on PYTHONPATH.  The list
 covers decompose; extend with values, ``--k``, ``--schedule`` and
 ``--derivs`` at n = 1, 2, 3, with ``--derivs`` on rows 1e-9 .. 1e-3 from
 a jet point at n = 3, with values at n = 4, on a jet file of explicit values with varied
-key spellings (with values and ``--schedule``), and on grids whose middle
+key spellings (with values and ``--schedule``), on a 1000-point jet file
+of the benchmark's grid-tile shape, on a jet file whose points use three
+key layouts, on two malformed jet files (exit 2), and on grids whose middle
 row overflows (exit 2), lies below the resolution (exit 3) or exhausts the
 degree schedule (exit 3); check-jet; fdb;
 pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at order 4
@@ -102,6 +104,51 @@ def explicit_jet(count=300, seed=7):
             values["(1,0)"] = [99.0]  # stale: spelled again below
         for a in keys:
             values[rng.choice(spellings).format(*a)] = [jet[a]]
+        points.append({"id": f"q{i}", "x": [x, y], "values": values})
+    return {"dim": 2, "order": 2, "outdim": 1, "points": points}
+
+
+def _quadratic_rows(x, y):
+    """The order-2 jet in 2-D of one fixed quadratic at (x, y), by index."""
+    return {
+        (0, 0): 1.0 + 2.0 * x - y + 0.5 * x * x + x * y - 0.3 * y * y,
+        (1, 0): 2.0 + x + y,
+        (0, 1): -1.0 + x - 0.6 * y,
+        (2, 0): 1.0,
+        (1, 1): 1.0,
+        (0, 2): -0.6,
+    }
+
+
+def tile_jet(count=1000, seed=5):
+    """An order-2 jet in 2-D with explicit values (those of a quadratic) at
+    `count` uniform points of [-1, 1]^2, every point spelling its keys
+    "[a,b]" in graded-lex order: the shape of the files of the benchmark's
+    grid-tile workload."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        x, y = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        values = {"[%d,%d]" % a: [v] for a, v in _quadratic_rows(x, y).items()}
+        points.append({"id": f"p{i}", "x": [x, y], "values": values})
+    return {"dim": 2, "order": 2, "outdim": 1, "points": points}
+
+
+def layouts_jet(count=60, seed=3):
+    """The quadratic's order-2 jet at `count` points whose keys come in
+    three layouts, by point: "[a,b]" in graded-lex order; "[a,b]" in
+    reverse order; "(a,b)" in order after a stale first spelling of (1,0)."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        x, y = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        rows = list(_quadratic_rows(x, y).items())
+        if i % 3 == 0:
+            values = {"[%d,%d]" % a: [v] for a, v in rows}
+        elif i % 3 == 1:
+            values = {"[%d,%d]" % a: [v] for a, v in reversed(rows)}
+        else:
+            values = {"(1,0)": [99.0], **{"(%d,%d)" % a: [v] for a, v in rows}}
         points.append({"id": f"q{i}", "x": [x, y], "values": values})
     return {"dim": 2, "order": 2, "outdim": 1, "points": points}
 
@@ -197,6 +244,29 @@ FIXTURES = {
         "points": [{"id": "s0", "x": [0.0]}, {"id": "s1", "x": [1.0]}, {"id": "s2", "x": [5.0]}],
     },
     "explicit.json": explicit_jet(),
+    "tile.json": tile_jet(),
+    "layouts.json": layouts_jet(),
+    # malformed: the second point's "x" holds null (a TypeError traceback
+    # before the jet was read as stacked arrays), and a value row one number
+    # too long (exit 2 with the same line before and after)
+    "x_null.json": {
+        "dim": 1,
+        "order": 1,
+        "outdim": 1,
+        "points": [
+            {"id": "a", "x": [0.0], "values": {"[0]": [0.0], "[1]": [1.0]}},
+            {"id": "b", "x": [None], "values": {"[0]": [0.0], "[1]": [1.0]}},
+        ],
+    },
+    "long_row.json": {
+        "dim": 1,
+        "order": 1,
+        "outdim": 1,
+        "points": [
+            {"id": "a", "x": [0.0], "values": {"[0]": [0.0], "[1]": [1.0]}},
+            {"id": "b", "x": [1.0], "values": {"[0]": [0.0, 2.0], "[1]": [1.0]}},
+        ],
+    },
     "slopes.json": {  # F' leaves the float range between the two points
         "dim": 1,
         "order": 1,
@@ -310,6 +380,12 @@ INVOCATIONS = [
         "extend 2-D explicit --schedule",
         ["extend", "--input", "explicit.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31", "--schedule", "0.3,0.05"],
     ),
+    # one 4x4 tile of the grid-tile workload's query grid, on a 1000-point
+    # jet file of its shape
+    ("extend 2-D tile of a 1000-point jet", ["extend", "--input", "tile.json", "--grid=-0.25:-0.03:0.0702,0.3:0.52:0.0702"]),
+    ("extend 2-D three key layouts", ["extend", "--input", "layouts.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
+    ("extend malformed jet, x null", ["extend", "--input", "x_null.json", "--grid=0:1:0.5"]),
+    ("extend malformed jet, long value row", ["extend", "--input", "long_row.json", "--grid=0:1:0.5"]),
     # a middle row fails: F'(0.51) overflows (exit 2), and the fourth of
     # seven rows, 5.55e-17, lies below the dyadic resolution of 0 (exit 3)
     (
