@@ -36,7 +36,7 @@ for x in (6.3, 2.1, 0.52, 0.501):
 
 c = dec.locate((0.52,))
 print("\ncube distance to A:", dec.cube_distance(c), "(side", c.side, ")")
-print("anchor:", tuple(float(v) for v in dec.anchor(c)))
+print("anchor:", tuple(float(v) for v in A.points[A.nearest(c.center)]))
 reach = 2 * c.side
 nearby = dec.enumerate_in_box([0.52 - reach], [0.52 + reach], c.level + 1)
 print("touching cubes:", [(nb.level, nb.corner) for nb in nearby if nb.touches(c)])
@@ -50,10 +50,10 @@ print("touching cubes:", [(nb.level, nb.corner) for nb in nearby if nb.touches(c
 # query point.
 
 x = (0.37,)
-(cubes,), phi = pou.phi_taylor([dec.supporting_cubes(x)], [x], 0)  # order 0: the weights
+(live,), phi = pou.phi_taylor([dec.supporting_cubes(x)], [x], 0)  # order 0: the weights
 print("\nactive cubes at x=0.37 and their weights:")
 total = 0.0
-for cube, w in zip(cubes, phi.coeffs[0]):
+for (cube, _), w in zip(live, phi.coeffs[0]):
     print(f"  level {cube.level} [{cube.lo[0]}, {cube.hi[0]}] -> {w:.6f}")
     total += w
 print("sum:", total)

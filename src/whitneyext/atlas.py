@@ -406,6 +406,17 @@ def _jet_from_points(n, pointlist):
     return jets.Jet.from_dict(doc)
 
 
+def _objects(entries, field):
+    """The entries of the list `field` of an atlas document; a field that
+    is not a list, or an entry that is not an object, is a ValueError."""
+    if not isinstance(entries, list):
+        raise ValueError(f'"{field}" is {jets._kind(entries)}, expected a list')
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ValueError(f"{field}[{i}] is {jets._kind(e)}, expected an object")
+    return entries
+
+
 def load_atlas(doc):
     """
     Parse the atlas interchange document into (FiniteAtlas, AtlasJet, pou).
@@ -413,31 +424,34 @@ def load_atlas(doc):
     Schema: {"dim": n, "charts": [{"id", "codomain": {"box": [[lo,hi],…]} |
     "all"}], "transitions": [{"from", "to", "map": [expr,…]}], "jets":
     [{"chart", "points": […]}], "pou": [{"chart", "h": [expr]}]} — the
-    same point schema as jet-spec files; "pou" and "jets" may be empty.
+    same point schema as jet-spec files; "pou" and "jets" may be empty.  A
+    malformed document is a ValueError that names its entry and field.
     """
-    n = int(doc["dim"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"the atlas is {jets._kind(doc)}, expected an object")
+    n = jets._integer(doc, "dim")
     charts = []
-    for c in doc["charts"]:
+    for c in _objects(doc["charts"], "charts"):
         codomain = c.get("codomain", "all")
         if codomain != "all":
             codomain = [(float(lo), float(hi)) for lo, hi in codomain["box"]]
         charts.append(Chart(c["id"], codomain))
     transitions = {}
-    for t in doc.get("transitions", []):
+    for t in _objects(doc.get("transitions", []), "transitions"):
         ve = exprlang.VectorExpr.parse(t["map"], n)
         transitions[(str(t["from"]), str(t["to"]))] = ve
     atlas = FiniteAtlas(n, charts, transitions)
     aj = None
     if doc.get("jets"):
         jet_map = {}
-        for entry in doc["jets"]:
+        for entry in _objects(doc["jets"], "jets"):
             cid = str(entry["chart"])
             if cid in jet_map:
                 raise ValueError(f"duplicate jet entry for chart {cid!r}")
             jet_map[cid] = _jet_from_points(n, entry["points"])
         aj = AtlasJet(jet_map)
     pou = []
-    for entry in doc.get("pou", []):
+    for entry in _objects(doc.get("pou", []), "pou"):
         exprs = entry["h"]
         if len(exprs) != 1:
             raise ValueError("each bump must be a single scalar expression")

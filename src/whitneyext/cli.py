@@ -120,13 +120,18 @@ def _parse_schedule(spec):
 
 
 def _parse_point_list(entries):
-    """Point lists as [{"id","x"}] or bare [[x…]] with generated ids."""
+    """Point lists as [{"id","x"}] or bare [[x…]] with generated ids; a
+    malformed entry is a ValueError that names it and its field."""
+    if not isinstance(entries, list):
+        raise ValueError(f'"points" is {jets._kind(entries)}, expected a list')
     pts = []
     for i, e in enumerate(entries):
-        if isinstance(e, dict):
-            pts.append((str(e["id"]), tuple(float(c) for c in e["x"])))
-        else:
-            pts.append((f"p{i}", tuple(float(c) for c in e)))
+        pid, x = (str(e["id"]), e["x"]) if isinstance(e, dict) else (f"p{i}", e)
+        try:  # a list only: a string would be read as its characters
+            pts.append((pid, tuple(map(float, x if isinstance(x, list) else None))))
+        except (OverflowError, TypeError, ValueError):
+            what = f'"x" of point {pid}' if isinstance(e, dict) else f"points[{i}]"
+            raise ValueError(f"{what} is {x!r}, expected a list of numbers") from None
     return pts
 
 
@@ -136,10 +141,15 @@ def load_jet_spec(doc):
     {"induce": {"expr": [...], "points": [...]}} with "dim" and "order".
     """
     if isinstance(doc, dict) and "induce" in doc:
-        n, k = int(doc["dim"]), int(doc["order"])
+        n, k = jets._integer(doc, "dim"), jets._integer(doc, "order")
         ind = doc["induce"]
-        f = exprlang.VectorExpr.parse(list(ind["expr"]), n)
-        if "outdim" in doc and int(doc["outdim"]) != f.m:
+        if not isinstance(ind, dict):
+            raise ValueError(f'"induce" is {jets._kind(ind)}, expected an object')
+        exprs = ind["expr"]
+        if not (isinstance(exprs, list) and all(isinstance(e, str) for e in exprs)):
+            raise ValueError(f'"expr" of "induce" is {exprs!r}, expected a list of strings')
+        f = exprlang.VectorExpr.parse(exprs, n)
+        if "outdim" in doc and jets._integer(doc, "outdim") != f.m:
             raise ValueError(
                 f"outdim {doc['outdim']} does not match {f.m} expression(s)"
             )
@@ -191,6 +201,7 @@ def cmd_decompose(args):
     cubes = dec.enumerate_in_box(lo, hi, args.max_level)
     rows = []
     for c in cubes:
+        anchor = A.nearest(c.center)  # a row of a point set, a point of a box union
         rows.append(
             [
                 c.level,
@@ -198,7 +209,7 @@ def cmd_decompose(args):
                 _fmt_vec(c.center),
                 _fmt(c.side),
                 _fmt(dec.cube_distance(c)),
-                _fmt_vec(dec.anchor(c)),
+                _fmt_vec(A.points[anchor] if points is not None else anchor),
             ]
         )
     _write_rows(args.out, ["level", "corner", "center", "side", "distance", "anchor"], rows)
@@ -452,7 +463,7 @@ def _suite_lemma_l(args):
                 if A.distance(x) <= 12.0 * math.sqrt(n) / 2.0**max_level:
                     continue
                 tested += 1
-                got = dec.supporting_cubes(x)
+                got = [c for c, _ in dec.supporting_cubes(x)]
                 # every cube scanned; the D_C test of WhitneyCube.enlarged_contains
                 inside = np.all(np.abs(np.asarray(x) - centers) < radii, axis=1)
                 brute = [cubes[i] for i in np.flatnonzero(inside)]

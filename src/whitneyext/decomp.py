@@ -35,10 +35,10 @@ ancestors of x on the levels `_start_level` - 1 .. + 3 and measures their
 distances to A at once; the home level is the first that qualifies (a
 block that does not decide it is followed by the next block of levels).
 Pass 2 lists, on the levels home - 1 .. home + 1, the cubes whose D_C
-holds x and measures them and their parents at once; the anchors of the
-cubes returned come from the same scan.  A pass scans only the
-candidates |p - x| <= d + 2 rho, rho the largest distance from x to the
-farthest point of any box of its stack.  For one box of farthest-point
+holds x and measures them and their parents at once; the anchors (rows
+of a finite A) of the cubes returned come from the same scan.  A pass
+scans only the candidates |p - x| <= d + 2 rho, rho the largest distance
+from x to the farthest point of any box of its stack.  For one box of farthest-point
 distance rho_C <= rho, with q a point nearest x and p nearest the box C,
 c the point of C nearest p: |p - x| <= d(p,C) + |c - x| <= d(q,C) + rho_C
 <= d + 2 rho_C, and for a nearest point p to a centre y of C (|y - x| <=
@@ -76,11 +76,13 @@ class ResolutionExceeded(RuntimeError):
 
 
 class OnSet(ValueError):
-    """The query point lies in A; the decomposition covers only the complement."""
+    """The query point lies in A, at `row` (of a finite set; the box of a
+    union); the decomposition covers only the complement."""
 
-    def __init__(self, x):
+    def __init__(self, x, row):
         super().__init__(f"point {tuple(x)} lies in the closed set")
         self.point = tuple(x)
+        self.row = row
 
 
 # -- closed sets -----------------------------------------------------------
@@ -100,7 +102,8 @@ def _check_query(x, n):
 
 
 class FinitePoints:
-    """A finite point set with exact distance and nearest-point queries."""
+    """A finite point set with exact distance and nearest-point queries,
+    which name points by their rows."""
 
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -117,6 +120,7 @@ class FinitePoints:
             )
         self.points = pts
         self.n = pts.shape[1]
+        self.rows = np.arange(len(pts))
 
     def distance(self, x):
         _check_query(x, self.n)
@@ -124,25 +128,29 @@ class FinitePoints:
 
     def reach(self, x):
         """d(x, A) and a function giving, for a radius r, the points of the
-        set within r of x (as a FinitePoints), from one distance vector;
-        checks the query."""
+        set within r of x (as a FinitePoints that keeps their rows), from
+        one distance vector; checks the query."""
         _check_query(x, self.n)
         dists = np.sqrt(_squares(self.points - np.asarray(x, float)))
         return float(dists.min()), lambda r: self._subset(dists <= r)
 
     def _subset(self, keep):
         sub = object.__new__(FinitePoints)  # rows of a checked set
-        sub.points, sub.n = self.points[keep], self.n
+        sub.points, sub.n, sub.rows = self.points[keep], self.n, self.rows[keep]
         return sub
 
     def _contains(self, x):
-        """Exact membership: x equals one of the points coordinate by coordinate."""
-        return bool(np.any(np.all(self.points == np.asarray(x, float), axis=1)))
+        """Exact membership: the first row whose point equals x coordinate
+        by coordinate, or None."""
+        hits = np.flatnonzero(np.all(self.points == np.asarray(x, float), axis=1))
+        return int(self.rows[hits[0]]) if hits.size else None
 
     def nearest(self, x):
-        """A nearest point; ties break to the lexicographically smallest."""
+        """The row of a nearest point; ties break to the lexicographically
+        smallest point, and then to the first row."""
         d2 = _squares(self.points - np.asarray(x, float))
-        return min(tuple(self.points[i]) for i in np.flatnonzero(d2 == d2.min()))
+        i = min(np.flatnonzero(d2 == d2.min()), key=lambda i: tuple(self.points[i]))
+        return int(self.rows[i])
 
     def box_distance(self, lo, hi):
         """Distance from the closed box [lo, hi] to the set."""
@@ -203,9 +211,9 @@ class BoxUnion:
         return self.distance(x), lambda r: self
 
     def _contains(self, x):
-        """Exact membership: lo <= x <= hi in some box."""
-        x = np.asarray(x, float)
-        return any(np.all((b[:, 0] <= x) & (x <= b[:, 1])) for b in self.boxes)
+        """Exact membership: the first box with lo <= x <= hi, or None."""
+        inside = [np.all((b[:, 0] <= x) & (x <= b[:, 1])) for b in self.boxes]
+        return inside.index(True) if any(inside) else None
 
     def nearest(self, x):
         """Clamping x into each box gives that box's unique nearest point;
@@ -312,9 +320,8 @@ class Decomposition:
     """
     Lazy Whitney cube decomposition relative to a closed set.
 
-    All queries are pure functions of (query, A); the anchor memo is a
-    transparent cache and safe to share between threads (recomputation is
-    idempotent).
+    All queries are pure functions of (query, A), and nothing is kept
+    between them, so a decomposition is safe to share between threads.
 
     Parameters
     ----------
@@ -329,7 +336,6 @@ class Decomposition:
         self.n = A.n
         self.j_max = j_max
         self._sqrt_n = math.sqrt(self.n)
-        self._anchors = {}
 
     def threshold(self, j):
         """Membership threshold 4*sqrt(n)/2^j at level j."""
@@ -371,8 +377,8 @@ class Decomposition:
         followed by the next five levels finer, or coarser.
         """
         d, reach = self.A.reach(x)  # checks the query
-        if d == 0.0 and self.A._contains(x):  # a point of A is at distance 0
-            raise OnSet(x)
+        if d == 0.0 and (row := self.A._contains(x)) is not None:  # A is at distance 0
+            raise OnSet(x, row)
 
         def qualifying(lo, hi):
             levels = np.arange(lo, hi + 1)
@@ -417,23 +423,15 @@ class Decomposition:
         parent = WhitneyCube(cube.level - 1, tuple(z >> 1 for z in cube.corner))
         return not self._qualifies(parent)
 
-    def anchor(self, cube):
-        """A fixed nearest point of A to the cube's center (memoized;
-        ties break lexicographically so the choice is reproducible)."""
-        key = (cube.level, cube.corner)  # not the cube, which keeps its geometry
-        a = self._anchors.get(key)
-        if a is None:
-            a = self._anchors[key] = self.A.nearest(cube.center)
-        return a
-
     def supporting_cubes(self, x):
         """
         All cubes of W whose enlarged box D_C contains x, in (level, corner)
-        order: on the levels next to the home level, the cubes meeting the
-        box x ± side/4 whose D_C holds x, measured with their parents in one
-        pass; a cube is in W when it qualifies and is at level 0 or its
-        parent does not.  The anchors of the cubes returned come from the
-        same part of A.
+        order, as (cube, anchor) pairs: on the levels next to the home
+        level, the cubes meeting the box x ± side/4 whose D_C holds x,
+        measured with their parents in one pass; a cube is in W when it
+        qualifies and is at level 0 or its parent does not.  The anchor of
+        C, ``A.nearest`` of its center (a row of a finite set), comes from
+        the same part of A.
         """
         home, d, reach = self._home(x)
         found = []
@@ -453,10 +451,7 @@ class Decomposition:
             for lv, z in found
             if ok[lv, z] and (lv == 0 or not ok[lv - 1, tuple(zi >> 1 for zi in z)])
         ]
-        for cube in out:
-            if (cube.level, cube.corner) not in self._anchors:
-                self._anchors[cube.level, cube.corner] = scan.nearest(cube.center)
-        return out
+        return [(cube, scan.nearest(cube.center)) for cube in out]
 
     def enumerate_in_box(self, lo, hi, max_level):
         """

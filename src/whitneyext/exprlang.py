@@ -386,60 +386,6 @@ def eval_taylor(e, x0, k):
     return eval_taylor_env(e, env)
 
 
-# -- printing -------------------------------------------------------------
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e):
-    if isinstance(e, Bin):
-        return _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL
-    if isinstance(e, Neg):
-        return _LEVEL_UNARY
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
-
-
-def _fmt_num(v):
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def pretty(e, _min_level=1):
-    """
-    Canonical text form.  Parsing the output reproduces the AST, and
-    pretty ∘ parse is idempotent on its own output.
-    """
-    if isinstance(e, Num):
-        s = _fmt_num(e.value)
-        if e.value < 0:
-            # negative literals cannot be re-parsed as atoms; print as negation
-            return pretty(Neg(Num(-e.value)), _min_level)
-        lvl = _LEVEL_ATOM
-    elif isinstance(e, Var):
-        s = f"x{e.index}"
-        lvl = _LEVEL_ATOM
-    elif isinstance(e, Call):
-        s = f"{e.name}({pretty(e.arg)})"
-        lvl = _LEVEL_ATOM
-    elif isinstance(e, Neg):
-        s = "-" + pretty(e.arg, _LEVEL_POW)
-        lvl = _LEVEL_UNARY
-    elif isinstance(e, Pow):
-        s = pretty(e.base, _LEVEL_ATOM) + "^" + str(e.exponent)
-        lvl = _LEVEL_POW
-    elif isinstance(e, Bin):
-        lvl = _level(e)
-        s = pretty(e.left, lvl) + f" {e.op} " + pretty(e.right, lvl + 1)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if lvl < _min_level:
-        return "(" + s + ")"
-    return s
-
-
 # -- substitution / composition -------------------------------------------
 
 
@@ -488,9 +434,6 @@ class VectorExpr:
 
     def eval_taylor_env(self, env):
         return [eval_taylor_env(e, env) for e in self.exprs]
-
-    def pretty(self):
-        return [pretty(e) for e in self.exprs]
 
     def compose(self, inner):
         """

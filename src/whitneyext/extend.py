@@ -45,29 +45,29 @@ of F.
 The adaptive variant assigns each cube a degree from a schedule of radii
 δ_1 > δ_2 > … (with δ_{i+1} < δ_i/2): the cube with center y_C uses the
 largest i with d(y_C, A) < δ_i, or 0 when even δ_1 is too small
-(d(y_C, A) is read off the anchor of C, a nearest point to y_C).  Cubes
+(d(y_C, A) is read off the anchor row of C, a nearest point to y_C).  Cubes
 far from A therefore use low-degree polynomials and cubes near A use the
 full stored order; requesting a degree beyond the stored jet raises
 ``ScheduleExhausted``.
 
 Every evaluation is one call of ``Extension.blend`` on a batch of queries;
 ``eval``, ``derivs``, ``eval_derivs`` and ``eval_adaptive`` are its batch
-of one, ``eval_batch`` its order-0 rows.  Each query's cubes and anchors
-come from ``Decomposition.supporting_cubes``, which measures them in two
-array passes (one distance vector, then one stacked scan for the home
-level and one for the cubes next to it and their anchors, each of the few
-points that can decide them), and the series work of the batch is one
-array computation over its (query, cube) columns: one ψ/φ batch with a
-single division of each query's columns by its own Σ ψ, one anchored
-Taylor computation per distinct degree, and one batched product for the
-halved blend.  Every column has the arithmetic of a
-one-query call, and each query's sums run in cube order, so a row has the
-bits of the query evaluated alone.  A failing batch is re-run one query
-at a time, in row order, and so raises what its first failing query
-raises alone.
+of one, ``eval_batch`` its order-0 rows.  Each query's cubes and the rows
+of their anchors come from ``Decomposition.supporting_cubes``, which
+measures them in two array passes (one distance vector, then one stacked
+scan for the home level and one for the cubes next to it and their
+anchors, each of the few points that can decide them), or names the row
+of a query on A.  The series work of the batch is one array computation
+over its (query, cube) columns: one ψ/φ batch with a single division of
+each query's columns by its own Σ ψ, one anchored Taylor computation per
+distinct degree, and one batched product for the halved blend.  Every
+column has the arithmetic of a one-query call, and each query's sums run
+in cube order, so a row has the bits of the query evaluated alone.  A
+failing batch is re-run one query at a time, in row order, and so raises
+what its first failing query raises alone.
 
-An Extension is not changed by evaluation apart from an idempotent anchor
-memo; concurrent calls give the same results as sequential ones.
+An Extension is not changed by evaluation; concurrent calls give the same
+results as sequential ones.
 """
 
 import itertools
@@ -117,7 +117,6 @@ class Extension:
         self.m = jet.m
         self.A = decomp.FinitePoints(jet.point_array())
         self.dec = decomp.Decomposition(self.A)
-        self._row_of = dict(zip(map(tuple, jet.X.tolist()), range(len(jet.ids))))
         if schedule is None:
             self.schedule = None
         else:
@@ -184,36 +183,36 @@ class Extension:
             raise ValueError("extension was built without a degree schedule")
         ctx = taylorarith.context(self.n, upto)
         xs = [tuple(float(c) for c in x) for x in xs]
-        out = np.empty((len(xs), ctx.ncoef, self.m))
-        off = []  # the queries off A
-        for r, x in enumerate(xs):
-            row = self._row_of.get(x)
-            if row is None:
-                off.append(r)
-            else:
-                out[r] = self.jet.F[row, : ctx.ncoef]
-        if off:
-            out[off] = taylorarith._run_batch(
-                lambda batch: self._blend(batch, ctx, adaptive), [xs[r] for r in off]
-            )
-        return out
+        return taylorarith._run_batch(lambda batch: self._blend(batch, ctx, adaptive), xs)
 
     def _blend(self, xs, ctx, adaptive):
         """
-        The blends at the queries xs off A, as a (len(xs), ncoef, m) array:
-        T_{C₀} + Σ_{C≠C₀} φ_C·(T_C − T_{C₀}) over each query's supporting
-        cubes, summed in cube order by ``pou.group_sums``.  A failing batch
-        raises at its first failing stage (a result beyond the float range
-        is a ValueError); ``blend`` re-runs it one query at a time.
+        The rows at the queries xs, as a (len(xs), ncoef, m) array: on A the
+        jet's row there, off A the blend T_{C₀} + Σ_{C≠C₀} φ_C·(T_C − T_{C₀})
+        over the query's supporting cubes, summed in cube order by
+        ``pou.group_sums``.  A failing batch raises at its first failing
+        stage (a result beyond the float range is a ValueError); ``blend``
+        re-runs it one query at a time.
         """
-        cubes, phi = pou.phi_taylor([self.dec.supporting_cubes(x) for x in xs], xs, ctx.k)
+        out = np.empty((len(xs), ctx.ncoef, self.m))
+        off, found = [], []  # the queries off A and their (cube, anchor row) pairs
+        for q, x in enumerate(xs):
+            try:
+                found.append(self.dec.supporting_cubes(x))
+                off.append(q)
+            except decomp.OnSet as on:
+                out[q] = self.jet.F[on.row, : ctx.ncoef]
+        if not off:
+            return out
+        xs = [xs[q] for q in off]
+        cubes, phi = pou.phi_taylor(found, xs, ctx.k)
         counts = [len(live) for live in cubes]
         flat = [
-            self._cube_degree(c, x) if adaptive else self.k
+            self._cube_degree(c, row, x) if adaptive else self.k
             for x, live in zip(xs, cubes)
-            for c in live
+            for c, row in live
         ]
-        rows = [self._row_of[self.dec.anchor(c)] for live in cubes for c in live]
+        rows = [row for live in cubes for _, row in live]
         at = [x for x, c in zip(xs, counts) for _ in range(c)]
         series = np.empty((ctx.ncoef, len(flat), self.m))
         for g in dict.fromkeys(flat):  # one Taylor computation per degree
@@ -234,19 +233,20 @@ class Extension:
         if not np.isfinite(ders).all():
             q = np.isfinite(ders).all(axis=(0, 2)).argmin()
             raise ValueError(f"the derivatives of the extension overflow at {xs[q]}")
-        return ders.transpose(1, 0, 2)
+        out[off] = ders.transpose(1, 0, 2)
+        return out
 
     # -- adaptive degree ------------------------------------------------------
 
-    def _cube_degree(self, cube, x):
+    def _cube_degree(self, cube, row, x):
         """
         Largest schedule index whose radius still exceeds d(y_C, A); raises
         ScheduleExhausted (at the query x) when that degree is beyond the
-        stored jet.  The anchor of C is a nearest point of A to y_C, so
-        d(y_C, A) is the norm of their difference, computed as the scans of
-        A compute it.
+        stored jet.  The anchor of C, at `row` of the jet, is a nearest point
+        of A to y_C, so d(y_C, A) is the norm of their difference, computed
+        as the scans of A compute it.
         """
-        d = math.sqrt(decomp._squares(np.subtract([self.dec.anchor(cube)], cube.center))[0])
+        d = math.sqrt(decomp._squares(self.jet.X[[row]] - cube.center)[0])
         g = 0
         for i, delta in enumerate(self.schedule, start=1):
             if d < delta:

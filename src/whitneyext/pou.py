@@ -133,27 +133,27 @@ def partition_taylor(x, dec, k):
     cubes are zero, so the returned list carries the whole local partition:
     the sum of the series is the constant-1 series up to rounding.
     """
-    (cubes,), phi = phi_taylor([dec.supporting_cubes(x)], [x], k)
-    return [(c, TaylorValue(phi.ctx, phi.coeffs[:, j])) for j, c in enumerate(cubes)]
+    (live,), phi = phi_taylor([dec.supporting_cubes(x)], [x], k)
+    return [(c, TaylorValue(phi.ctx, phi.coeffs[:, j])) for j, (c, _) in enumerate(live)]
 
 
 def phi_taylor(groups, xs, k):
     """
-    Order-k expansions of phi_C at each query x of `xs`, for the cubes of
-    its group in `groups` (those supporting x) whose psi_C(x) is not 0, as
-    (those cubes, one list per query; one TaylorValue with a column per
-    cube, query after query).  The psi matrix of all queries is one batch,
-    and each query's columns are divided once by their sum, which is added
-    in cube order (``group_sums``); every column has the bits of a
-    one-query call.  Row 0 holds the weights phi_C(x).
+    Order-k expansions of phi_C at each query x of `xs`, for the (cube,
+    anchor) pairs of its group in `groups` (those supporting x) whose
+    psi_C(x) is not 0, as (those pairs, one list per query; one TaylorValue
+    with a column per cube, query after query).  The psi matrix of all
+    queries is one batch, and each query's columns are divided once by
+    their sum, added in cube order (``group_sums``); every column has the
+    bits of a one-query call.  Row 0 holds the weights phi_C(x).
     """
     psi = psi_taylor(
-        [c for g in groups for c in g], np.repeat(xs, [len(g) for g in groups], axis=0), k
+        [c for g in groups for c, _ in g], np.repeat(xs, [len(g) for g in groups], axis=0), k
     )
     alive = (psi.coeffs[0] != 0.0).tolist()
     live, start = [], 0
     for g in groups:
-        live.append([c for c, keep in zip(g, alive[start:]) if keep])
+        live.append([pair for pair, keep in zip(g, alive[start:]) if keep])
         start += len(g)
     cols, counts = psi.coeffs[:, alive], [len(g) for g in live]
     total = np.repeat(group_sums(cols, counts), counts, axis=1)

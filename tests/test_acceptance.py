@@ -177,7 +177,7 @@ def test_partition_of_unity_sums_to_one():
             if outside:
                 psi = pou.psi_taylor(outside, x, k)
                 assert np.all(psi.coeffs == 0.0), (label, x)
-            for cube in dec.supporting_cubes(x):
+            for cube, _ in dec.supporting_cubes(x):
                 assert cube.enlarged_contains(x)
 
 
@@ -274,7 +274,7 @@ def test_cube_geometry_invariants():
                 loc = dec.locate(x)
             except decomp.OnSet:
                 continue
-            fast = sorted((c.level, c.corner) for c in dec.supporting_cubes(x))
+            fast = sorted((c.level, c.corner) for c, _ in dec.supporting_cubes(x))
             assert fast == _brute_supporting(dec, x, loc.level + 4), x
             checked += 1
 

@@ -523,6 +523,66 @@ def test_manifold_extend_rejects_malformed_chart_jet(points, message, tmp_path, 
     assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
+def _induce_file(points=({"id": "a", "x": [1.0]},), expr=("x0",), **fields):
+    doc = {"dim": 1, "order": 1, "induce": {"expr": list(expr), "points": list(points)}}
+    return {**doc, **fields}
+
+
+_MALFORMED_INDUCE = {
+    "x-scalar": (
+        _induce_file([{"id": "a", "x": 1.0}]), '"x" of point a is 1.0, expected a list of numbers'
+    ),
+    "x-holds-null": (
+        _induce_file([{"id": "a", "x": [None]}]),
+        '"x" of point a is [None], expected a list of numbers',
+    ),
+    "bare-entry-scalar": (_induce_file([[0.5], 2.0]), "points[1] is 2.0, expected a list of numbers"),
+    "points-object": (
+        {"dim": 1, "order": 1, "induce": {"expr": ["x0"], "points": {"a": [1.0]}}},
+        '"points" is an object, expected a list',
+    ),
+    "dim-null": (_induce_file(dim=None), '"dim" is null, expected an integer'),
+    "order-list": (_induce_file(order=[1]), '"order" is a list, expected an integer'),
+    "outdim-null": (_induce_file(outdim=None), '"outdim" is null, expected an integer'),
+    "induce-list": ({"dim": 1, "order": 1, "induce": [1]}, '"induce" is a list, expected an object'),
+    "expr-number": (
+        {"dim": 1, "order": 1, "induce": {"expr": 3, "points": []}},
+        '"expr" of "induce" is 3, expected a list of strings',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_INDUCE))
+def test_extend_rejects_malformed_induce_file(case, tmp_path, capsys):
+    doc, message = _MALFORMED_INDUCE[case]
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(doc))
+    rc = run(["extend", "--input", str(p), "--grid=0.5:1.5:0.5"])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("field", ["charts", "transitions", "jets", "pou"])
+def test_manifold_extend_rejects_atlas_entries_that_are_not_objects(field, tmp_path, capsys):
+    doc = {
+        "dim": 1,
+        "charts": [{"id": "u", "codomain": "all"}],
+        "jets": [{"chart": "u", "points": [{"id": "p", "x": [0.5], "values": {"[0]": [1.0]}}]}],
+        "pou": [{"chart": "u", "h": ["1"]}],
+        field: [3],
+    }
+    p = tmp_path / "atlas.json"
+    p.write_text(json.dumps(doc))
+    rc = run(["manifold-extend", "--input", str(p), "--chart", "u", "--grid=0:1:0.5"])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {field}[0] is a number, expected an object\n")
+
+
+def test_manifold_extend_rejects_an_atlas_that_is_not_an_object(tmp_path, capsys):
+    p = tmp_path / "atlas.json"
+    p.write_text("[3]")
+    rc = run(["manifold-extend", "--input", str(p), "--chart", "u", "--grid=0:1:0.5"])
+    assert (rc, capsys.readouterr().err) == (2, "error: the atlas is a list, expected an object\n")
+
+
 def test_extend_determinism(jetfile, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -1,14 +1,16 @@
 """Dyadic cube decomposition of the complement of a closed set."""
 
+import gc
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whitneyext import decomp
+from whitneyext import decomp, extend, jets
 
 
 A0 = decomp.make_closed_set(points=[[0.0]])
@@ -125,6 +127,15 @@ def test_locate_level1():
 def test_locate_on_set_raises():
     with pytest.raises(decomp.OnSet):
         decomp.Decomposition(A0).locate((0.0,))
+    # the error names where A holds the query: its row, -0.0 == 0.0, or its box
+    pts = decomp.make_closed_set(points=[[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(decomp.OnSet) as info:
+        decomp.Decomposition(pts).supporting_cubes((-0.0, 0.0))
+    assert info.value.row == 2
+    B = decomp.make_closed_set(boxes=[[[0.0, 1.0]], [[3.0, 4.0]]])
+    with pytest.raises(decomp.OnSet) as info:
+        decomp.Decomposition(B).locate((3.5,))
+    assert info.value.row == 1
 
 
 def test_locate_resolution_exceeded():
@@ -174,21 +185,29 @@ def test_neighbor_count_bounded_1d():
 
 def test_anchor_single_candidate():
     dec = decomp.Decomposition(A0)
-    c = dec.locate((4.5,))
-    assert dec.anchor(c) == (0.0,)
+    found = dec.supporting_cubes((4.5,))
+    assert found and all(row == 0 for _, row in found)
 
 
 def test_anchor_tie_break_lexicographic():
     pm = decomp.make_closed_set(points=[[-1.0], [1.0]])
-    dec = decomp.Decomposition(pm)
-    c = decomp.WhitneyCube(2, (-1,))  # [-0.25, 0], center -0.125 -> nearer -1? no: |x+1|=0.875, |x-1|=1.125
-    assert dec.anchor(c) == (-1.0,)
-    # equidistant center picks the lexicographically smaller point
-    sym = decomp.WhitneyCube(1, (-1,))  # [-0.5, 0], center -0.25
-    far = decomp.make_closed_set(points=[[-10.0], [9.5]])
-    dsym = decomp.Decomposition(far)
-    mid = decomp.WhitneyCube(0, (-1,))  # [-1, 0], center -0.5; d to -10 is 9.5, to 9.5 is 10 -> -10
-    assert dsym.anchor(mid) == (-10.0,)
+    c = decomp.WhitneyCube(2, (-1,))  # [-0.25, 0], center -0.125: 0.875 from -1, 1.125 from 1
+    assert pm.nearest(c.center) == 0
+    far = decomp.make_closed_set(points=[[9.5], [-10.0]])
+    mid = decomp.WhitneyCube(0, (-1,))  # [-1, 0], center -0.5: 9.5 from -10, 10 from 9.5
+    assert far.nearest(mid.center) == 1
+    # the center -0.25 of [-0.5, 0] is 0.75 from both points: the anchor is
+    # the lexicographically smaller point, in either row order
+    sym = decomp.WhitneyCube(1, (-1,))
+    for pts in ([[-1.0], [0.5]], [[0.5], [-1.0]]):
+        A = decomp.make_closed_set(points=pts)
+        assert pts[A.nearest(sym.center)] == [-1.0]
+    # through the cube search: the center (0.5, 6.5) of the cube [0, 1] x
+    # [6, 7] of W is equidistant from both points, and the second row is
+    # the smaller
+    two = decomp.make_closed_set(points=[[1.0, 0.0], [0.0, 0.0]])
+    found = decomp.Decomposition(two).supporting_cubes((0.5, 6.5))
+    assert [(c.level, c.corner, row) for c, row in found] == [(0, (0, 6), 1)]
 
 
 def test_enlarged_cube():
@@ -204,7 +223,7 @@ def test_supporting_cubes_deep_interior():
     dec = decomp.Decomposition(A0)
     sup = dec.supporting_cubes((10.5,))
     assert len(sup) == 1
-    assert sup[0].corner == (10,)
+    assert sup[0][0].corner == (10,)
 
 
 def test_supporting_cubes_never_empty_and_contain_x():
@@ -213,8 +232,8 @@ def test_supporting_cubes_never_empty_and_contain_x():
     for x in rng.uniform(0.01, 8.0, size=100):
         sup = dec.supporting_cubes((float(x),))
         assert sup
-        assert any(c.contains((float(x),)) for c in sup)
-        for c in sup:
+        assert any(c.contains((float(x),)) for c, _ in sup)
+        for c, _ in sup:
             assert c.enlarged_contains((float(x),))
 
 
@@ -259,7 +278,7 @@ def test_supporting_cubes_match_brute_force():
         if pts.distance(x) < 1e-3:
             continue
         checked += 1
-        fast = {(c.level, c.corner) for c in dec.supporting_cubes(x)}
+        fast = {(c.level, c.corner) for c, _ in dec.supporting_cubes(x)}
         # any cube whose enlarged box reaches x lies within 1.25 sides of it
         assert fast == _supporting_by_enumeration(dec, x, 1.5, 14), x
     # Near A, a cube C with x in D_C meets the box x ± side_C / 4, so the box
@@ -276,7 +295,7 @@ def test_supporting_cubes_match_brute_force():
         dec = decomp.Decomposition(A)
         for x in _near_set_queries(A, rng, 40):
             home = dec.locate(x)
-            fast = dec.supporting_cubes(x)
+            fast = [c for c, _ in dec.supporting_cubes(x)]
             assert fast == sorted(fast)
             slow = _supporting_by_enumeration(dec, x, 2.0 * home.side, home.level + 2)
             assert {(c.level, c.corner) for c in fast} == slow, x
@@ -286,8 +305,9 @@ def test_supporting_cubes_match_brute_force():
 def test_supporting_cubes_match_walk_and_enumeration(n):
     # the two passes against the oracles: the cubes around the home cube of
     # the level-0 walk, found by enumeration, in (level, corner) order, and
-    # the full scans' nearest points as their anchors, on 360 queries per
-    # dimension, half of them 1e-9 .. 1e-1 from A
+    # as their anchors the nearest points of the whole set by the list rule
+    # (the rows of a point set), on 360 queries per dimension, half of them
+    # 1e-9 .. 1e-1 from A
     rng = np.random.default_rng(300 + n)
     lo = rng.uniform(-1.0, 1.0, size=(4, n))
     fixtures = [
@@ -307,9 +327,36 @@ def test_supporting_cubes_match_walk_and_enumeration(n):
             # a cube C with x in D_C meets x ± side_C / 4, and is no coarser
             # than one level above the home cube (module docstring)
             want = _supporting_by_enumeration(dec, x, 0.5 * home.side, home.level + 2)
-            assert [(c.level, c.corner) for c in got] == sorted(want), x
-            anchors = [dec._anchors[c.level, c.corner] for c in got]
-            assert anchors == [A.nearest(c.center) for c in got], x
+            assert [(c.level, c.corner) for c, _ in got] == sorted(want), x
+            for c, anchor in got:
+                if isinstance(A, decomp.FinitePoints):
+                    assert anchor == _nearest_row_by_list(A.points, c.center), (x, c)
+                else:  # a union is scanned whole
+                    assert anchor == A.nearest(c.center), (x, c)
+
+
+def test_an_extension_keeps_nothing_per_query():
+    # anchors travel with their cubes and nothing is kept between queries:
+    # after 2000 scattered queries at n = 3, N = 50, a live Extension holds
+    # no more traced memory than after its first 100, up to a fixed slack
+    rng = np.random.default_rng(29)
+    pts = [(f"p{i}", tuple(rng.uniform(-1, 1, 3))) for i in range(50)]
+    jet = jets.Jet(3, 1, 2, pts, {pid: rng.normal(size=(4, 2)) for pid, _ in pts})
+    queries = [tuple(float(v) for v in rng.uniform(-1.2, 1.2, 3)) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        F = extend.Extension(jet)
+        for x in queries[:100]:
+            F.eval(x)
+        gc.collect()
+        first = tracemalloc.get_traced_memory()[0]
+        for x in queries[100:]:
+            F.eval(x)
+        gc.collect()
+        last = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert last - first < 64 * 1024, (first, last)
 
 
 def test_supporting_cubes_leave_out_the_boundary_of_d_c():
@@ -318,7 +365,7 @@ def test_supporting_cubes_leave_out_the_boundary_of_d_c():
     # queries snapped to a quarter of the finest window side meet such
     # boundaries often
     dec = decomp.Decomposition(A0)
-    assert [c.corner for c in dec.supporting_cubes((10.75,))] == [(10,)]
+    assert [c.corner for c, _ in dec.supporting_cubes((10.75,))] == [(10,)]
     rng = np.random.default_rng(12)
     fixtures = [
         decomp.make_closed_set(points=[[0.0, 0.0], [0.75, 0.5]]),
@@ -333,7 +380,7 @@ def test_supporting_cubes_leave_out_the_boundary_of_d_c():
                 continue
             home = dec.locate(x)
             want = _supporting_by_enumeration(dec, x, 0.5 * home.side, home.level + 2)
-            assert [(c.level, c.corner) for c in dec.supporting_cubes(x)] == sorted(want), x
+            assert [(c.level, c.corner) for c, _ in dec.supporting_cubes(x)] == sorted(want), x
 
 
 def _in_family_by_ancestors(dec, cube):
@@ -460,8 +507,9 @@ def test_box_union_nearest_point():
 
 def _locate_by_walk(dec, x, j_max):
     """The level-0 walk: the first qualifying dyadic ancestor of x."""
-    if dec.A._contains(x):
-        raise decomp.OnSet(x)
+    row = dec.A._contains(x)
+    if row is not None:
+        raise decomp.OnSet(x, row)
     for j in range(j_max + 1):
         cube = decomp.WhitneyCube(j, tuple(math.floor(math.ldexp(xi, j)) for xi in x))
         if dec.cube_distance(cube) >= dec.threshold(j):
@@ -576,6 +624,12 @@ def _nearest_by_list(points, x):
     return min(tuple(p) for p, d in zip(points, d2) if d == d2.min())
 
 
+def _nearest_row_by_list(points, x):
+    """The first row holding the point of the list rule."""
+    p = _nearest_by_list(points, x)
+    return next(i for i, q in enumerate(points) if tuple(q) == p)
+
+
 def test_candidate_scans_match_full_scans():
     # a pass scans only the points within d + 2 rho of x, rho the widest
     # reach of its stack of boxes; the stacked box distances must be the
@@ -590,7 +644,7 @@ def test_candidate_scans_match_full_scans():
             A = decomp.FinitePoints(pts)
             for _ in range(12):
                 x = tuple(float(v) for v in rng.integers(-8, 9, size=n) / 2.0)
-                if A._contains(x):
+                if A._contains(x) is not None:
                     continue
                 d, reach = A.reach(x)
                 assert d == A.distance(x)
@@ -613,7 +667,7 @@ def test_candidate_scans_match_full_scans():
     d, reach = A.reach((0.0,))
     box = np.array([[-2.0]])
     scan = decomp._candidates((0.0,), d, reach, box, box)
-    assert scan.nearest((-2.0,)) == (-5.0,) == A.nearest((-2.0,))
+    assert scan.nearest((-2.0,)) == 1 == A.nearest((-2.0,))
     assert scan.box_distances(box, box).tolist() == [3.0]
     assert scan.points.tolist() == [[1.0], [-5.0]]
 
@@ -622,9 +676,9 @@ def test_nearest_tie_break_matches_list_rule():
     # exact ties: the corners of a square around the query, duplicated rows,
     # and small-integer sets queried at integer and half-integer points
     square = decomp.FinitePoints([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-    assert square.nearest((0.0, 0.0)) == (-1.0, -1.0)
+    assert square.nearest((0.0, 0.0)) == 3  # (-1, -1)
     dup = decomp.FinitePoints([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
-    assert dup.nearest((1.0, 1.0)) == (0.0, 2.0)
+    assert dup.nearest((1.0, 1.0)) == 1  # the first row of (0, 2)
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         for size in (1, 5, 40):
@@ -633,5 +687,5 @@ def test_nearest_tie_break_matches_list_rule():
             for _ in range(30):
                 x = tuple(float(v) for v in rng.integers(-6, 7, size=n) / 2.0)
                 got = A.nearest(x)
-                assert got == _nearest_by_list(pts, x), (pts, x)
-                assert all(isinstance(v, float) for v in got)
+                assert got == _nearest_row_by_list(pts, x), (pts, x)
+                assert type(got) is int

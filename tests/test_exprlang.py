@@ -100,19 +100,6 @@ def test_eval_taylor_sin_xy_at_1_0():
     assert d[pos[(0, 0)]] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_pretty_parse_fixed_point():
-    for src, n in [
-        ("x0^2 + sin(x1)", 2),
-        ("-(x0 + 1)*x1/(2 - x0)", 2),
-        ("exp(x0)*sin(x1) - sqrt(1 + x0^2)", 2),
-        ("1/(1 + x0^4)", 1),
-    ]:
-        e = el.parse(src, n)
-        once = el.pretty(e)
-        twice = el.pretty(el.parse(once, n))
-        assert once == twice
-
-
 def test_constant_term_matches_eval_real():
     for src, n, x in [
         ("exp(x0)*sin(x1)", 2, (0.7, -0.3)),

@@ -256,7 +256,7 @@ def test_cubes_with_zero_psi_are_left_out():
     F = extend.Extension(j)
     x = (11.2495,)
     cubes = F.dec.supporting_cubes(x)
-    assert [c.corner for c in cubes] == [(10,), (11,)]
+    assert [c.corner for c, _ in cubes] == [(10,), (11,)]
     assert F.supporting_count(x) == 1
     assert np.array_equal(F.eval(x), F.derivs(x)[0])
     assert F.eval(x)[0] == pytest.approx(1 + x[0] + x[0] ** 2, rel=1e-14)
@@ -340,8 +340,9 @@ def test_adaptive_error_tracks_taylor_remainder():
 
 def test_queries_scan_only_their_views():
     # after d(x, A) is measured, no evaluation scans the whole set: the
-    # passes of the cube search and the anchors run on candidate subsets,
-    # and a degree reads d(y_C, A) off the cube's anchor
+    # passes of the cube search and the anchors run on candidate subsets, a
+    # degree reads d(y_C, A) off the cube's anchor row, and a query off A
+    # is not looked up in the set
     rng = np.random.default_rng(23)
     pts = [(f"p{i}", tuple(rng.uniform(-1, 1, 2))) for i in range(60)]
     j = jets.Jet(2, 2, 1, pts, {pid: rng.normal(size=(6, 1)) for pid, _ in pts})
@@ -354,7 +355,8 @@ def test_queries_scan_only_their_views():
 
     F = extend.Extension(j, schedule=(0.3, 0.05))
     F.A.distance = F.A.box_distance = F.A.box_distances = F.A.nearest = full_scan
-    # and a successful batch searches once per query off A: no re-run
+    F.A._contains = full_scan
+    # and a successful batch searches once per query: no re-run
     searches = []
     search = F.dec.supporting_cubes
     F.dec.supporting_cubes = lambda x: searches.append(x) or search(x)
@@ -378,12 +380,12 @@ def test_adaptive_degree_reads_the_set_distance_of_the_center(n):
         for _ in range(40 if size < 1000 else 10):
             a = np.array(pts[int(rng.integers(size))][1])
             x = tuple(float(v) for v in a + rng.normal(size=n) * 10.0 ** rng.uniform(-6, 0))
-            for cube in F.dec.supporting_cubes(x):
+            for cube, row in F.dec.supporting_cubes(x):
                 d = F.A.distance(cube.center)
                 F.schedule = (d,)
-                assert F._cube_degree(cube, x) == 0, (x, cube)
+                assert F._cube_degree(cube, row, x) == 0, (x, cube)
                 F.schedule = (float(np.nextafter(d, math.inf)),)
-                assert F._cube_degree(cube, x) == 1, (x, cube)
+                assert F._cube_degree(cube, row, x) == 1, (x, cube)
 
 
 def test_wrong_dimension_query_is_a_value_error():

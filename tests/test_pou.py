@@ -261,7 +261,7 @@ def test_phi_far_isolated_cube_is_constant_one():
     sup = dec.supporting_cubes(x)
     assert len(sup) == 1
     [(cube, s)] = pou.partition_taylor(x, dec, 3)
-    assert cube == sup[0]
+    assert cube == sup[0][0]
     assert s.const == 1.0
     assert np.all(s.coeffs[1:] == 0.0)
 

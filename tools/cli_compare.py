@@ -1,5 +1,5 @@
 """
-Run one fixed list of 41 CLI invocations against two source trees and
+Run one fixed list of 43 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -8,18 +8,21 @@ OLD_SRC and NEW_SRC are directories that hold the ``whitneyext`` package
 (the ``src/`` of two checkouts).  The script writes its own fixtures to a
 temporary directory and runs every invocation there in two fresh
 interpreters side by side, one with each tree on PYTHONPATH.  The list
-covers decompose; extend with values, ``--k``, ``--schedule`` and
-``--derivs`` at n = 1, 2, 3, with ``--derivs`` on rows 1e-9 .. 1e-3 from
-a jet point at n = 3, with values at n = 4, on a jet file of explicit values with varied
-key spellings (with values and ``--schedule``), on a 1000-point jet file
-of the benchmark's grid-tile shape, on a jet file whose points use three
-key layouts, on two malformed jet files (exit 2), and on grids whose middle
-row overflows (exit 2), lies below the resolution (exit 3) or exhausts the
-degree schedule (exit 3); check-jet; fdb;
-pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at order 4
-on 3 and on 15 source points and at order 3 on 64, a map from R^3 to R^2
-at order 3, and a bundle whose middle point overflows, exit 2);
-manifold-extend with values and ``--derivs`` in 1-D, and with
+covers decompose (on a point set, on a 2-D point set whose cube centres
+are equidistant from both points, which pins the anchor tie-break, and on
+boxes); extend with values, ``--k``, ``--schedule`` and ``--derivs`` at
+n = 1, 2, 3, with ``--derivs`` on a grid of the jet's own points (their
+rows read from the jet), with ``--derivs`` on rows 1e-9 .. 1e-3 from a
+jet point at n = 3, with values at n = 4, on a jet file of explicit
+values with varied key spellings (with values and ``--schedule``), on a
+1000-point jet file of the benchmark's grid-tile shape, on a jet file
+whose points use three key layouts, on two malformed jet files (exit 2),
+and on grids whose middle row overflows (exit 2), lies below the
+resolution (exit 3) or exhausts the degree schedule (exit 3); check-jet;
+fdb; pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at
+order 4 on 3 and on 15 source points and at order 3 on 64, a map from
+R^3 to R^2 at order 3, and a bundle whose middle point overflows, exit
+2); manifold-extend with values and ``--derivs`` in 1-D, and with
 ``--derivs`` on a 2-D atlas of two charts with a jet in each; and every
 verify suite.
 
@@ -173,6 +176,9 @@ SHEAR64_POINTS = [[round(_rng.uniform(-1.2, 1.2), 4), round(_rng.uniform(-1.2, 1
 FIXTURES = {
     "set1.json": {"dim": 1, "points": [[0.0]]},
     "set2.json": {"dim": 2, "boxes": [[[-1.0, 0.0], [-1.0, 0.0]], [[0.5, 1.5], [0.25, 0.75]]]},
+    # the centres (0.5, y) of the level-0 cubes above and below are
+    # equidistant from both points, and the first row is not the anchor
+    "set3.json": {"dim": 2, "points": [[1.0, 0.0], [0.0, 0.0]]},
     **JETS,
     "bundle.json": {
         "map": {"from_dim": 2, "expr": ["x0 + x1^2", "x1/2"]},
@@ -339,11 +345,13 @@ FIXTURES = {
 
 INVOCATIONS = [
     ("decompose 1-D", ["decompose", "--input", "set1.json", "--grid=-3:9", "--max-level", "5"]),
+    ("decompose 2-D equidistant centres", ["decompose", "--input", "set3.json", "--grid=0:1,-8:8", "--max-level", "3"]),
     ("decompose 2-D boxes", ["decompose", "--input", "set2.json", "--grid=-2:2,-2:2", "--max-level", "4"]),
     ("extend 1-D values", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37"]),
     ("extend 1-D --k 0", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37", "--k", "0"]),
     ("extend 1-D --schedule", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37", "--schedule", "2,0.5"]),
     ("extend 1-D --derivs", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37", "--derivs", "(1) (2)"]),
+    ("extend 1-D --derivs on the jet points", ["extend", "--input", "jet1.json", "--grid=-1:1:1", "--derivs", "(1) (2)"]),
     ("extend 2-D values", ["extend", "--input", "jet2.json", "--grid=-1:1.5:0.31,-0.5:1.5:0.29"]),
     ("extend 2-D --k 1", ["extend", "--input", "jet2.json", "--grid=-1:1.5:0.31,-0.5:1.5:0.29", "--k", "1"]),
     ("extend 2-D --schedule", ["extend", "--input", "jet2.json", "--grid=-1:1.5:0.31,-0.5:1.5:0.29", "--schedule", "4,1,0.3"]),
