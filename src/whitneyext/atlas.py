@@ -417,6 +417,25 @@ def _objects(entries, field):
     return entries
 
 
+def _codomain(chart, n):
+    """The codomain of a chart entry: "all", or the n [lo, hi] pairs of its
+    "box" as floats; any other shape is a ValueError naming the chart."""
+    codomain = chart.get("codomain", "all")
+    if codomain == "all":
+        return codomain
+    box = codomain.get("box") if isinstance(codomain, dict) else None
+    # lists only: a string pair would be read as its characters
+    if isinstance(box, list) and len(box) == n and all(isinstance(p, list) and len(p) == 2 for p in box):
+        try:
+            return [(float(lo), float(hi)) for lo, hi in box]
+        except (OverflowError, TypeError, ValueError):
+            pass
+    raise ValueError(
+        f'"codomain" of chart {chart["id"]} is {codomain!r}, expected "all" or '
+        f'{{"box": [[lo, hi], ...]}} with dim = {n} pairs of numbers'
+    )
+
+
 def load_atlas(doc):
     """
     Parse the atlas interchange document into (FiniteAtlas, AtlasJet, pou).
@@ -432,10 +451,7 @@ def load_atlas(doc):
     n = jets._integer(doc, "dim")
     charts = []
     for c in _objects(doc["charts"], "charts"):
-        codomain = c.get("codomain", "all")
-        if codomain != "all":
-            codomain = [(float(lo), float(hi)) for lo, hi in codomain["box"]]
-        charts.append(Chart(c["id"], codomain))
+        charts.append(Chart(c["id"], _codomain(c, n)))
     transitions = {}
     for t in _objects(doc.get("transitions", []), "transitions"):
         ve = exprlang.VectorExpr.parse(t["map"], n)

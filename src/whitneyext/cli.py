@@ -145,16 +145,22 @@ def load_jet_spec(doc):
         ind = doc["induce"]
         if not isinstance(ind, dict):
             raise ValueError(f'"induce" is {jets._kind(ind)}, expected an object')
-        exprs = ind["expr"]
-        if not (isinstance(exprs, list) and all(isinstance(e, str) for e in exprs)):
-            raise ValueError(f'"expr" of "induce" is {exprs!r}, expected a list of strings')
-        f = exprlang.VectorExpr.parse(exprs, n)
+        f = exprlang.VectorExpr.parse(_expr_list(ind, "induce"), n)
         if "outdim" in doc and jets._integer(doc, "outdim") != f.m:
             raise ValueError(
                 f"outdim {doc['outdim']} does not match {f.m} expression(s)"
             )
         return jets.Jet.from_expr(f, _parse_point_list(ind["points"]), k)
     return jets.Jet.from_dict(doc)
+
+
+def _expr_list(d, owner):
+    """The "expr" field of the object `owner`; anything but a list of
+    strings is a ValueError."""
+    exprs = d["expr"]
+    if not (isinstance(exprs, list) and all(isinstance(e, str) for e in exprs)):
+        raise ValueError(f'"expr" of "{owner}" is {exprs!r}, expected a list of strings')
+    return exprs
 
 
 def _load_json(path):
@@ -304,9 +310,15 @@ def cmd_fdb(args):
 
 def cmd_pullback(args):
     doc = _load_json(args.input)
-    m = doc["map"]
-    s = int(m["from_dim"])
-    g = exprlang.VectorExpr.parse(list(m["expr"]), s)
+    if not isinstance(doc, dict):
+        raise ValueError(f"the bundle is {jets._kind(doc)}, expected an object")
+    m = doc.get("map")
+    if not isinstance(m, dict):
+        raise ValueError(f'"map" is {jets._kind(m)}, expected an object')
+    for field in ("from_dim", "expr"):
+        if field not in m:
+            raise ValueError(f'"map" has no "{field}"')
+    g = exprlang.VectorExpr.parse(_expr_list(m, "map"), jets._integer(m, "from_dim"))
     f = load_jet_spec(doc["jet"])
     points = _parse_point_list(doc["points"])
     pulled = fdb.jet_pullback(g, f, points, tol=args.tol)

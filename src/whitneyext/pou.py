@@ -41,10 +41,17 @@ before any series is built: on the closed plateau the expansion is
 exactly the constant-1 series, outside the open support it is exactly the
 zero series, so the essential singularity of B is never evaluated at its
 boundary.  (On the closed plateau boundary the true expansion *is* the
-constant series — the junctions are flat.)
+constant series — the junctions are flat.)  In the transition band the
+argument is linear, and ``_step_series`` forms the series of s(t + tau) by
+three O(k^2) recurrences: g = -1/p for p = p0 -/+ tau (g_j = g_0 (+/-1/p0)^j),
+E = exp(g) (E_j = (1/j) sum_{i=1..j} i g_i E_{j-i} from E_0 = math.exp(g_0))
+and the quotient up/(up + down).  Row 0 does the float operations of the
+scalar formula, so every s(t) keeps its bits (``np.exp`` would move the last
+bit of some); the derivative rows round as the recurrences do.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -55,27 +62,45 @@ from .taylorarith import TaylorValue, constant
 
 def bump_taylor(u):
     """
-    s applied to a Taylor value u, column by column for (ncoef, B)
-    coefficients.
-
-    The branch is chosen from each column's constant term t0: constant-1
-    series on the closed plateau, zero series at or beyond the support
-    boundary, and the smooth-step formula in between (where |.| is smooth
-    because t0 is bounded away from 0), evaluated on the transition
-    columns only.  The two B(.) factors of every column are one batch.
+    s applied to a linear Taylor value u = t0 + a.h, column by column for
+    (ncoef, B) coefficients (a nonzero coefficient of degree >= 2 is a
+    ValueError): constant-1 series on the closed plateau, zero series at or
+    beyond the support boundary, and on the transition columns the series
+    s_j of s(|t0| + tau) (``_step_series``) in tau = sign(t0) a.h, that is
+    coeff_alpha = s_|alpha| (|alpha|!/alpha!) (sign(t0) a)^alpha.  Row 0 is
+    s_0, and for a slope that is a power of 2 the scaling is exact.
     """
-    c = u.coeffs.reshape(len(u.coeffs), -1)
+    ctx, c = u.ctx, u.coeffs.reshape(len(u.coeffs), -1)
+    degree = ctx.exponents.sum(axis=1)
+    if c[ctx.n + 1 :].any():  # the rows of degree >= 2, after row n in graded-lex order
+        raise ValueError("the profile takes a linear argument: u has a nonzero coefficient of degree >= 2")
     t0 = np.abs(c[0])
     out = np.zeros_like(c)
     out[0] = t0 <= 0.5
     mid = np.flatnonzero((0.5 < t0) & (t0 < 0.75))
     if mid.size:
-        a = TaylorValue(u.ctx, c[:, mid] * np.sign(c[0, mid]))
-        args = TaylorValue(u.ctx, np.hstack([(0.75 - a).coeffs, (a - 0.5).coeffs]))
-        b = taylorarith.exp(-1.0 / args).coeffs
-        up, down = TaylorValue(u.ctx, b[:, : mid.size]), TaylorValue(u.ctx, b[:, mid.size :])
-        out[:, mid] = (up / (up + down)).coeffs
-    return TaylorValue(u.ctx, out.reshape(u.coeffs.shape))
+        slopes = c[1 : ctx.n + 1, mid] * np.sign(c[0, mid])  # the rows e_i; none for k = 0
+        powers = np.prod(slopes ** ctx.exponents[:, : len(slopes), None], axis=1)
+        multinomial = np.array([math.factorial(d) for d in degree]) / ctx.factorials
+        out[:, mid] = _step_series(t0[mid], ctx.k)[degree] * (multinomial[:, None] * powers)
+    return TaylorValue(ctx, out.reshape(u.coeffs.shape))
+
+
+def _step_series(t, k):
+    """The (k+1, len(t)) Taylor coefficients of s(t + tau) in tau at the
+    transition-band values t, by the recurrences of the module docstring."""
+    g0 = -1.0 / np.concatenate([0.75 - t, t - 0.5])
+    i = np.arange(k + 1)[:, None]
+    ig = i * g0 * np.concatenate([-g0[: t.size], g0[t.size :]]) ** i  # i g_i
+    e = np.empty_like(ig)
+    e[0] = [math.exp(v) for v in g0.tolist()]
+    for j in range(1, k + 1):
+        e[j] = (ig[1 : j + 1] * e[j - 1 :: -1]).sum(axis=0) / j
+    up, total = e[:, : t.size], e[:, : t.size] + e[:, t.size :]
+    s = up / total[0]  # row 0 is final
+    for j in range(1, k + 1):
+        s[j] = (up[j] - (total[1 : j + 1] * s[j - 1 :: -1]).sum(axis=0)) / total[0]
+    return s
 
 
 def _profiles(cubes, x, k):

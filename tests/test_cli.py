@@ -583,6 +583,28 @@ def test_manifold_extend_rejects_an_atlas_that_is_not_an_object(tmp_path, capsys
     assert (rc, capsys.readouterr().err) == (2, "error: the atlas is a list, expected an object\n")
 
 
+_MALFORMED_CODOMAIN = {
+    "box-number": ({"box": 3}, "{'box': 3}"),
+    "number": (3, "3"),
+    "no-box": ({"bx": [[0, 1]]}, "{'bx': [[0, 1]]}"),
+    "box-of-two-pairs": ({"box": [[0, 1], [0, 1]]}, "{'box': [[0, 1], [0, 1]]}"),
+    "bound-null": ({"box": [[0, None]]}, "{'box': [[0, None]]}"),
+    "triple": ({"box": [[0, 1, 2]]}, "{'box': [[0, 1, 2]]}"),
+    "pair-string": ({"box": ["01"]}, "{'box': ['01']}"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_CODOMAIN))
+def test_manifold_extend_rejects_a_malformed_codomain(case, tmp_path, capsys):
+    codomain, shown = _MALFORMED_CODOMAIN[case]
+    doc = {"dim": 1, "charts": [{"id": "u", "codomain": codomain}], "jets": [], "pou": []}
+    p = tmp_path / "atlas.json"
+    p.write_text(json.dumps(doc))
+    rc = run(["manifold-extend", "--input", str(p), "--chart", "u", "--grid=0:1:0.5"])
+    expected = 'expected "all" or {"box": [[lo, hi], ...]} with dim = 1 pairs of numbers'
+    assert (rc, capsys.readouterr().err) == (2, f'error: "codomain" of chart u is {shown}, {expected}\n')
+
+
 def test_extend_determinism(jetfile, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -672,6 +694,26 @@ def test_pullback_unmatched_image(tmp_path):
     p.write_text(json.dumps(bundle))
     rc = run(["pullback", "--input", str(p), "--out", str(tmp_path / "o.json")])
     assert rc == 2
+
+
+_MALFORMED_BUNDLE = {
+    "map-number": ({"map": 3, "jet": {}, "points": []}, '"map" is a number, expected an object'),
+    "no-map": ({"jet": {}, "points": []}, '"map" is null, expected an object'),
+    "no-from-dim": ({"map": {"expr": ["x0"]}, "jet": {}, "points": []}, '"map" has no "from_dim"'),
+    "no-expr": ({"map": {"from_dim": 1}, "jet": {}, "points": []}, '"map" has no "expr"'),
+    "from-dim-null": ({"map": {"from_dim": None, "expr": ["x0"]}}, '"from_dim" is null, expected an integer'),
+    "expr-string": ({"map": {"from_dim": 1, "expr": "x0"}}, '"expr" of "map" is \'x0\', expected a list of strings'),
+    "document-list": ([1], "the bundle is a list, expected an object"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_BUNDLE))
+def test_pullback_rejects_a_malformed_bundle(case, tmp_path, capsys):
+    bundle, message = _MALFORMED_BUNDLE[case]
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(bundle))
+    rc = run(["pullback", "--input", str(p), "--out", str(tmp_path / "o.json")])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
 def test_pullback_overflowing_jet(tmp_path, capsys):

@@ -116,6 +116,87 @@ def test_profile_series_matches_finite_differences():
         assert d[2] == pytest.approx(fd2, rel=1e-3, abs=1e-2)
 
 
+def _mp_series(t, k):
+    """The order-k Taylor coefficients of s at t, from a 50-digit mpmath
+    evaluation of the scalar formula, rounded to floats."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        def s(x):
+            up = mp.exp(-1 / (mp.mpf(3) / 4 - abs(x)))
+            return up / (up + mp.exp(-1 / (abs(x) - mp.mpf(1) / 2)))
+
+        return np.array([float(c) for c in mp.taylor(s, mp.mpf(t), k)])
+
+
+def _band_points(count, seed):
+    """Transition-band points 1/2 < |t| < 3/4 of both signs, a tenth of them
+    within 1e-4 of 1/2 and a tenth within 1e-4 of 3/4."""
+    rng = np.random.default_rng(seed)
+    edge = count // 10
+    t = np.concatenate([
+        rng.uniform(0.5, 0.75, count - 2 * edge),
+        0.5 + rng.uniform(0.0, 1e-4, edge),
+        0.75 - rng.uniform(0.0, 1e-4, edge),
+    ])
+    t = t[(0.5 < t) & (t < 0.75)]
+    return t * np.where(np.arange(t.size) % 2, -1.0, 1.0)
+
+
+def test_profile_series_matches_50_digit_reference():
+    # rows 0..4 of the closed form against the 50-digit series, in units of
+    # eps * S_j, S_j the largest |s^(i)|, i <= j, over the sample; measured
+    # worst cases 1.0, 2.0, 4.3, 4.0, 7.2 (the generic series arithmetic
+    # gave 1.0, 2.0, 4.3, 3.3, 6.4 here)
+    k = 4
+    ts = _band_points(400, 17)
+    got = pou.bump_taylor(_profile_batch(ts, k)).coeffs
+    ref = np.array([_mp_series(t, k) for t in ts]).T
+    factorials = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
+    peak = np.maximum.accumulate(np.max(np.abs(ref), axis=1) * factorials)
+    err = np.abs(got - ref) * factorials[:, None] / (np.finfo(float).eps * peak[:, None])
+    assert np.max(err) < 16.0, np.max(err, axis=1)
+    assert np.array_equal(got[0], [_bump_real(t) for t in ts])
+
+
+def test_profile_of_a_general_linear_argument():
+    # u = t0 + a.h in three variables: the coefficients are those of the
+    # 50-digit series of s at t0 composed with a.h, within rounding
+    rng = np.random.default_rng(18)
+    n, k = 3, 4
+    ctx = ta.context(n, k)
+    orders = ctx.exponents.sum(axis=1)
+    for t0 in _band_points(20, 19):
+        a = rng.uniform(-2.0, 2.0, n)
+        inner = sum(float(ai) * ta.seed_variable(np.zeros(n), i, n, k) for i, ai in enumerate(a))
+        ref1 = _mp_series(t0, k)
+        want = ta.compose(ta.TaylorValue(ta.context(1, k), ref1), [inner]).coeffs
+        got = pou.bump_taylor(inner + float(t0)).coeffs
+        scale = np.max(np.abs(ref1)) * np.sum(np.abs(a)) ** orders
+        assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale), t0
+
+
+def test_profile_scaling_by_a_dyadic_side_is_exact():
+    # s(t0 + h/l) is the unit-slope series times l^-j, bit for bit, for
+    # every power-of-2 side l
+    k = 4
+    ts = _band_points(200, 20)
+    unit = pou.bump_taylor(_profile_batch(ts, k)).coeffs
+    for level in range(20):
+        side = 2.0**-level
+        scaled = pou.bump_taylor(_profile_batch(ts, k, side)).coeffs
+        assert np.array_equal(scaled, unit * (1.0 / side) ** np.arange(k + 1)[:, None])
+
+
+def test_profile_rejects_a_nonlinear_argument():
+    x = ta.seed_variable((0.6,), 0, 1, 2)
+    with pytest.raises(ValueError, match="linear"):
+        pou.bump_taylor(x * x)
+    u = ta.seed_variable((0.1, 0.6), 1, 2, 3)
+    u.coeffs[ta.context(2, 3).pos[(1, 1)]] = 1e-300
+    with pytest.raises(ValueError, match="linear"):
+        pou.bump_taylor(u)
+
+
 # -- tensor cutoff ----------------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
 """
-Run one fixed list of 43 CLI invocations against two source trees and
+Run one fixed list of 44 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -13,8 +13,10 @@ are equidistant from both points, which pins the anchor tie-break, and on
 boxes); extend with values, ``--k``, ``--schedule`` and ``--derivs`` at
 n = 1, 2, 3, with ``--derivs`` on a grid of the jet's own points (their
 rows read from the jet), with ``--derivs`` on rows 1e-9 .. 1e-3 from a
-jet point at n = 3, with values at n = 4, on a jet file of explicit
-values with varied key spellings (with values and ``--schedule``), on a
+jet point at n = 3, with ``--derivs`` to order 4 on a fine off-lattice
+grid at n = 3 (its rows fall in the cut-offs' transition bands), with
+values at n = 4, on a jet file of explicit values with varied key
+spellings (with values and ``--schedule``), on a
 1000-point jet file of the benchmark's grid-tile shape, on a jet file
 whose points use three key layouts, on two malformed jet files (exit 2),
 and on grids whose middle row overflows (exit 2), lies below the
@@ -379,6 +381,17 @@ INVOCATIONS = [
         [
             "extend", "--input", "jet3.json", "--grid=1e-9:1e-3:4.9e-4,-2e-9:1e-3:5e-4,3e-9:3e-9:1",
             "--derivs", "(1,1,0) (0,0,2) (3,1,0)",
+        ],
+    ),
+    # an off-lattice grid whose rows fall in the transition bands of the
+    # cubes' cut-offs, with derivatives to order 4: its derivative columns
+    # read the derivative rows of the bump series, which the 3-D grids above
+    # leave unchanged when only those rows move
+    (
+        "extend 3-D --derivs in the transition bands",
+        [
+            "extend", "--input", "jet3.json", "--grid=-1.13:1.1:0.137,-1.07:1.1:0.151,-0.93:1:0.173",
+            "--derivs", "(1,0,0) (0,1,1) (2,1,1) (0,0,4) (1,1,2)",
         ],
     ),
     ("extend 4-D values", ["extend", "--input", "jet4.json", "--grid=-1:1:0.7,-1:1:0.7,-1:1:0.7,-1:1:0.7"]),
