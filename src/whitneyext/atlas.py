@@ -83,6 +83,10 @@ class FiniteAtlas:
         for c in charts:
             if c.id in self.charts:
                 raise ValueError(f"duplicate chart id {c.id!r}")
+            if c.codomain != "all" and len(c.codomain) != self.dim:
+                raise ValueError(
+                    f"chart {c.id}: codomain box has {len(c.codomain)} pair(s), expected dim = {self.dim}"
+                )
             self.charts[c.id] = c
         self.chart_order = [c.id for c in charts]
         self.transitions = {}

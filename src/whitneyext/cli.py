@@ -23,6 +23,7 @@ multi-index cells use the bracketed form "[a,b]".
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -663,7 +664,10 @@ def cmd_verify(args):
 # -- argument parsing ----------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    is.  It holds no command function; ``main`` runs the command by name."""
     parser = argparse.ArgumentParser(
         prog="whitneyext",
         description="Whitney extension of jets on finite sets: "
@@ -676,7 +680,6 @@ def build_parser():
     p.add_argument("--grid", required=True, help='box bounds "lo:hi,lo:hi,…"')
     p.add_argument("--max-level", type=int, default=12, dest="max_level")
     p.add_argument("--out", help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("extend", help="evaluate an extension on a grid, as CSV")
     p.add_argument("--input", required=True, help="jet spec JSON")
@@ -685,25 +688,21 @@ def build_parser():
     p.add_argument("--derivs", help='derivative columns, e.g. "(1,0),(0,1)"')
     p.add_argument("--schedule", help='adaptive degree radii "d1,d2,…"')
     p.add_argument("--out", help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("check-jet", help="seminorm/remainder diagnostics")
     p.add_argument("--input", required=True, help="jet spec JSON")
     p.add_argument("--k", type=int, default=None, help="seminorm order (default: jet order)")
     p.add_argument("--out", help="JSON report path (text always on stdout)")
-    p.set_defaults(func=cmd_check_jet)
 
     p = sub.add_parser("fdb", help="chain-rule polynomial table for one alpha")
     p.add_argument("--alpha", required=True, help='multi-index, e.g. "(2,1)"')
     p.add_argument("--target-dim", type=int, default=1, dest="target_dim")
     p.add_argument("--out", help="text path (default: stdout)")
-    p.set_defaults(func=cmd_fdb)
 
     p = sub.add_parser("pullback", help="pull a jet back along an expression map")
     p.add_argument("--input", required=True, help="pullback bundle JSON")
     p.add_argument("--tol", type=float, default=1e-12, help="image matching tolerance")
     p.add_argument("--out", help="jet JSON path (default: stdout)")
-    p.set_defaults(func=cmd_pullback)
 
     p = sub.add_parser("manifold-extend", help="manifold extension in one chart")
     p.add_argument("--input", required=True, help="atlas JSON")
@@ -713,22 +712,23 @@ def build_parser():
     p.add_argument("--derivs", help='derivative columns, e.g. "(1,0)"')
     p.add_argument("--tol", type=float, default=1e-9, help="partition/pullback tolerance")
     p.add_argument("--out", help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_manifold_extend)
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("--suite", required=True, choices=sorted(_SUITES), help="suite name")
     p.add_argument("--input", help="jet or atlas JSON for data-driven suites")
     p.add_argument("--tol", type=float, default=None, help="override the pass bound")
     p.add_argument("--out", help="JSON report path (text always on stdout)")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # looked up by name on each call, not held by the shared parser, so
+    # that a wrapped or patched cmd_* function is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except _NumericAtPoint as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

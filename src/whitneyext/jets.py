@@ -15,6 +15,7 @@ coordinate seminorms q_i(v) = |v_i| and their maximum q_max.
 """
 
 import functools
+import itertools
 import math
 import sys
 import types
@@ -327,14 +328,15 @@ class Jet:
     @classmethod
     def from_dict(cls, d):
         """
-        A jet from its file form.  The coordinates of all points are
-        converted in one array conversion, and the values in one per key
-        layout (each index's position among a point's keys, the last
-        spelling of an index winning): one in the usual case, where every
-        point spells its keys alike.  A malformed jet is a ValueError: the
-        points are then read one at a time (:func:`_read_points`), so that
-        it names the first bad point and field, in the order of the
-        per-point checks.
+        A jet from its file form.  In the usual case every point spells the
+        same keys and each value entry is a list of outdim = m numbers: the
+        values are then converted in one flat pass and put in index order by
+        the key layout (each index's position among the keys, the last
+        spelling of an index winning), and the coordinates, when each "x" is
+        a list of dim = n numbers, in another.  Any other jet, mixed key
+        layouts included, is read one point at a time (:func:`_read_points`),
+        so that a malformed jet is a ValueError naming the first bad point
+        and field, in the order of the per-point checks.
         """
         if not isinstance(d, dict):
             raise ValueError(f"the jet is {_kind(d)}, expected an object")
@@ -358,24 +360,26 @@ class Jet:
         try:
             pts = d["points"]
             ids = [str(p["id"]) for p in pts]
-            groups = {}  # key layout -> rows
-            for r, p in enumerate(pts):
-                groups.setdefault(tuple(p["values"]), []).append(r)
-            blocks, order = [], []
-            for keys, rows in groups.items():
-                pos = layout(keys, ids[rows[0]])
-                vals = [list(pts[r]["values"].values()) for r in rows]
-                if pos is not None:
-                    vals = [[v[i] for i in pos] for v in vals]
-                blocks.append(np.array(vals, dtype=float))
-                order += rows
-            if len(blocks) > 1:  # back to file order
-                blocks = [np.concatenate(blocks)[np.argsort(order)]]
-            values = blocks[0] if blocks else []
-            return cls._from_arrays(n, k, m, ids, [p["x"] for p in pts], values)
+            xs, vals = [p["x"] for p in pts], [p["values"] for p in pts]
+            keys = tuple(vals[0]) if vals else ()
+            pos = layout(keys, ids[0]) if vals else None
+            if all(tuple(v) == keys for v in vals):
+                rows = [row for v in vals for row in v.values()]
+                # lists only: a string or an object would be read as its
+                # characters or keys
+                if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {m}:
+                    F = _flat(rows, (len(ids), len(keys), m))
+                    if all(type(x) is list and len(x) == n for x in xs):
+                        xs = _flat(xs, (len(ids), n))
+                    return cls._from_arrays(n, k, m, ids, xs, F if pos is None else F[:, pos])
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-            cls._from_arrays(n, k, m, *_read_points(d, n, m, indices, layout))
-            raise
+            pass
+        return cls._from_arrays(n, k, m, *_read_points(d, n, m, indices, layout))
+
+
+def _flat(lists, shape):
+    """The equal-length lists of numbers as one float array of the shape."""
+    return np.fromiter(itertools.chain.from_iterable(lists), float, math.prod(shape)).reshape(shape)
 
 
 def _repeats(X):

@@ -90,10 +90,14 @@ def _step_series(t, k):
     """The (k+1, len(t)) Taylor coefficients of s(t + tau) in tau at the
     transition-band values t, by the recurrences of the module docstring."""
     g0 = -1.0 / np.concatenate([0.75 - t, t - 0.5])
+    e0 = np.array([math.exp(v) for v in g0.tolist()])
+    # where B underflows to 0 its whole series is 0; g0 = -1 keeps the signs
+    # of those zeros and keeps the powers of g0 from overflowing
+    g0[e0 == 0] = -1.0
     i = np.arange(k + 1)[:, None]
     ig = i * g0 * np.concatenate([-g0[: t.size], g0[t.size :]]) ** i  # i g_i
     e = np.empty_like(ig)
-    e[0] = [math.exp(v) for v in g0.tolist()]
+    e[0] = e0
     for j in range(1, k + 1):
         e[j] = (ig[1 : j + 1] * e[j - 1 :: -1]).sum(axis=0) / j
     up, total = e[:, : t.size], e[:, : t.size] + e[:, t.size :]

@@ -70,6 +70,16 @@ def test_chart_codomain_box():
     assert allc.contains((1e9, -1e9))
 
 
+def test_atlas_rejects_a_codomain_of_another_dimension():
+    # Chart.contains reads only the coordinates its box has pairs for
+    with pytest.raises(ValueError, match=r"^chart c: codomain box has 1 pair\(s\), expected dim = 2$"):
+        atlas.FiniteAtlas(2, [atlas.Chart("d"), atlas.Chart("c", [[0, 1]])], {})
+    with pytest.raises(ValueError, match=r"^chart c: codomain box has 2 pair\(s\), expected dim = 1$"):
+        atlas.FiniteAtlas(1, [atlas.Chart("c", [[0, 1], [0, 1]])], {})
+    at = atlas.FiniteAtlas(2, [atlas.Chart("c", [[0, 1], [0, 1]]), atlas.Chart("d")], {})
+    assert not at.chart("c").contains((0.5, 7.0))
+
+
 def test_check_roundtrips():
     at = doubling_atlas()
     assert at.check_roundtrips("u", "v", [(0.5,), (-2.0,), (10.0,)]) == pytest.approx(

@@ -857,6 +857,39 @@ def test_verify_unknown_suite():
     assert excinfo.value.code == 2
 
 
+def test_shared_parser_gives_the_output_of_a_fresh_one(jetfile, setfile, capsys, monkeypatch):
+    # one parser serves every call of a process; a usage error between calls
+    # leaves it as it was, so each call prints what a freshly built parser's
+    # first call prints, and the command that runs is the module's current
+    # cmd_* function
+    calls = [
+        ["extend", "--input", jetfile, "--grid=-1.7:2.3:0.37", "--derivs", "(1) (2)"],
+        ["extend", "--input", jetfile, "--derivs", "(1)"],  # no --grid: usage error
+        ["decompose", "--input", setfile, "--grid=-3:9", "--max-level", "4"],
+        ["extend", "--input", jetfile, "--grid=-1.9:2.3:0.41"],
+    ]
+
+    def call(argv):
+        try:
+            rc = run(argv)
+        except SystemExit as e:
+            rc = ("exit", e.code)
+        return rc, capsys.readouterr()
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    cli.build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == fresh
+    assert [rc for rc, _ in fresh] == [0, ("exit", 2), 0, 0]
+    assert "the following arguments are required: --grid" in fresh[1][1].err
+    assert all(fresh[i][1].out for i in (0, 2, 3))
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_decompose", lambda args: 7)
+    assert run(calls[2]) == 7
+
+
 def _declared_console_script(name):
     try:
         import tomllib

@@ -1,6 +1,7 @@
 """Whitney k-jets on finite sets: Taylor polynomials, remainders, seminorms,
 shift/project, moduli, gluing."""
 
+import copy
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitneyext import exprlang as el
-from whitneyext import extend, fdb, jets
+from whitneyext import cli, extend, fdb, jets
 from whitneyext import multiindex as mi
 from whitneyext import taylorarith as ta
 
@@ -522,3 +523,181 @@ def test_blend_of_a_read_jet_keeps_the_bits_of_per_point_construction():
     b = extend.Extension(built).blend(on + off, 2)
     assert a.tobytes() == b.tobytes()
     assert a[: len(on)].tobytes() == np.stack([read.values[pid] for pid in read.ids]).tobytes()
+
+
+# -- unusual jet files ------------------------------------------------------------
+
+
+def _read_one_point_at_a_time(doc):
+    """A jet file read by plain per-point code, the reference for
+    ``Jet.from_dict``: "x" a list converted by float(), each index's entry
+    (the last spelling of an index winning) a list of outdim numbers, a
+    point's rows one numpy conversion.  A malformed file raises."""
+    n, k, m = (int(doc[field]) for field in ("dim", "order", "outdim"))
+    indices = mi.enumerate_upto(n, k)
+    points, values = [], {}
+    for p in doc["points"]:
+        pid = str(p["id"])
+        if not isinstance(p["x"], list):
+            raise ValueError(f'"x" of point {pid} is not a list')
+        got = {mi.parse(key, n): row for key, row in p["values"].items()}
+        rows = [got[a] for a in indices]
+        if not all(isinstance(row, list) and len(row) == m for row in rows):
+            raise ValueError(f"a value entry of point {pid} is not a list of {m} numbers")
+        points.append((pid, tuple(map(float, p["x"]))))
+        values[pid] = np.array(rows, dtype=float)
+    return jets.Jet(n, k, m, points, values)
+
+
+def _unusual(points, **header):
+    return {"dim": 1, "order": 1, "outdim": 1, **header, "points": points}
+
+
+def _line(**second):
+    """Three 1-D points with the fields of the second (id b) replaced."""
+    pts = [{"id": pid, "x": [x], "values": {"[0]": [1.0], "[1]": [2.0]}}
+           for pid, x in (("a", 0.0), ("b", 1.0), ("c", 2.0))]
+    pts[1].update(second)
+    return _unusual(pts)
+
+
+_PLANE2 = {"[0,0]": [1.0, 4.0], "[1,0]": [2.0, 5.0], "[0,1]": [3.0, 6.0]}
+
+
+def _plane(**second):
+    """Three 2-D points with m = 2 and the fields of the second replaced."""
+    pts = [{"id": pid, "x": x, "values": dict(_PLANE2)}
+           for pid, x in (("a", [0.0, 0.0]), ("b", [1.0, 0.0]), ("c", [0.0, 1.0]))]
+    pts[1].update(second)
+    return _unusual(pts, dim=2, outdim=2)
+
+
+def _alike(values, xs=(0.0, 1.0, 2.0)):
+    """1-D points that all spell their values alike."""
+    return _unusual([{"id": f"p{i}", "x": [x], "values": values} for i, x in enumerate(xs)])
+
+
+# jet files with unusual shapes or numbers: each loads as the per-point
+# reference reads it (message None) or is the ValueError with the message
+# given
+_UNUSUAL_JETS = {
+    "x-string-of-dim-length": (
+        _plane(x="12"), '"x" of point b is \'12\', expected a list of dim = 2 numbers'
+    ),
+    "x-object": (_line(x={"0": 1.0}), "\"x\" of point b is {'0': 1.0}, expected a list of dim = 1 numbers"),
+    "x-boolean": (_line(x=True), '"x" of point b is True, expected a list of dim = 1 numbers'),
+    "x-booleans": (_line(x=[True]), None),
+    "x-number-string": (_line(x=["1.5"]), None),
+    "x-nan": (_line(x=[math.nan]), "point b has non-finite coordinates (nan,)"),
+    "x-1e400": (_line(x=[1e400]), "point b has non-finite coordinates (inf,)"),
+    "value-string-of-outdim-length": (
+        _plane(values={**_PLANE2, "[1,0]": "25"}),
+        "values for point b at index [1,0] are '25', expected a list of outdim = 2 numbers",
+    ),
+    "value-object-of-outdim-length": (
+        _plane(values={**_PLANE2, "[1,0]": {"a": 2.0, "b": 5.0}}),
+        "values for point b at index [1,0] are {'a': 2.0, 'b': 5.0}, expected a list of outdim = 2 numbers",
+    ),
+    "value-boolean": (
+        _line(values={"[0]": True, "[1]": [2.0]}),
+        "values for point b at index [0] are True, expected a list of outdim = 1 numbers",
+    ),
+    "value-booleans": (_line(values={"[0]": [False], "[1]": [True]}), None),
+    "values-string": (_line(values="[0][1]"), '"values" of point b is a string, expected an object'),
+    "values-boolean": (_line(values=False), '"values" of point b is a boolean, expected an object'),
+    "ragged-rows": (
+        _plane(values={**_PLANE2, "[0,1]": [3.0]}),
+        "values for point b at index [0,1] are [3.0], expected a list of outdim = 2 numbers",
+    ),
+    "outdim-wrong-everywhere": (
+        _alike({"[0]": [1.0, 0.0], "[1]": [2.0, 0.0]}),
+        "values for point p0 have shape (2, 2), expected (2, 1)",
+    ),
+    "value-nan": (_line(values={"[0]": [math.nan], "[1]": [2.0]}), "values for point b are not all finite"),
+    "value-1e400": (_line(values={"[0]": [1.0], "[1]": [1e400]}), "values for point b are not all finite"),
+    "extra-key-everywhere": (_alike({"[0]": [1.0], "[1]": [2.0], "[2]": [9.0]}), None),
+    "extra-key-of-any-kind": (_alike({"[2]": "junk", "[0]": [1.0], "[1]": [2.0]}), None),
+    "extra-key-at-one-point": (_line(values={"[0]": [1.0], "[1]": [2.0], "[5]": [[]]}), None),
+    "reordered-keys-everywhere": (_alike({"[1]": [2.0], "[0]": [1.0]}), None),
+    "mixed-key-layouts": (_line(values={"[1]": [7.0], "(0)": [8.0]}), None),
+    "stale-spelling-of-any-kind": (_line(values={"(1)": "junk", "[0]": [1.0], "[1]": [2.0]}), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNUSUAL_JETS))
+def test_from_dict_on_unusual_documents(case, tmp_path, capsys):
+    doc, message = _UNUSUAL_JETS[case]
+    doc = json.loads(json.dumps(doc))
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main(["extend", "--input", str(p), "--grid=" + ",".join(["0.5:1.5:0.5"] * doc["dim"])])
+    err = capsys.readouterr().err
+    if message is not None:
+        with pytest.raises(ValueError) as info:
+            jets.Jet.from_dict(doc)
+        assert str(info.value) == message
+        assert (rc, err) == (2, f"error: {message}\n")
+        return
+    got, want = jets.Jet.from_dict(doc), _read_one_point_at_a_time(doc)
+    assert got.ids == want.ids
+    assert got.X.tobytes() == want.X.tobytes() and got.F.tobytes() == want.F.tobytes()
+    assert (rc, err) == (0, "")
+
+
+_ODD = [None, True, False, "12", "1.5", "", {}, {"0": 1.0}, [], [1.0], [[1.0]],
+        10**400, math.nan, math.inf, 1e300]
+
+
+@st.composite
+def _jet_documents(draw):
+    """Jet files of 1 to 4 points, every point spelling its keys in one
+    drawn order, with up to two mutations: an odd "x", value entry or
+    number; a point's keys reordered; an extra or stale key; a key dropped."""
+    n, k, m = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    indices = mi.enumerate_upto(n, k)
+    number = st.floats(-2, 2) | st.integers(-2, 2)
+    odd = st.sampled_from(_ODD).map(copy.deepcopy)
+    keys = [mi.fmt(a) for a in draw(st.permutations(indices))]
+    points = [
+        {"id": f"p{i}", "x": draw(st.lists(number, min_size=n, max_size=n)),
+         "values": {key: draw(st.lists(number, min_size=m, max_size=m)) for key in keys}}
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.sampled_from(points))
+        key = draw(st.sampled_from(list(p["values"]))) if p["values"] else None
+        kind = draw(st.sampled_from(["x", "x-number", "entry", "number", "layout", "extra", "stale", "drop"]))
+        if kind == "x":
+            p["x"] = draw(odd)
+        elif kind == "x-number" and isinstance(p["x"], list) and p["x"]:
+            p["x"][draw(st.integers(0, len(p["x"]) - 1))] = draw(odd)
+        elif kind == "entry" and key is not None:
+            p["values"][key] = draw(odd)
+        elif kind == "number" and isinstance(p["values"].get(key), list) and p["values"][key]:
+            p["values"][key][0] = draw(odd)
+        elif kind == "layout":
+            p["values"] = dict(draw(st.permutations(list(p["values"].items()))))
+        elif kind == "extra":
+            p["values"][mi.fmt((k + 1,) + (0,) * (n - 1))] = draw(odd | st.lists(number, min_size=m, max_size=m))
+        elif kind == "stale":
+            p["values"] = {"(" + ",".join(map(str, indices[-1])) + ")": draw(odd), **p["values"]}
+        elif kind == "drop" and key is not None:
+            del p["values"][key]
+    return json.loads(json.dumps({"dim": n, "order": k, "outdim": m, "points": points}))
+
+
+@given(_jet_documents())
+@settings(max_examples=300, deadline=None)
+def test_from_dict_reads_as_one_point_at_a_time(doc):
+    # the flat conversion, where it applies, and the per-point reader agree
+    # with the reference on every document: the same bits, or a ValueError
+    try:
+        want = _read_one_point_at_a_time(doc)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+        with pytest.raises(ValueError):
+            jets.Jet.from_dict(doc)
+        return
+    got = jets.Jet.from_dict(doc)
+    assert got.ids == want.ids
+    assert got.X.shape == want.X.shape and got.F.shape == want.F.shape
+    assert got.X.tobytes() == want.X.tobytes() and got.F.tobytes() == want.F.tobytes()

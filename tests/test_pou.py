@@ -1,6 +1,7 @@
 """The smooth cutoff and the cube partition of unity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,26 @@ def test_profile_flat_contact_at_branch_points():
         s = pou.bump_taylor(u)
         assert s.const == pytest.approx(target, abs=1e-5)
         assert abs(s.coeffs[1]) < 1e-2
+
+
+def test_profile_series_at_a_junction_is_exact_to_high_order():
+    # within a few ulps of 1/2 or 3/4 one B factor underflows to 0, and its
+    # series is the zero series: s is exactly the constant 1 or 0 series at
+    # every order, with no overflow on the way (the powers of 1/p0 would
+    # pass the float range from order 19); near the underflow threshold the
+    # series stays finite
+    ts = np.array([0.5 + 2.0**-52, 0.5 + 2.0**-50, 0.75 - 2.0**-53, 0.75 - 2.0**-51])
+    near = np.array([0.5 + 1 / 745, 0.5 + 1 / 740, 0.75 - 1 / 745, 0.75 - 1 / 740])
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(31):
+            want = np.eye(k + 1, 1) * [1.0, 1.0, 0.0, 0.0]
+            assert np.array_equal(pou._step_series(ts, k), want)
+            assert np.isfinite(pou._step_series(near, k)).all()
+            if k <= 20:  # 21! is past the integers of a series context
+                got = pou.bump_taylor(_profile_batch(ts * signs, k)).coeffs
+                assert np.array_equal(got, want)
 
 
 def test_profile_series_matches_finite_differences():

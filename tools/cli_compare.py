@@ -1,5 +1,5 @@
 """
-Run one fixed list of 44 CLI invocations against two source trees and
+Run one fixed list of 47 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -18,7 +18,10 @@ grid at n = 3 (its rows fall in the cut-offs' transition bands), with
 values at n = 4, on a jet file of explicit values with varied key
 spellings (with values and ``--schedule``), on a
 1000-point jet file of the benchmark's grid-tile shape, on a jet file
-whose points use three key layouts, on two malformed jet files (exit 2),
+whose points use three key layouts, on jet files of that shape whose
+points spell their keys alike in reverse order, whose points all but one
+spell them in order, and whose points spell an extra index beyond the
+order, on two malformed jet files (exit 2),
 and on grids whose middle row overflows (exit 2), lies below the
 resolution (exit 3) or exhausts the degree schedule (exit 3); check-jet;
 fdb; pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at
@@ -125,17 +128,18 @@ def _quadratic_rows(x, y):
     }
 
 
-def tile_jet(count=1000, seed=5):
+def tile_jet(count=1000, seed=5, respell=lambda i, values: values):
     """An order-2 jet in 2-D with explicit values (those of a quadratic) at
     `count` uniform points of [-1, 1]^2, every point spelling its keys
     "[a,b]" in graded-lex order: the shape of the files of the benchmark's
-    grid-tile workload."""
+    grid-tile workload.  ``respell(i, values)`` gives the values object of
+    point i from that one."""
     rng = random.Random(seed)
     points = []
     for i in range(count):
         x, y = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         values = {"[%d,%d]" % a: [v] for a, v in _quadratic_rows(x, y).items()}
-        points.append({"id": f"p{i}", "x": [x, y], "values": values})
+        points.append({"id": f"p{i}", "x": [x, y], "values": respell(i, values)})
     return {"dim": 2, "order": 2, "outdim": 1, "points": points}
 
 
@@ -254,6 +258,14 @@ FIXTURES = {
     "explicit.json": explicit_jet(),
     "tile.json": tile_jet(),
     "layouts.json": layouts_jet(),
+    # keys that every point spells alike in reverse order; one point of 200
+    # in reverse order, the others in order; an index beyond the order
+    # (ignored) at every point
+    "reordered.json": tile_jet(200, 11, lambda i, values: dict(reversed(values.items()))),
+    "one_reordered.json": tile_jet(
+        200, 12, lambda i, values: dict(reversed(values.items())) if i == 150 else values
+    ),
+    "extra_key.json": tile_jet(200, 13, lambda i, values: {**values, "[3,0]": [7.0]}),
     # malformed: the second point's "x" holds null (a TypeError traceback
     # before the jet was read as stacked arrays), and a value row one number
     # too long (exit 2 with the same line before and after)
@@ -405,6 +417,12 @@ INVOCATIONS = [
     # jet file of its shape
     ("extend 2-D tile of a 1000-point jet", ["extend", "--input", "tile.json", "--grid=-0.25:-0.03:0.0702,0.3:0.52:0.0702"]),
     ("extend 2-D three key layouts", ["extend", "--input", "layouts.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
+    ("extend 2-D keys reordered alike", ["extend", "--input", "reordered.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
+    (
+        "extend 2-D one point in another key layout",
+        ["extend", "--input", "one_reordered.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"],
+    ),
+    ("extend 2-D an extra key at every point", ["extend", "--input", "extra_key.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
     ("extend malformed jet, x null", ["extend", "--input", "x_null.json", "--grid=0:1:0.5"]),
     ("extend malformed jet, long value row", ["extend", "--input", "long_row.json", "--grid=0:1:0.5"]),
     # a middle row fails: F'(0.51) overflows (exit 2), and the fourth of
