@@ -142,7 +142,7 @@ def load_jet_spec(doc):
     {"induce": {"expr": [...], "points": [...]}} with "dim" and "order".
     """
     if isinstance(doc, dict) and "induce" in doc:
-        n, k = jets._integer(doc, "dim"), jets._integer(doc, "order")
+        n, k = jets._integer(doc, "dim"), jets._order(doc)
         ind = doc["induce"]
         if not isinstance(ind, dict):
             raise ValueError(f'"induce" is {jets._kind(ind)}, expected an object')
@@ -271,22 +271,20 @@ def cmd_extend(args):
 def cmd_check_jet(args):
     jet = load_jet_spec(_load_json(args.input))
     l = jet.k if args.k is None else int(args.k)
+    d, sp, sd = jet.diameter(), jet.seminorm_prime(l), jet.seminorm_dprime(l)
+    deltas = (2 * d, d / 2, d / 8) if d > 0 else ()
     report = {
         "dim": jet.n,
         "order": jet.k,
         "outdim": jet.m,
         "points": jet.npoints(),
         "l": l,
-        "diameter": jet.diameter(),
-        "seminorm_prime": jet.seminorm_prime(l),
-        "seminorm_dprime": jet.seminorm_dprime(l),
-        "seminorm": jet.seminorm(l),
-        "moduli": {},
+        "diameter": d,
+        "seminorm_prime": sp,
+        "seminorm_dprime": sd,
+        "seminorm": sp + sd,  # the sum Jet.seminorm takes
+        "moduli": {_fmt(delta): jet.whitney_modulus(l, delta) for delta in deltas},
     }
-    d = report["diameter"]
-    if d > 0:
-        for delta in (2 * d, d / 2, d / 8):
-            report["moduli"][_fmt(delta)] = jet.whitney_modulus(l, delta)
     lines = [
         f"points: {report['points']}  dim: {jet.n}  order: {jet.k}  outdim: {jet.m}",
         f"diameter: {_fmt(d)}",

@@ -63,24 +63,12 @@ class Num:
     def __init__(self, value):
         self.value = value
 
-    def __eq__(self, other):
-        return isinstance(other, Num) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("num", self.value))
-
 
 class Var:
     __slots__ = ("index",)
 
     def __init__(self, index):
         self.index = index
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.index == other.index
-
-    def __hash__(self):
-        return hash(("var", self.index))
 
 
 class Bin:
@@ -91,29 +79,12 @@ class Bin:
         self.left = left
         self.right = right
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bin)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash(("bin", self.op, self.left, self.right))
-
 
 class Neg:
     __slots__ = ("arg",)
 
     def __init__(self, arg):
         self.arg = arg
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("neg", self.arg))
 
 
 class Pow:
@@ -123,16 +94,6 @@ class Pow:
         self.base = base
         self.exponent = exponent
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pow)
-            and self.base == other.base
-            and self.exponent == other.exponent
-        )
-
-    def __hash__(self):
-        return hash(("pow", self.base, self.exponent))
-
 
 class Call:
     __slots__ = ("name", "arg")
@@ -140,12 +101,6 @@ class Call:
     def __init__(self, name, arg):
         self.name = name
         self.arg = arg
-
-    def __eq__(self, other):
-        return isinstance(other, Call) and self.name == other.name and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("call", self.name, self.arg))
 
 
 # -- tokenizer ------------------------------------------------------------

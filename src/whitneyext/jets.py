@@ -5,8 +5,9 @@ A jet stores, for every point of a finite set A in R^n and every
 multi-index a with |a| <= k, a value in R^m — the candidate mixed partial
 derivatives of a C^k function.  The module provides the anchored Taylor
 polynomial and remainder of a jet, the order shift and projection, the
-jet seminorms (sup of values plus sup of normalized remainder quotients),
-a smallness modulus for the remainder condition, and gluing of jets given
+jet seminorms (sup of values plus sup of normalized remainder quotients)
+and a smallness modulus for the remainder condition, both maxima of one
+table of remainder quotients over point pairs, and gluing of jets given
 on overlapping subsets.
 
 Any finite set is closed, so the remainder condition proper is vacuous in
@@ -128,11 +129,18 @@ class Jet:
         return self.X
 
     def diameter(self, ids=None):
-        """Largest pairwise distance of the selected points."""
+        """Largest pairwise distance of the selected points; a distance
+        beyond the float range is a ValueError naming its pair."""
         pts = self.X if ids is None else self.X[[self.row[p] for p in ids]]
         d = 0.0
-        for i in range(len(pts) - 1):
-            d = max(d, float(np.max(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1))))
+        with np.errstate(over="ignore"):
+            for i in range(len(pts) - 1):
+                d = max(d, float(np.max(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1))))
+        if d == math.inf:  # a difference or its square overflowed
+            pairs = itertools.combinations(map(tuple, pts.tolist()), 2)
+            d, y, x = max((math.dist(y, x), y, x) for y, x in pairs)
+            if d == math.inf:
+                raise ValueError(f"the distance between points {y} and {x} is beyond the float range")
         return d
 
     # -- construction -----------------------------------------------------
@@ -249,70 +257,69 @@ class Jet:
         """max over |a| <= l and points of K of q(f_a)."""
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
-        K = list(K) if K is not None else self.ids
-        ncoef = multiindex.count_upto(self.n, l)
-        out = 0.0
-        for pid in K:
-            for row in self.values[pid][:ncoef]:
-                out = max(out, apply_seminorm(q, row))
-        return out
+        F = self.F[:, : multiindex.count_upto(self.n, l)]
+        F = F if K is None else F[[self.row[pid] for pid in K]]
+        return float(np.abs(F if q == "max" else F[..., int(q)]).max(initial=0.0))
 
     def seminorm_dprime(self, l, q="max", K=None):
-        """
-        max over |a| <= l and distinct points x != y of K of
-        q(R^{l-|a|}_y (shifted jet)(x)) / |x-y|^{l-|a|}; 0 when K has
-        fewer than two points.
-        """
+        """max over |a| <= l and distinct points x != y of K of
+        q(R^{l-|a|}_y (shifted jet)(x)) / |x-y|^{l-|a|}, the maximum of the
+        remainder table; 0 when K has fewer than two points."""
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
-        K = list(K) if K is not None else self.ids
-        if len(K) < 2:
-            return 0.0
-        out = 0.0
-        shifted = {}
-        for a in self.indices:
-            if sum(a) > l:
-                break
-            shifted[a] = self.shift(a)
-        for a, sj in shifted.items():
-            la = l - sum(a)
-            for y_id in K:
-                for x_id in K:
-                    if x_id == y_id:
-                        continue
-                    rem = sj.remainder(y_id, la, x_id)
-                    dist = math.dist(self.coords[x_id], self.coords[y_id])
-                    out = max(out, apply_seminorm(q, rem) / dist**la)
-        return out
+        rows = range(len(self.ids)) if K is None else [self.row[pid] for pid in K]
+        return float(self._quotients(l, q, rows).max(initial=0.0))
 
     def seminorm(self, l, q="max", K=None):
         """The jet seminorm: sup of values plus sup of remainder quotients."""
         return self.seminorm_prime(l, q, K) + self.seminorm_dprime(l, q, K)
 
     def whitney_modulus(self, l, delta):
-        """
-        The remainder-condition diagnostic: the largest normalized remainder
-        quotient (with q = q_max) over point pairs at distance < delta.
-        Returns 0 when no pair is that close.
-        """
+        """The remainder-condition diagnostic: the largest normalized remainder
+        quotient (q = q_max) over point pairs at distance < delta, from the
+        remainder table of those pairs; 0 when no pair is that close."""
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
         if delta <= 0:
             raise ValueError("delta must be positive")
-        out = 0.0
-        for a in self.indices:
-            if sum(a) > l:
-                break
-            sj = self.shift(a)
-            la = l - sum(a)
-            for y_id in self.ids:
-                for x_id in self.ids:
-                    if x_id == y_id:
-                        continue
-                    dist = math.dist(self.coords[x_id], self.coords[y_id])
-                    if 0.0 < dist < delta:
-                        rem = sj.remainder(y_id, la, x_id)
-                        out = max(out, apply_seminorm("max", rem) / dist**la)
+        return float(self._quotients(l, "max", range(len(self.ids)), delta).max(initial=0.0))
+
+    def _quotients(self, l, q, rows, delta=None):
+        """
+        The remainder table: for the ordered pairs (y, x) of distinct `rows`
+        (y outer, x inner) at distances below delta, if given, the largest
+        q(R^{l-|a|}_y (shift_a f)(x)) / |x-y|^{l-|a|} over |a| <= l.  A
+        distance (``math.dist``), or its float power l, out of range is a
+        ValueError naming the first such pair.  Per a and block of pairs
+        (about 2^18 numbers), one taylor_series call expands each anchor y
+        at its x with the bits of a one-pair call; a failing Taylor
+        polynomial raises what a per-pair loop, a outer, raised first.
+        """
+        rows = np.asarray(rows, dtype=int)
+        ys, xs = np.repeat(rows, len(rows)), np.tile(rows, len(rows))
+        P = self.X.tolist()
+        dist = np.array([math.dist(P[x], P[y]) for y, x in zip(ys.tolist(), xs.tolist())])
+        keep = (ys != xs) if delta is None else (0.0 < dist) & (dist < delta)
+        ys, xs, dist = ys[keep], xs[keep], dist[keep].tolist()
+        # the powers 0 .. l; for l < 0, which takes no shift, the power 0
+        power = [np.array([_power(d, e) for d in dist]) for e in range(max(l, 0) + 1)]
+        bad = ~((np.array(dist) < math.inf) & (0.0 < power[-1]) & (power[-1] < math.inf))
+        if bad.any():
+            j = int(bad.argmax())
+            y, x = (tuple(self.X[r[j]].tolist()) for r in (ys, xs))
+            what = "" if dist[j] == math.inf else f" to the power {l}"
+            raise ValueError(f"the distance between points {y} and {x}{what} is beyond the float range")
+        out = np.zeros(len(ys))
+        step = max(1, 2**18 // (len(self.indices) * self.m))
+        for i, a in enumerate(self.indices[: multiindex.count_upto(self.n, l)]):
+            la, sj = l - sum(a), self.shift(a)
+            for s in range(0, len(ys), step):
+                b = slice(s, s + step)
+                T = sj.taylor_series(ys[b], la, self.X[xs[b]], 0)[0]
+                with np.errstate(over="ignore"):  # a remainder or quotient beyond the float range is inf
+                    r = np.abs(self.F[xs[b], i] - T)
+                    r = r.max(axis=1) if q == "max" else r[:, int(q)]
+                    out[b] = np.maximum(out[b], r / power[la][b])
         return out
 
     # -- serialization -------------------------------------------------------
@@ -340,7 +347,7 @@ class Jet:
         """
         if not isinstance(d, dict):
             raise ValueError(f"the jet is {_kind(d)}, expected an object")
-        n, k, m = (_integer(d, field) for field in ("dim", "order", "outdim"))
+        n, k, m = _integer(d, "dim"), _order(d), _integer(d, "outdim")
         indices = multiindex.enumerate_upto(n, k)
         parse = functools.cache(lambda key: multiindex.parse(key, n))  # once per spelling
         layouts = {}
@@ -363,10 +370,10 @@ class Jet:
             xs, vals = [p["x"] for p in pts], [p["values"] for p in pts]
             keys = tuple(vals[0]) if vals else ()
             pos = layout(keys, ids[0]) if vals else None
-            if all(tuple(v) == keys for v in vals):
+            # lists only, here and below: a string or an object would be
+            # read as its characters or keys ("" or {} as no points)
+            if isinstance(pts, list) and all(tuple(v) == keys for v in vals):
                 rows = [row for v in vals for row in v.values()]
-                # lists only: a string or an object would be read as its
-                # characters or keys
                 if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {m}:
                     F = _flat(rows, (len(ids), len(keys), m))
                     if all(type(x) is list and len(x) == n for x in xs):
@@ -436,6 +443,15 @@ def _integer(d, field):
         return int(d[field])
     except TypeError:
         raise ValueError(f'"{field}" is {_kind(d[field])}, expected an integer') from None
+
+
+def _order(d):
+    """The "order" field of a jet file, at most 20: the series contexts of a
+    higher order take factorials beyond the 64-bit integers (21! > 2^63)."""
+    k = _integer(d, "order")
+    if k > 20:
+        raise ValueError(f"order {k} exceeds the largest supported jet order 20")
+    return k
 
 
 def _read_points(d, n, m, indices, layout):

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import whitneyext
-from whitneyext import cli
+from whitneyext import cli, multiindex
 
 
 def run(argv):
@@ -414,6 +414,15 @@ _MALFORMED_JETS = {
     "no-points": ({"dim": 1, "order": 1, "outdim": 1}, 'the jet has no "points"'),
     "points-int": (_jet_file(3), '"points" is a number, expected a list'),
     "points-object": (_jet_file({"a": 1}), '"points" is an object, expected a list'),
+    # empty iterables, once read as a jet without points
+    "points-empty-string": (_jet_file(""), '"points" is a string, expected a list'),
+    "points-empty-object": (_jet_file({}), '"points" is an object, expected a list'),
+    # an OverflowError traceback from the factorial 21! before orders were
+    # checked where the file is read
+    "order-21": (
+        _jet_file([_point("a", [0.0], {f"[{i}]": [1.0] for i in range(22)})], order=21),
+        "order 21 exceeds the largest supported jet order 20",
+    ),
     "point-is-list": (
         _jet_file([_point("a", [0.0]), ["b", [1.0]]]), "points[1] is a list, expected an object"
     ),
@@ -508,6 +517,9 @@ def test_extend_rejects_malformed_jet_file(case, tmp_path, capsys):
         ([{"id": "p", "x": [0.5], "values": {}}], "point p is missing values for indices [(0,)]"),
         ([{"id": "p", "x": 0.5, "values": {"[0]": [0.25], "[1]": [1.0]}}],
          '"x" of point p is 0.5, expected a list of dim = 1 numbers'),
+        # the order, 21, is read from the keys
+        ([{"id": "p", "x": [0.5], "values": {f"[{i}]": [1.0] for i in range(22)}}],
+         "order 21 exceeds the largest supported jet order 20"),
     ],
 )
 def test_manifold_extend_rejects_malformed_chart_jet(points, message, tmp_path, capsys):
@@ -548,6 +560,10 @@ _MALFORMED_INDUCE = {
     "expr-number": (
         {"dim": 1, "order": 1, "induce": {"expr": 3, "points": []}},
         '"expr" of "induce" is 3, expected a list of strings',
+    ),
+    "order-21": (
+        _induce_file([{"id": "a", "x": [0.0]}, {"id": "b", "x": [1.0]}], order=21),
+        "order 21 exceeds the largest supported jet order 20",
     ),
 }
 
@@ -630,6 +646,38 @@ def test_check_jet(jetfile, tmp_path):
     assert len(radii) == 3
     assert all(mods[radii[i]] <= mods[radii[i + 1]] + 1e-15
                for i in range(len(radii) - 1))
+
+
+def _two_point_jet(n, k, x, y):
+    """The zero jet of order k in R^n at the points x and y."""
+    values = {multiindex.fmt(a): [0.0] for a in multiindex.enumerate_upto(n, k)}
+    return _jet_file([_point("a", x, values), _point("b", y, values)], dim=n, order=k)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # the square of the distance leaves the float range: an OverflowError
+        # traceback, after a numpy warning from the diameter
+        (_two_point_jet(2, 2, [0.0, 0.0], [1e154, 1e154]),
+         "the distance between points (0.0, 0.0) and (1e+154, 1e+154) to the power 2 "
+         "is beyond the float range"),
+        # the distance itself: warnings, "diameter: inf", and one modulus
+        # line for three deltas
+        (_two_point_jet(1, 0, [-1e308], [1e308]),
+         "the distance between points (-1e+308,) and (1e+308,) is beyond the float range"),
+        # the square of the distance underflows to 0: a ZeroDivisionError
+        (_two_point_jet(1, 2, [0.0], [1e-200]),
+         "the distance between points (0.0,) and (1e-200,) to the power 2 is beyond the float range"),
+    ],
+)
+def test_check_jet_names_a_distance_beyond_the_float_range(doc, message, tmp_path, capsys):
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["check-jet", "--input", str(p)])
+    assert (rc, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
 
 
 # -- fdb -------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 shift/project, moduli, gluing."""
 
 import copy
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +371,89 @@ def test_seminorm_order_monotonicity():
         dk = jet.diameter()
         m = 1 + (1 + (l + 1) ** n) * max(1.0, dk) ** (l - jj)
         assert jet.seminorm(jj) <= m * jet.seminorm(l) * (1 + 1e-12)
+
+
+def _quotient_reference(jet, l, q, K, delta=None):
+    """The largest remainder quotient over the ordered pairs of the ids K
+    (those at a distance below delta when it is given), by a per-pair loop."""
+    out = 0.0
+    for a in jet.indices[: mi.count_upto(jet.n, l)]:
+        sj, la = jet.shift(a), l - sum(a)
+        for y in K:
+            for x in K:
+                dist = math.dist(jet.coords[x], jet.coords[y])
+                if x != y and (delta is None or dist < delta):
+                    out = max(out, jets.apply_seminorm(q, sj.remainder(y, la, x)) / dist**la)
+    return out
+
+
+def _seminorm_cases():
+    """Random jets of every dimension n <= 3, order k <= 3 and m <= 2, with
+    each order -1 <= l <= k (l = -1 takes no index), seminorm q and point
+    subset K (None: all points)."""
+    rng = np.random.default_rng(19)
+    for n, k, m in itertools.product(range(1, 4), range(4), range(1, 3)):
+        jet = random_jet(rng, n, k, m, 5)
+        for l in range(-1, k + 1):
+            for q in ["max", 0, 1][: m + 1]:
+                for K in (None, jet.ids[1:4]):
+                    yield jet, l, q, K
+
+
+def test_seminorms_and_modulus_keep_the_bits_of_a_per_pair_loop():
+    for jet, l, q, K in _seminorm_cases():
+        ids = jet.ids if K is None else K
+        rows = [jet.value(pid, a) for pid in ids for a in jet.indices[: mi.count_upto(jet.n, l)]]
+        prime = max((jets.apply_seminorm(q, v) for v in rows), default=0.0)
+        assert jet.seminorm_prime(l, q, K).hex() == prime.hex()
+        assert jet.seminorm_dprime(l, q, K).hex() == _quotient_reference(jet, l, q, ids).hex()
+        if q == "max" and K is None:
+            # the last delta is a pair distance, whose pair is left out
+            for delta in (0.1, 0.5, 2.0, 10.0, math.dist(jet.coords["p0"], jet.coords["p1"])):
+                want = _quotient_reference(jet, l, "max", ids, delta)
+                assert jet.whitney_modulus(l, delta).hex() == want.hex()
+
+
+def test_seminorms_and_modulus_make_no_per_pair_call(monkeypatch, tmp_path, capsys):
+    jet = random_jet(np.random.default_rng(3), 2, 2, 2, 6)
+    want = [_quotient_reference(jet, 2, "max", jet.ids), _quotient_reference(jet, 1, 1, jet.ids[:4]),
+            _quotient_reference(jet, 2, "max", jet.ids, 2.0)]
+
+    def per_pair(*args):
+        raise AssertionError("a per-pair call")
+
+    monkeypatch.setattr(jets.Jet, "remainder", per_pair)
+    monkeypatch.setattr(jets.Jet, "taylor_poly", per_pair)
+    got = [jet.seminorm_dprime(2), jet.seminorm_dprime(1, 1, jet.ids[:4]), jet.whitney_modulus(2, 2.0)]
+    assert got == want
+    assert jet.seminorm(2) == jet.seminorm_prime(2) + want[0]
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(jet.to_dict()))
+    assert cli.main(["check-jet", "--input", str(p)]) == 0
+    assert f"seminorm''[l=2]: {want[0]!r}" in capsys.readouterr().out
+
+
+def test_pair_distances_at_the_ends_of_the_float_range():
+    def two(k, x, y):
+        """The order-k jet at x and y with f(x) = 1, all else 0."""
+        v = np.eye(mi.count_upto(len(x), k), 1)
+        return jets.Jet(len(x), k, 1, [("a", x), ("b", y)], {"a": v, "b": 0 * v})
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the squares of the differences overflow, the distance does not
+        assert two(0, (0.0, 0.0), (1e154, 1e154)).diameter() == math.dist((0.0, 0.0), (1e154, 1e154))
+        with pytest.raises(ValueError, match=r"points \(-1e\+308,\) and \(1e\+308,\) is beyond"):
+            two(0, (-1e308,), (1e308,)).diameter()
+        with pytest.raises(ValueError, match=r"points \(-1e\+308,\) and \(1e\+308,\) is beyond"):
+            two(0, (-1e308,), (1e308,)).seminorm_dprime(0)
+        # the power 2 of the distance underflows to 0; at 1e-160 it is
+        # subnormal, and the quotients 1 / 1e-320 are inf
+        with pytest.raises(ValueError, match=r"\(1e-200,\) to the power 2 is beyond"):
+            two(2, (0.0,), (1e-200,)).whitney_modulus(2, 1.0)
+        tiny = two(2, (0.0,), (1e-160,))
+        assert tiny.seminorm_dprime(2) == tiny.whitney_modulus(2, 1.0) == math.inf
+    assert _quotient_reference(tiny, 2, "max", tiny.ids) == math.inf
 
 
 def _jet_doc(points):

@@ -1,5 +1,5 @@
 """
-Run one fixed list of 47 CLI invocations against two source trees and
+Run one fixed list of 49 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -23,7 +23,9 @@ points spell their keys alike in reverse order, whose points all but one
 spell them in order, and whose points spell an extra index beyond the
 order, on two malformed jet files (exit 2),
 and on grids whose middle row overflows (exit 2), lies below the
-resolution (exit 3) or exhausts the degree schedule (exit 3); check-jet;
+resolution (exit 3) or exhausts the degree schedule (exit 3); check-jet
+on 3 points, and on 40 points at n = 3, order 3, m = 2, at its order and
+with ``--k 1``;
 fdb; pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at
 order 4 on 3 and on 15 source points and at order 3 on 64, a map from
 R^3 to R^2 at order 3, and a bundle whose middle point overflows, exit
@@ -178,6 +180,9 @@ SHEAR15_POINTS = [[round(_rng.uniform(-1.2, 1.2), 3), round(_rng.uniform(-1.2, 1
 # 64 source points, matched and multiplied as one batch
 _rng = random.Random(64)
 SHEAR64_POINTS = [[round(_rng.uniform(-1.2, 1.2), 4), round(_rng.uniform(-1.2, 1.2), 4)] for _ in range(64)]
+# 40 points in 3-D: 1560 ordered pairs for check-jet's remainder table
+_rng = random.Random(40)
+CUBE40_POINTS = [[round(_rng.uniform(-1.0, 1.0), 5) for _ in range(3)] for _ in range(40)]
 
 FIXTURES = {
     "set1.json": {"dim": 1, "points": [[0.0]]},
@@ -254,6 +259,11 @@ FIXTURES = {
             ],
         },
         "points": [{"id": "s0", "x": [0.0]}, {"id": "s1", "x": [1.0]}, {"id": "s2", "x": [5.0]}],
+    },
+    "jet40.json": {
+        "dim": 3,
+        "order": 3,
+        "induce": {"expr": ["exp(0.5*x0)*cos(x1) + x2^3", "sin(x0*x2) - x1^2"], "points": CUBE40_POINTS},
     },
     "explicit.json": explicit_jet(),
     "tile.json": tile_jet(),
@@ -439,6 +449,8 @@ INVOCATIONS = [
         ["extend", "--input", "jet1.json", "--grid=-2.6:-0.2:0.4", "--schedule", "4,1.5,0.5"],
     ),
     ("check-jet", ["check-jet", "--input", "jet2.json"]),
+    ("check-jet 3-D 40 points", ["check-jet", "--input", "jet40.json"]),
+    ("check-jet 3-D 40 points --k 1", ["check-jet", "--input", "jet40.json", "--k", "1"]),
     ("fdb", ["fdb", "--alpha", "(2,1)", "--target-dim", "2"]),
     ("pullback", ["pullback", "--input", "bundle.json"]),
     ("pullback shear s=t=2 k=4", ["pullback", "--input", "bundle_shear.json"]),
