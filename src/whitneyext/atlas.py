@@ -197,8 +197,8 @@ def correspondence_check(aj, atlas, phi, psi, tol=1e-9):
     if shared:
         trans = atlas.transition(phi, psi)
         rows = [f_phi.row[pid] for pid in shared]
-        pulled = fdb.jet_pullback(trans, f_psi, zip(shared, f_phi.X[rows]), tol=max(tol, _SLACK))
-        report["residual"] = float(np.max(np.abs(pulled.F - f_phi.F[rows])))
+        pulled = fdb.jet_pullback(trans, f_psi, zip(shared, f_phi.X.take(rows, axis=0)), tol=max(tol, _SLACK))
+        report["residual"] = float(np.max(np.abs(pulled.F - f_phi.F.take(rows, axis=0))))
     report["pass"] = report["residual"] <= tol
     return report
 
@@ -292,7 +292,8 @@ class ManifoldExtension:
     where x_i(p) are the chart-i coordinates of p and F_i extends chart
     i's jet.  Queries are (chart id, coordinates); derivative queries
     differentiate F ∘ chart⁻¹ in that chart's coordinates by composing
-    each F_i's expansion with the transition series.
+    each F_i's expansion with the transition series (the expansion of
+    the piece in the query's own chart is used as it is).
 
     `pou` is a list of (chart id, h expression) pairs; each h must be
     supported inside its chart's codomain and the family must sum to 1
@@ -366,7 +367,11 @@ class ManifoldExtension:
         tuples.  Each term's extension expansion (at the mapped point) is
         composed with the transition series, multiplied by the bump series,
         and summed — all in Taylor arithmetic.  A chart whose bump series is
-        identically zero at x contributes nothing and is skipped.
+        identically zero at x contributes nothing and is skipped.  The piece
+        in the query's own chart is not composed: its transition is the
+        identity, and composing with the identity seeds would only turn a
+        −0.0 coefficient into +0.0, as the product with the bump series
+        that follows does anyway.
         """
         upto = self.k if upto is None else int(upto)
         if not 0 <= upto <= self.k:
@@ -384,9 +389,10 @@ class ManifoldExtension:
             hseries = exprlang.eval_taylor_env(h, tau)
             if not hseries.coeffs.any():
                 continue  # h vanishes here, so F_i is not needed
-            inners = [t - t.const for t in tau]
-            outer = taylorarith.TaylorValue(ctx, ext.derivs(y, upto) / ctx.factorials[:, None])
-            total += (hseries * taylorarith.compose(outer, inners)).coeffs
+            series = taylorarith.TaylorValue(ctx, ext.derivs(y, upto) / ctx.factorials[:, None])
+            if cid != chart:
+                series = taylorarith.compose(series, [t - t.const for t in tau])
+            total += (hseries * series).coeffs
         ders = total * ctx.factorials[:, None]
         return {a: ders[i].copy() for i, a in enumerate(ctx.indices)}
 

@@ -271,8 +271,9 @@ def cmd_extend(args):
 def cmd_check_jet(args):
     jet = load_jet_spec(_load_json(args.input))
     l = jet.k if args.k is None else int(args.k)
-    d, sp, sd = jet.diameter(), jet.seminorm_prime(l), jet.seminorm_dprime(l)
+    d, sp = jet.diameter(), jet.seminorm_prime(l)
     deltas = (2 * d, d / 2, d / 8) if d > 0 else ()
+    sd, moduli = jet.remainder_maxima(l, deltas)  # one remainder table
     report = {
         "dim": jet.n,
         "order": jet.k,
@@ -283,7 +284,7 @@ def cmd_check_jet(args):
         "seminorm_prime": sp,
         "seminorm_dprime": sd,
         "seminorm": sp + sd,  # the sum Jet.seminorm takes
-        "moduli": {_fmt(delta): jet.whitney_modulus(l, delta) for delta in deltas},
+        "moduli": dict(zip(map(_fmt, deltas), moduli)),
     }
     lines = [
         f"points: {report['points']}  dim: {jet.n}  order: {jet.k}  outdim: {jet.m}",

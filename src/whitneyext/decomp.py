@@ -136,7 +136,7 @@ class FinitePoints:
 
     def _subset(self, keep):
         sub = object.__new__(FinitePoints)  # rows of a checked set
-        sub.points, sub.n, sub.rows = self.points[keep], self.n, self.rows[keep]
+        sub.points, sub.n, sub.rows = self.points.compress(keep, axis=0), self.n, self.rows[keep]
         return sub
 
     def _contains(self, x):

@@ -223,12 +223,12 @@ class Extension:
         firsts = list(itertools.accumulate(counts, initial=0))[:-1]  # each query's C₀
         with np.errstate(over="ignore", invalid="ignore"):
             series *= 0.5  # so that T_C − T_{C₀} is finite wherever F is
-            diffs = series - np.repeat(series[:, firsts], counts, axis=1)
+            diffs = series - np.repeat(series.take(firsts, axis=1), counts, axis=1)
             terms = taylorarith.mul(
                 taylorarith.TaylorValue(ctx, np.repeat(phi.coeffs, self.m, axis=1)),
                 taylorarith.TaylorValue(ctx, diffs.reshape(ctx.ncoef, -1)),
             ).coeffs.reshape(diffs.shape)
-            terms[:, firsts] = series[:, firsts]
+            terms[:, firsts] = series.take(firsts, axis=1)
             ders = pou.group_sums(terms, counts) * (2.0 * ctx.factorials)[:, None, None]
         if not np.isfinite(ders).all():
             q = np.isfinite(ders).all(axis=(0, 2)).argmin()

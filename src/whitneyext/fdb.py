@@ -295,7 +295,7 @@ def _pulled_rows(g, f, points, tol):
             f"image {tuple(images[i].tolist())} of point {points[i][0]!r} matches no "
             f"stored point (closest at distance {float(best[i]) if f.ids else None})"
         )
-    F = f.F[near]
+    F = f.F.take(near, axis=0)
     fact = np.array([multiindex.factorial(b) for b in f.indices], dtype=float)
     weights = taylorarith.context(g.n, k).factorials[:, None] / fact
     with np.errstate(over="ignore", invalid="ignore"):

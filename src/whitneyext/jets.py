@@ -197,21 +197,21 @@ class Jet:
         if not 0 <= upto <= l:
             raise ValueError(f"derivative order {upto} outside 0..{l}")
         ctx = taylorarith.context(self.n, l)
-        h = np.asarray(x, dtype=float) - self.X[rows]
+        h = np.asarray(x, dtype=float) - self.X.take(rows, axis=0)
         powers = [_power(v, e) for v in h.ravel().tolist() for e in range(l + 1)]
         powers = np.array(powers).reshape(len(rows), self.n, l + 1)
         nrows = multiindex.count_upto(self.n, upto)
         p = int(np.searchsorted(ctx.pair_i, nrows))  # the pairs with |b| <= upto
         # contiguous, as gathering rows from the transposed view is slower
-        values = np.ascontiguousarray(self.F[rows].transpose(1, 0, 2))
+        values = np.ascontiguousarray(self.F.take(rows, axis=0).transpose(1, 0, 2))
         width = len(rows) * self.m
         keys = (ctx.pair_i[:p, None] * width + np.arange(width)).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            mono = powers[:, 0, ctx.exponents[:, 0]]
+            mono = powers[:, 0].take(ctx.exponents[:, 0], axis=1)
             for i in range(1, self.n):
-                mono = mono * powers[:, i, ctx.exponents[:, i]]
+                mono = mono * powers[:, i].take(ctx.exponents[:, i], axis=1)
             mono = mono / ctx.factorials
-            terms = mono.T[ctx.pair_j[:p], :, None] * values[ctx.pair_t[:p]]
+            terms = mono.T.take(ctx.pair_j[:p], axis=0)[:, :, None] * values.take(ctx.pair_t[:p], axis=0)
             out = np.bincount(keys, weights=terms.ravel(), minlength=nrows * width)
             out = out.reshape(nrows, len(rows), self.m) / ctx.factorials[:nrows, None, None]
         if not np.isfinite(out).all():
@@ -268,7 +268,7 @@ class Jet:
         if l > self.k:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
         rows = range(len(self.ids)) if K is None else [self.row[pid] for pid in K]
-        return float(self._quotients(l, q, rows).max(initial=0.0))
+        return float(self._quotients(l, q, rows)[0].max(initial=0.0))
 
     def seminorm(self, l, q="max", K=None):
         """The jet seminorm: sup of values plus sup of remainder quotients."""
@@ -282,45 +282,70 @@ class Jet:
             raise ValueError(f"order {l} exceeds jet order {self.k}")
         if delta <= 0:
             raise ValueError("delta must be positive")
-        return float(self._quotients(l, "max", range(len(self.ids)), delta).max(initial=0.0))
+        return float(self._quotients(l, "max", range(len(self.ids)), delta)[0].max(initial=0.0))
+
+    def remainder_maxima(self, l, deltas):
+        """``seminorm_dprime(l)`` and the list of ``whitney_modulus(l, delta)``
+        for the deltas, from one remainder table of all pairs: a modulus is
+        its maximum over the pairs at distance below delta."""
+        if l > self.k:
+            raise ValueError(f"order {l} exceeds jet order {self.k}")
+        table, dist = self._quotients(l, "max", range(len(self.ids)))
+        if min(deltas, default=1.0) <= 0:
+            raise ValueError("delta must be positive")
+        moduli = [float(table[dist < delta].max(initial=0.0)) for delta in deltas]
+        return float(table.max(initial=0.0)), moduli
 
     def _quotients(self, l, q, rows, delta=None):
         """
         The remainder table: for the ordered pairs (y, x) of distinct `rows`
         (y outer, x inner) at distances below delta, if given, the largest
-        q(R^{l-|a|}_y (shift_a f)(x)) / |x-y|^{l-|a|} over |a| <= l.  A
-        distance (``math.dist``), or its float power l, out of range is a
-        ValueError naming the first such pair.  Per a and block of pairs
-        (about 2^18 numbers), one taylor_series call expands each anchor y
-        at its x with the bits of a one-pair call; a failing Taylor
-        polynomial raises what a per-pair loop, a outer, raised first.
+        q(R^{l-|a|}_y (shift_a f)(x)) / |x-y|^{l-|a|} over |a| <= l, and
+        the distances (``math.dist``) of those pairs, as two arrays.  The
+        pairs are formed by blocks of anchors whose series hold about 2^18
+        numbers, so that a pair keeps only its two results; per block and
+        a, one taylor_series call expands each anchor y at its x with the
+        bits of a one-pair call.  The errors are those of a per-pair loop
+        with a outer: a distance, or its float power l, out of range is a
+        ValueError naming the first such pair, and else the first failing
+        Taylor polynomial of the least failing a raises.
         """
         rows = np.asarray(rows, dtype=int)
-        ys, xs = np.repeat(rows, len(rows)), np.tile(rows, len(rows))
-        P = self.X.tolist()
-        dist = np.array([math.dist(P[x], P[y]) for y, x in zip(ys.tolist(), xs.tolist())])
-        keep = (ys != xs) if delta is None else (0.0 < dist) & (dist < delta)
-        ys, xs, dist = ys[keep], xs[keep], dist[keep].tolist()
-        # the powers 0 .. l; for l < 0, which takes no shift, the power 0
-        power = [np.array([_power(d, e) for d in dist]) for e in range(max(l, 0) + 1)]
-        bad = ~((np.array(dist) < math.inf) & (0.0 < power[-1]) & (power[-1] < math.inf))
-        if bad.any():
-            j = int(bad.argmax())
-            y, x = (tuple(self.X[r[j]].tolist()) for r in (ys, xs))
-            what = "" if dist[j] == math.inf else f" to the power {l}"
-            raise ValueError(f"the distance between points {y} and {x}{what} is beyond the float range")
-        out = np.zeros(len(ys))
-        step = max(1, 2**18 // (len(self.indices) * self.m))
-        for i, a in enumerate(self.indices[: multiindex.count_upto(self.n, l)]):
-            la, sj = l - sum(a), self.shift(a)
-            for s in range(0, len(ys), step):
-                b = slice(s, s + step)
-                T = sj.taylor_series(ys[b], la, self.X[xs[b]], 0)[0]
+        P, N = self.X.tolist(), len(rows)
+        shifts = [(l - sum(a), self.shift(a)) for a in self.indices[: multiindex.count_upto(self.n, l)]]
+        by = max(1, 2**18 // (len(self.indices) * self.m * max(N, 1)))  # anchors per block
+        out, dists, size = np.zeros(N * N), np.empty(N * N), 0  # the pairs kept so far
+        failed = None  # (a's position, error) of the least failing a
+        for s in range(0, N, by):
+            ys, xs = np.repeat(rows[s : s + by], N), np.tile(rows, len(rows[s : s + by]))
+            dist = np.array([math.dist(P[x], P[y]) for y, x in zip(ys.tolist(), xs.tolist())])
+            keep = (ys != xs) if delta is None else (0.0 < dist) & (dist < delta)
+            ys, xs, dist = ys[keep], xs[keep], dist[keep]
+            # the powers 0 .. l; for l < 0, which takes no shift, the power 0
+            power = [np.array([_power(d, e) for d in dist.tolist()]) for e in range(max(l, 0) + 1)]
+            bad = ~((dist < math.inf) & (0.0 < power[-1]) & (power[-1] < math.inf))
+            if bad.any():
+                j = int(bad.argmax())
+                y, x = (tuple(self.X[r[j]].tolist()) for r in (ys, xs))
+                what = "" if dist[j] == math.inf else f" to the power {l}"
+                raise ValueError(f"the distance between points {y} and {x}{what} is beyond the float range")
+            if not len(ys):
+                continue
+            block = slice(size, size + len(ys))
+            dists[block], size = dist, block.stop
+            for i, (la, sj) in enumerate(shifts[: failed[0] if failed else len(shifts)]):
+                try:
+                    T = sj.taylor_series(ys, la, self.X.take(xs, axis=0), 0)[0]
+                except ValueError as e:  # a later block may fail at an earlier a
+                    failed = (i, e)
+                    break
                 with np.errstate(over="ignore"):  # a remainder or quotient beyond the float range is inf
-                    r = np.abs(self.F[xs[b], i] - T)
+                    r = np.abs(self.F[xs, i] - T)
                     r = r.max(axis=1) if q == "max" else r[:, int(q)]
-                    out[b] = np.maximum(out[b], r / power[la][b])
-        return out
+                    out[block] = np.maximum(out[block], r / power[la])
+        if failed:
+            raise failed[1]
+        return out[:size], dists[:size]
 
     # -- serialization -------------------------------------------------------
 
@@ -446,11 +471,11 @@ def _integer(d, field):
 
 
 def _order(d):
-    """The "order" field of a jet file, at most 20: the series contexts of a
-    higher order take factorials beyond the 64-bit integers (21! > 2^63)."""
+    """The "order" field of a jet file, at most ``taylorarith.MAX_ORDER``,
+    the largest order of a series context."""
     k = _integer(d, "order")
-    if k > 20:
-        raise ValueError(f"order {k} exceeds the largest supported jet order 20")
+    if k > taylorarith.MAX_ORDER:
+        raise ValueError(f"order {k} exceeds the largest supported jet order {taylorarith.MAX_ORDER}")
     return k
 
 

@@ -79,10 +79,10 @@ def bump_taylor(u):
     out[0] = t0 <= 0.5
     mid = np.flatnonzero((0.5 < t0) & (t0 < 0.75))
     if mid.size:
-        slopes = c[1 : ctx.n + 1, mid] * np.sign(c[0, mid])  # the rows e_i; none for k = 0
+        slopes = c[1 : ctx.n + 1].take(mid, axis=1) * np.sign(c[0, mid])  # the rows e_i; none for k = 0
         powers = np.prod(slopes ** ctx.exponents[:, : len(slopes), None], axis=1)
         multinomial = np.array([math.factorial(d) for d in degree]) / ctx.factorials
-        out[:, mid] = _step_series(t0[mid], ctx.k)[degree] * (multinomial[:, None] * powers)
+        out[:, mid] = _step_series(t0[mid], ctx.k).take(degree, axis=0) * (multinomial[:, None] * powers)
     return TaylorValue(ctx, out.reshape(u.coeffs.shape))
 
 
@@ -133,9 +133,9 @@ def psi_taylor(cubes, x, k):
     """
     profiles = _profiles(cubes, x, k)
     ctx = taylorarith.context(profiles.shape[2], k)
-    out = profiles[ctx.exponents[:, 0], :, 0]
+    out = profiles[:, :, 0].take(ctx.exponents[:, 0], axis=0)
     for i in range(1, ctx.n):
-        out = out * profiles[ctx.exponents[:, i], :, i]
+        out = out * profiles[:, :, i].take(ctx.exponents[:, i], axis=0)
     return TaylorValue(ctx, out)
 
 
@@ -184,7 +184,7 @@ def phi_taylor(groups, xs, k):
     for g in groups:
         live.append([pair for pair, keep in zip(g, alive[start:]) if keep])
         start += len(g)
-    cols, counts = psi.coeffs[:, alive], [len(g) for g in live]
+    cols, counts = psi.coeffs.compress(alive, axis=1), [len(g) for g in live]
     total = np.repeat(group_sums(cols, counts), counts, axis=1)
     return live, taylorarith.div(TaylorValue(psi.ctx, cols), TaylorValue(psi.ctx, total))
 
@@ -197,7 +197,7 @@ def group_sums(cols, counts):
     additions of a one-run call, in the same order.
     """
     firsts = list(itertools.accumulate(counts, initial=0))[:-1]
-    total = cols[:, firsts]
+    total = cols.take(firsts, axis=1)
     for q, (first, count) in enumerate(zip(firsts, counts)):
         for j in range(first + 1, first + count):
             total[:, q] += cols[:, j]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitneyext import atlas, fdb, jets
+from whitneyext import taylorarith as ta
 from whitneyext import exprlang as el
 
 
@@ -261,6 +262,59 @@ def test_manifold_values_are_row_zero_of_the_derivatives(chart, t, near):
     value = me.eval(chart, x)
     assert np.array_equal(value, me.eval_derivs(chart, x, 0)[(0,)])
     assert np.array_equal(value, me.eval_derivs(chart, x, 2)[(0,)])
+
+
+def _composed_in_every_chart(me, chart, x, upto):
+    """The rows of ``ManifoldExtension.eval_derivs`` with every piece's
+    expansion composed with its transition series, the identity seeds of
+    the query's own chart included."""
+    ctx, seeds = ta.context(me.n, upto), ta.seeds(x, upto)
+    total = np.zeros((ctx.ncoef, me.m))
+    for cid, h, ext in me.pieces:
+        y = me._chart_point(chart, x, cid, ext)
+        if y is None:
+            continue
+        tau = me.atlas.transition(chart, cid).eval_taylor_env(seeds)
+        hseries = el.eval_taylor_env(h, tau)
+        if hseries.coeffs.any():
+            outer = ta.TaylorValue(ctx, ext.derivs(y, upto) / ctx.factorials[:, None])
+            total += (hseries * ta.compose(outer, [t - t.const for t in tau])).coeffs
+    return total * ctx.factorials[:, None]
+
+
+def test_manifold_piece_in_the_query_chart_is_not_composed(monkeypatch):
+    # a shear between two 2-D charts, a jet with zero values of both signs,
+    # bumps that vary; the rows keep every bit of the composition with the
+    # identity seeds, signs of zeros included
+    at = atlas.FiniteAtlas(2, [atlas.Chart("u"), atlas.Chart("v")], {
+        ("u", "v"): el.VectorExpr.parse(["x0 + 0.3*sin(x1)", "x1"], 2),
+        ("v", "u"): el.VectorExpr.parse(["x0 - 0.3*sin(x1)", "x1"], 2),
+    })
+    f = el.VectorExpr.parse(["-x0*x1 + exp(x0)", "sin(x0 - x1)"], 2)
+    pts = [("a", (0.0, 0.0)), ("b", (0.5, 0.0)), ("c", (-0.4, 0.7)), ("d", (0.3, -0.6))]
+    F = jets.Jet.from_expr(f, pts, 3).F
+    F[:, 3:6, 0], F[::2, 7:, 1] = -0.0, 0.0
+    fu = jets.Jet(2, 3, 2, pts, {pid: F[r] for r, (pid, _) in enumerate(pts)})
+    aj = atlas.AtlasJet({"u": fu, "v": atlas.transport(atlas.AtlasJet({"u": fu}), at, "v")})
+    pou = [("u", el.parse("0.5 + 0.25*sin(x1)", 2)), ("v", el.parse("0.5 - 0.25*sin(x1)", 2))]
+    me = atlas.ManifoldExtension(aj, at, pou)
+    queries = [("u", x) for _, x in pts] + [("v", aj.jets["v"].coords["c"]), ("u", (0.1, 0.2)), ("v", (-0.7, 0.9))]
+    calls = []
+    compose = ta.compose
+
+    def counted(outer, inners):
+        calls.append(len(inners))
+        return compose(outer, inners)
+
+    for chart, x in queries:
+        want = _composed_in_every_chart(me, chart, x, 3)
+        monkeypatch.setattr(ta, "compose", counted)
+        calls.clear()
+        got = me.eval_derivs(chart, x, 3)
+        monkeypatch.setattr(ta, "compose", compose)
+        assert len(calls) == 1  # the piece of the other chart only
+        rows = np.array([got[a] for a in ta.context(2, 3).indices])
+        assert rows.tobytes() == want.tobytes(), (chart, x)
 
 
 def test_manifold_wrong_dimension_query_is_a_value_error():

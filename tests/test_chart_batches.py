@@ -2,6 +2,8 @@
 computed for a whole batch have the bits of one-point calls, and a failing
 batch raises what its first failing point raises alone."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,29 @@ def test_batch_rows_match_one_point_calls(batch, data):
         assert np.array_equal(induced.values[pid], jets.Jet.from_expr(f, [(pid, x)], k).values[pid])
         alone = fdb.jet_pullback(g, target, [(pid, x)]).values[pid]
         assert np.array_equal(pulled.values[pid], alone)
+
+
+@pytest.mark.parametrize("src, xs, message", [
+    ("exp(x0)", [0.5, 800.0, 1.0, 900.0], r"^exp of 800.0 overflows$"),
+    ("ln(x0)", [0.5, 2.0, -1.0, 0.0], r"^ln of series with constant term -1.0 <= 0$"),
+    ("sqrt(x0)", [0.5, 0.0, 2.0], r"^sqrt of series with constant term 0.0 <= 0$"),
+    # the power 1e300^2 of the first point's table overflows before the
+    # second point's ln is found not positive; alone, the first point fails
+    ("ln(x0)", [1e300, -1.0], r"^\(34, 'Numerical result out of range'\)$"),
+])
+def test_from_expr_raises_what_the_failing_point_raises_alone(src, xs, message):
+    f = el.VectorExpr.parse([src], 1)
+    pts = [(f"p{i}", (x,)) for i, x in enumerate(xs)]
+    alone = None
+    for pt in pts:
+        try:
+            jets.Jet.from_expr(f, [pt], 2)
+        except Exception as e:
+            alone = e
+            break
+    with pytest.raises(type(alone), match=message):
+        jets.Jet.from_expr(f, pts, 2)
+    assert re.search(message, str(alone))
 
 
 def test_from_expr_raises_for_the_first_failing_point():

@@ -5,6 +5,7 @@ import copy
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -431,6 +432,90 @@ def test_seminorms_and_modulus_make_no_per_pair_call(monkeypatch, tmp_path, caps
     p.write_text(json.dumps(jet.to_dict()))
     assert cli.main(["check-jet", "--input", str(p)]) == 0
     assert f"seminorm''[l=2]: {want[0]!r}" in capsys.readouterr().out
+
+
+def test_remainder_maxima_are_the_seminorm_and_the_moduli():
+    # one table gives seminorm'' and every modulus with their bits
+    for jet, l, q, K in _seminorm_cases():
+        if q != "max" or K is not None:
+            continue
+        deltas = (0.1, 0.5, 2.0, 10.0, math.dist(jet.coords["p0"], jet.coords["p1"]))
+        dprime, moduli = jet.remainder_maxima(l, deltas)
+        assert dprime.hex() == jet.seminorm_dprime(l).hex()
+        assert [v.hex() for v in moduli] == [jet.whitney_modulus(l, d).hex() for d in deltas]
+    jet = random_jet(np.random.default_rng(5), 1, 1, 1, 3)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        jet.remainder_maxima(1, (1.0, 0.0))
+
+
+def test_check_jet_builds_one_remainder_table(monkeypatch, tmp_path, capsys):
+    jet = random_jet(np.random.default_rng(4), 2, 2, 1, 6)
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(jet.to_dict()))
+    tables = []
+    quotients = jets.Jet._quotients
+
+    def counted(self, *args, **kwargs):
+        tables.append(args)
+        return quotients(self, *args, **kwargs)
+
+    monkeypatch.setattr(jets.Jet, "_quotients", counted)
+    assert cli.main(["check-jet", "--input", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert len(tables) == 1
+    d = jet.diameter()
+    for delta in (2 * d, d / 2, d / 8):
+        assert f"delta={cli._fmt(delta)}]: {cli._fmt(jet.whitney_modulus(2, delta))}" in out
+
+
+def test_remainder_table_raises_the_first_failure_of_a_per_pair_loop():
+    # with one anchor per block, the block of the anchor 0.0 fails at the
+    # shift (1,) (1.5 * 1.3e308 overflows, 1.125 * 1.3e308 does not), and a
+    # later block, of the anchor 1.45, at the shift (0,) (1.45 * 1.3e308):
+    # a per-pair loop with the shift outer names the second
+    m = 2**15  # so that a block holds one anchor
+    v = {pid: np.zeros((3, m)) for pid in "abc"}
+    v["a"][2], v["b"][1] = 1.3e308, 1.3e308
+    jet = jets.Jet(1, 2, m, [("a", (0.0,)), ("b", (1.45,)), ("c", (1.5,))], v)
+    first = r"order-2 Taylor polynomial anchored at \(1\.45,\) overflows at \(0\.0,\)"
+    with pytest.raises(ValueError, match=first):
+        jet.seminorm_dprime(2)
+    with pytest.raises(ValueError, match=first):
+        jet.remainder_maxima(2, (1.0,))
+    with pytest.raises(ValueError, match=r"order-1 Taylor polynomial anchored at \(0\.0,\)"):
+        jet.seminorm_dprime(2, K=["a", "c"])
+
+
+def test_remainder_table_memory_grows_by_its_two_results_per_pair():
+    # the peak traced memory of the table grows by the two float64 results
+    # of a pair (16 bytes) and not by the row arrays, distance lists and
+    # powers of all pairs at once (about 70 bytes a pair); blocks are small
+    # here (m = 64), so their series are a constant of a few MB
+    rng = np.random.default_rng(3)
+
+    def peak(npts):
+        pts = [(f"p{i}", tuple(x)) for i, x in enumerate(rng.uniform(-1, 1, (npts, 2)).tolist())]
+        jet = jets.Jet(2, 0, 64, pts, {pid: rng.standard_normal((1, 64)) for pid, _ in pts})
+        tracemalloc.start()
+        try:
+            jet.seminorm_dprime(0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(150), peak(300)
+    assert large - small < 32 * (300 * 299 - 150 * 149)
+
+
+def test_series_order_limit_is_a_value_error():
+    # one limit for jet files and series: 21! leaves the 64-bit integers
+    f = el.VectorExpr.parse(["x0"], 1)
+    with pytest.raises(ValueError, match=r"^order 21 exceeds the largest supported series order 20$"):
+        jets.Jet.from_expr(f, [("a", (0.0,))], ta.MAX_ORDER + 1)
+    assert jets.Jet.from_expr(f, [("a", (0.0,))], ta.MAX_ORDER).k == ta.MAX_ORDER
+    assert jets._order({"order": ta.MAX_ORDER}) == ta.MAX_ORDER
+    with pytest.raises(ValueError, match=r"^order 21 exceeds the largest supported jet order 20$"):
+        jets._order({"order": ta.MAX_ORDER + 1})
 
 
 def test_pair_distances_at_the_ends_of_the_float_range():

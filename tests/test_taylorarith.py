@@ -235,10 +235,12 @@ def test_division_inverts_multiplication(a, b):
     assert np.allclose(back.coeffs, x.coeffs, rtol=0, atol=1e-12 * scale)
 
 
-_BATCH_CTX = ta.context(2, 3)
+_BATCH_CTXS = {ctx.ncoef: ctx for ctx in (ta.context(2, 3), ta.context(2, 8))}
 _batch_entries = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
-batches = st.one_of(st.integers(1, 4), st.just(_BATCH_CTX.ncoef)).flatmap(
-    lambda w: hnp.arrays(np.float64, (_BATCH_CTX.ncoef, w), elements=_batch_entries)
+batches = st.sampled_from(sorted(_BATCH_CTXS)).flatmap(
+    lambda ncoef: st.one_of(st.integers(1, 4), st.just(ncoef)).flatmap(
+        lambda w: hnp.arrays(np.float64, (ncoef, w), elements=_batch_entries)
+    )
 )
 
 
@@ -249,17 +251,25 @@ def _column(tv, j):
 @given(batches, st.data())
 @settings(max_examples=200)
 def test_batched_ops_match_columnwise_calls(a, data):
-    # column j of a batched +, -, mul, div and exp has the bits of the 1-D
-    # call on column j, and a 1-D operand is broadcast over the other's
-    # columns, also when there are as many columns as coefficients
+    # column j of a batched +, -, mul, div and elementary function has the
+    # bits of the 1-D call on column j, and a 1-D operand is broadcast over
+    # the other's columns, also when there are as many columns as
+    # coefficients
+    ctx = _BATCH_CTXS[a.shape[0]]
     b = data.draw(hnp.arrays(np.float64, a.shape, elements=_batch_entries))
     b[0] = np.where(np.abs(b[0]) < 1e-3, 1.0, b[0])  # divisors need b0 != 0
-    x, y = ta.TaylorValue(_BATCH_CTX, a), ta.TaylorValue(_BATCH_CTX, b)
+    x, y = ta.TaylorValue(ctx, a), ta.TaylorValue(ctx, b)
     x0, y0 = _column(x, 0), _column(y, 0)
+    p = x.copy()
+    p.coeffs[0] = np.abs(p.coeffs[0]) + 0.5  # ln and sqrt need p0 > 0
     batched = {
         "mul": (ta.mul(x, y), lambda j: ta.mul(_column(x, j), _column(y, j))),
         "div": (ta.div(x, y), lambda j: ta.div(_column(x, j), _column(y, j))),
         "exp": (ta.exp(x), lambda j: ta.exp(_column(x, j))),
+        "sin": (ta.sin(x), lambda j: ta.sin(_column(x, j))),
+        "cos": (ta.cos(x), lambda j: ta.cos(_column(x, j))),
+        "ln": (ta.ln(p), lambda j: ta.ln(_column(p, j))),
+        "sqrt": (ta.sqrt(p), lambda j: ta.sqrt(_column(p, j))),
         "add 1-D to 2-D": (x0 + y, lambda j: x0 + _column(y, j)),
         "sub 2-D minus 1-D": (x - y0, lambda j: _column(x, j) - y0),
         "sub 1-D minus 2-D": (x0 - y, lambda j: x0 - _column(y, j)),
@@ -271,6 +281,52 @@ def test_batched_ops_match_columnwise_calls(a, data):
         assert got.coeffs.shape == a.shape, name
         for j in range(a.shape[1]):
             assert np.array_equal(got.coeffs[:, j], single(j).coeffs, equal_nan=True), name
+
+
+def _scalar_coefficients(name, a0, k):
+    """The k+1 univariate Taylor coefficients of an elementary function at
+    a0, by scalar formulas one coefficient at a time."""
+    if name == "exp":
+        return [math.exp(a0) / math.factorial(i) for i in range(k + 1)]
+    if name in ("sin", "cos"):
+        f = getattr(math, name)
+        return [f(a0 + i * math.pi / 2) / math.factorial(i) for i in range(k + 1)]
+    if name == "ln":
+        return [math.log(a0)] + [(-1.0) ** (i + 1) / (i * a0**i) for i in range(1, k + 1)]
+    r, c, coef = math.sqrt(a0), [math.sqrt(a0)], 1.0
+    for i in range(1, k + 1):
+        coef *= (0.5 - (i - 1)) / i
+        c.append(r * coef / a0**i)
+    return c
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 8])
+@pytest.mark.parametrize("name", ["exp", "sin", "cos", "ln", "sqrt"])
+def test_elementary_coefficients_keep_the_bits_of_scalar_formulas(name, k):
+    # f at the seed t0 + h has f's univariate coefficients at t0 as its
+    # coefficients, exactly; a batch of points takes them in one table
+    rng = np.random.default_rng(k)
+    t0 = rng.uniform(-30, 30, 200) if name in ("sin", "cos") else rng.uniform(0.001, 20, 200)
+    got = getattr(ta, name)(ta.seeds(t0[:, None], k)[0]).coeffs
+    for j, t in enumerate(t0.tolist()):
+        assert got[:, j].tolist() == _scalar_coefficients(name, t, k), (name, t)
+
+
+def test_elementary_errors_name_the_first_failing_column():
+    x = ta.seeds(np.array([[1.0], [800.0], [900.0]]), 2)[0]
+    with pytest.raises(ta.SeriesDomainError, match=r"^exp of 800.0 overflows$"):
+        ta.exp(x)
+    for f in (ta.ln, ta.sqrt):
+        with pytest.raises(ta.SeriesDomainError, match=r"of series with constant term -1.0 <= 0$"):
+            f(ta.seeds(np.array([[2.0], [-1.0], [0.0]]), 2)[0])
+
+
+def test_series_order_limit():
+    assert ta.context(1, ta.MAX_ORDER).k == ta.MAX_ORDER
+    with pytest.raises(ValueError, match=r"^order 21 exceeds the largest supported series order 20$"):
+        ta.context(1, ta.MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="largest supported series order 20"):
+        ta.seeds((0.0, 1.0), 21)
 
 
 def test_batched_compose_matches_columnwise_calls():

@@ -1,5 +1,5 @@
 """
-Run one fixed list of 49 CLI invocations against two source trees and
+Run one fixed list of 51 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -24,8 +24,10 @@ spell them in order, and whose points spell an extra index beyond the
 order, on two malformed jet files (exit 2),
 and on grids whose middle row overflows (exit 2), lies below the
 resolution (exit 3) or exhausts the degree schedule (exit 3); check-jet
-on 3 points, and on 40 points at n = 3, order 3, m = 2, at its order and
-with ``--k 1``;
+on 3 points, on 40 points at n = 3, order 3, m = 2, at its order and
+with ``--k 1``, on 120 such points (three blocks of anchors), and on a
+jet whose tiny pair distances leave the float range at the power 2
+(exit 2);
 fdb; pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at
 order 4 on 3 and on 15 source points and at order 3 on 64, a map from
 R^3 to R^2 at order 3, and a bundle whose middle point overflows, exit
@@ -183,6 +185,9 @@ SHEAR64_POINTS = [[round(_rng.uniform(-1.2, 1.2), 4), round(_rng.uniform(-1.2, 1
 # 40 points in 3-D: 1560 ordered pairs for check-jet's remainder table
 _rng = random.Random(40)
 CUBE40_POINTS = [[round(_rng.uniform(-1.0, 1.0), 5) for _ in range(3)] for _ in range(40)]
+# 120 points: the remainder table takes three blocks of anchors
+_rng = random.Random(120)
+CUBE120_POINTS = [[round(_rng.uniform(-1.0, 1.0), 5) for _ in range(3)] for _ in range(120)]
 
 FIXTURES = {
     "set1.json": {"dim": 1, "points": [[0.0]]},
@@ -264,6 +269,18 @@ FIXTURES = {
         "dim": 3,
         "order": 3,
         "induce": {"expr": ["exp(0.5*x0)*cos(x1) + x2^3", "sin(x0*x2) - x1^2"], "points": CUBE40_POINTS},
+    },
+    "jet120.json": {
+        "dim": 3,
+        "order": 3,
+        "induce": {"expr": ["exp(0.5*x0)*cos(x1) + x2^3", "sin(x0*x2) - x1^2"], "points": CUBE120_POINTS},
+    },
+    # the pairs of 0 with 1e-200 and of 1e-200 with 3e-200 have powers 2
+    # that underflow; the first in pair order is named (exit 2)
+    "jet_tiny_pairs.json": {
+        "dim": 1,
+        "order": 2,
+        "induce": {"expr": ["x0^2"], "points": [[1.0], [1e-200], [3e-200], [0.0]]},
     },
     "explicit.json": explicit_jet(),
     "tile.json": tile_jet(),
@@ -451,6 +468,8 @@ INVOCATIONS = [
     ("check-jet", ["check-jet", "--input", "jet2.json"]),
     ("check-jet 3-D 40 points", ["check-jet", "--input", "jet40.json"]),
     ("check-jet 3-D 40 points --k 1", ["check-jet", "--input", "jet40.json", "--k", "1"]),
+    ("check-jet 3-D 120 points", ["check-jet", "--input", "jet120.json"]),
+    ("check-jet tiny pair distances", ["check-jet", "--input", "jet_tiny_pairs.json"]),
     ("fdb", ["fdb", "--alpha", "(2,1)", "--target-dim", "2"]),
     ("pullback", ["pullback", "--input", "bundle.json"]),
     ("pullback shear s=t=2 k=4", ["pullback", "--input", "bundle_shear.json"]),
