@@ -32,11 +32,12 @@ for x in (6.3, 2.1, 0.52, 0.501):
 # --------
 # Every cube keeps a sized distance to A: at least 4*sqrt(n) sides away, and
 # (below level 0) less than 10*sqrt(n) sides.  Touching cubes differ in side
-# by at most a factor of two.  The anchor is a nearest point of A.
+# by at most a factor of two.  The anchor is a nearest point of A; a point
+# set is held as zero-width boxes [p, p], whose rows `lo` are its points.
 
 c = dec.locate((0.52,))
 print("\ncube distance to A:", dec.cube_distance(c), "(side", c.side, ")")
-print("anchor:", tuple(float(v) for v in A.points[A.nearest(c.center)]))
+print("anchor:", tuple(float(v) for v in A.lo[A.nearest([c.center])[0]]))
 reach = 2 * c.side
 nearby = dec.enumerate_in_box([0.52 - reach], [0.52 + reach], c.level + 1)
 print("touching cubes:", [(nb.level, nb.corner) for nb in nearby if nb.touches(c)])

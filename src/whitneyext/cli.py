@@ -208,7 +208,7 @@ def cmd_decompose(args):
     cubes = dec.enumerate_in_box(lo, hi, args.max_level)
     rows = []
     for c in cubes:
-        anchor = A.nearest(c.center)  # a row of a point set, a point of a box union
+        row = A.nearest([c.center])[0]
         rows.append(
             [
                 c.level,
@@ -216,7 +216,7 @@ def cmd_decompose(args):
                 _fmt_vec(c.center),
                 _fmt(c.side),
                 _fmt(dec.cube_distance(c)),
-                _fmt_vec(A.points[anchor] if points is not None else anchor),
+                _fmt_vec(np.clip(c.center, A.lo[row], A.hi[row])),  # the anchor point
             ]
         )
     _write_rows(args.out, ["level", "corner", "center", "side", "distance", "anchor"], rows)
@@ -272,7 +272,7 @@ def cmd_check_jet(args):
     jet = load_jet_spec(_load_json(args.input))
     l = jet.k if args.k is None else int(args.k)
     d, sp = jet.diameter(), jet.seminorm_prime(l)
-    deltas = (2 * d, d / 2, d / 8) if d > 0 else ()
+    deltas = tuple(t for t in (2 * d, d / 2, d / 8) if t > 0)  # one that underflows to 0 is left out
     sd, moduli = jet.remainder_maxima(l, deltas)  # one remainder table
     report = {
         "dim": jet.n,

@@ -24,32 +24,35 @@ computed verdicts inherit too).  The level-j ancestor C of x has
 d(x,A) - sqrt(n)/2^j <= d(C,A) <= d(x,A), so the home level of x (the
 level of its cube in W) follows from d(x,A) to within about one level,
 and the first qualifying level is found from a few levels around it.
-A cube C of side s
-has x in D_C exactly when C meets the open box x ± s/4; such cubes touch
-the cube of W holding x, so they lie at most one level above or below it.
+A cube C of side s has x in D_C exactly when C meets the open box
+x ± s/4; such cubes touch the cube of W holding x, so they lie at most one
+level above or below it.
 
-A query's cubes are measured in two array passes.  ``A.reach(x)`` checks
-the query and measures d = d(x,A); for a finite set it keeps the
-distances |p - x| of all points, computed once.  Pass 1 stacks the
-ancestors of x on the levels `_start_level` - 1 .. + 3 and measures their
-distances to A at once; the home level is the first that qualifies (a
-block that does not decide it is followed by the next block of levels).
-Pass 2 lists, on the levels home - 1 .. home + 1, the cubes whose D_C
-holds x and measures them and their parents at once; the anchors (rows
-of a finite A) of the cubes returned come from the same scan.  A pass
-scans only the candidates |p - x| <= d + 2 rho, rho the largest distance
-from x to the farthest point of any box of its stack.  For one box of farthest-point
-distance rho_C <= rho, with q a point nearest x and p nearest the box C,
-c the point of C nearest p: |p - x| <= d(p,C) + |c - x| <= d(q,C) + rho_C
-<= d + 2 rho_C, and for a nearest point p to a centre y of C (|y - x| <=
-rho_C): |p - x| <= |p - y| + |y - x| <= |q - y| + rho_C <= d + 2 rho_C.
-So the candidates at the widest radius of a stack are a superset of each
-box's own candidates, and hold every minimizer and every tie of every
-box; as each row's norm is computed as in the full scan, the distances,
-verdicts and anchors come out identical.  The radius carries a small
-relative slack that covers the rounding of the distances it compares.
+A closed set is the union of closed boxes B_i = [lo_i, hi_i], the rows of
+two (N, n) arrays; a point p is the zero-width box [p, p].  The gap of a
+box [lo, hi] to B_i is max(0, lo_i - hi, lo - hi_i) per axis, and their
+distance its norm; between points the gap is exactly |p - y|.  A query's
+cubes are measured in two array passes.  ``A.reach(x)`` checks the query
+and measures d = d(x,A) from the squared distances d(x, B_i)^2 of all
+rows, computed once.  Pass 1 stacks the ancestors of x on the levels
+`_start_level` - 1 .. + 3 and measures their distances to A at once; the
+home level is the first that qualifies (a block that does not decide it is
+followed by the next block of levels).  Pass 2 lists, on the levels
+home - 1 .. home + 1, the cubes whose D_C holds x and measures them and
+their parents at once; the anchors (rows of A) of the cubes returned come
+from the same scan.  A pass scans only the rows with d(x, B_i) <=
+d + 2 rho, rho the largest distance from x to the farthest point of any
+box of its stack.  For one box C of farthest-point distance rho_C <= rho, q
+a point of A nearest x, B a row nearest C and (b, c) a nearest pair of B x
+C: d(x,B) <= |b - c| + |c - x| <= d(q,C) + rho_C <= d + 2 rho_C; for a row
+B nearest a centre y of C (|y - x| <= rho_C): d(x,B) <= d(y,B) + |y - x|
+<= |q - y| + rho_C <= d + 2 rho_C.  So the candidates at the widest radius
+hold every minimizer and tie of every box; as each row's norm is computed
+as in the full scan, the distances, verdicts and anchors come out
+identical.  The radius carries a small relative slack that covers the
+rounding of the squared distances it is compared with.
 
-Coordinates of a point set and of queries must stay below MAX_COORD =
+Coordinates of the set and of queries must stay below MAX_COORD =
 2^500 in magnitude: distances are formed from squared differences, which
 then stay finite, and so do the dyadic corners of every level up to 520.
 """
@@ -76,8 +79,8 @@ class ResolutionExceeded(RuntimeError):
 
 
 class OnSet(ValueError):
-    """The query point lies in A, at `row` (of a finite set; the box of a
-    union); the decomposition covers only the complement."""
+    """The query point lies in A, in the box of `row`; the decomposition
+    covers only the complement."""
 
     def __init__(self, x, row):
         super().__init__(f"point {tuple(x)} lies in the closed set")
@@ -101,74 +104,87 @@ def _check_query(x, n):
         )
 
 
+def _check_rows(a, shown):
+    """Raise ValueError, naming the row as shown(i), for the first row i of
+    a that is not finite, and else for the first beyond MAX_COORD."""
+    for bad, what in (
+        (~np.isfinite(a), "is not finite"),
+        (np.abs(a) >= MAX_COORD, "is too large: coordinates must stay below 2^500"),
+    ):
+        if bad.any():
+            i = np.flatnonzero(bad.reshape(len(a), -1).any(axis=1))[0]
+            raise ValueError(f"{shown(i)} of the closed set {what}")
+
+
 class FinitePoints:
-    """A finite point set with exact distance and nearest-point queries,
-    which name points by their rows."""
+    """A closed set held as the union of the closed boxes [lo[i], hi[i]],
+    the rows of two (N, n) arrays; a finite point set is its zero-width
+    boxes, lo = hi = the points.  Distance and nearest-box queries are
+    array expressions over the rows, and name boxes by their rows."""
 
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             raise ValueError("closed set must be non-empty")
-        if not np.all(np.isfinite(pts)):
-            p = pts[~np.all(np.isfinite(pts), axis=1)][0]
-            raise ValueError(f"point {tuple(p.tolist())} of the closed set is not finite")
-        big = np.any(np.abs(pts) >= MAX_COORD, axis=1)
-        if big.any():
-            raise ValueError(
-                f"point {tuple(pts[big][0].tolist())} of the closed set is too large: "
-                f"coordinates must stay below 2^500"
-            )
-        self.points = pts
-        self.n = pts.shape[1]
-        self.rows = np.arange(len(pts))
+        _check_rows(pts, lambda i: f"point {tuple(pts[i].tolist())}")
+        self._hold(pts, pts, np.arange(len(pts)))
+
+    def _hold(self, lo, hi, rows):
+        self.lo, self.hi, self.n, self.rows = lo, hi, lo.shape[1], rows
+
+    def _gaps(self, lo, hi):
+        """The gaps of the box [lo, hi] (broadcast against the rows) to the
+        rows' boxes, per axis (see the module docstring)."""
+        return np.maximum(0.0, np.maximum(lo - self.hi, self.lo - hi))
 
     def distance(self, x):
-        _check_query(x, self.n)
-        return math.sqrt(_squares(self.points - np.asarray(x, float)).min())
+        return self.reach(x)[0]
 
     def reach(self, x):
-        """d(x, A) and a function giving, for a radius r, the points of the
+        """d(x, A) and a function giving, for a radius r, the boxes of the
         set within r of x (as a FinitePoints that keeps their rows), from
-        one distance vector; checks the query."""
+        one vector of squared distances; checks the query."""
         _check_query(x, self.n)
-        dists = np.sqrt(_squares(self.points - np.asarray(x, float)))
-        return float(dists.min()), lambda r: self._subset(dists <= r)
+        # x copied to every row: a short row broadcast over many costs more
+        x = np.repeat(np.asarray(x, float)[None], len(self.lo), axis=0)
+        d2 = _squares(self._gaps(x, x))
+        return math.sqrt(d2.min()), lambda r: self._subset(d2 <= r * r)
 
     def _subset(self, keep):
         sub = object.__new__(FinitePoints)  # rows of a checked set
-        sub.points, sub.n, sub.rows = self.points.compress(keep, axis=0), self.n, self.rows[keep]
+        lo = self.lo.compress(keep, axis=0)
+        hi = lo if self.hi is self.lo else self.hi.compress(keep, axis=0)  # a point set's one array
+        sub._hold(lo, hi, self.rows.compress(keep))
         return sub
 
     def _contains(self, x):
-        """Exact membership: the first row whose point equals x coordinate
-        by coordinate, or None."""
-        hits = np.flatnonzero(np.all(self.points == np.asarray(x, float), axis=1))
+        """Exact membership: the first row whose box holds x, or None."""
+        x = np.asarray(x, float)
+        hits = np.flatnonzero(np.all((self.lo <= x) & (x <= self.hi), axis=1))
         return int(self.rows[hits[0]]) if hits.size else None
 
-    def nearest(self, x):
-        """The row of a nearest point; ties break to the lexicographically
-        smallest point, and then to the first row."""
-        d2 = _squares(self.points - np.asarray(x, float))
-        i = min(np.flatnonzero(d2 == d2.min()), key=lambda i: tuple(self.points[i]))
-        return int(self.rows[i])
-
-    def box_distance(self, lo, hi):
-        """Distance from the closed box [lo, hi] to the set."""
-        return float(self.box_distances(np.array([lo], float), np.array([hi], float))[0])
+    def nearest(self, ys):
+        """For each point y of ys (rows of an (M, n) array), the row of a
+        box nearest y; ties break to the lexicographically smallest nearest
+        point clip(y, lo, hi) (a point set's own points), then to the first
+        row.  clip(y, lo, hi) - y is the gap up to sign."""
+        ys = np.asarray(ys, float)[:, None]
+        pts = np.minimum(np.maximum(ys, self.lo), self.hi)  # clip(y, lo, hi)
+        d2 = _squares(pts - ys)
+        ties = d2 == d2.min(axis=1, keepdims=True)
+        return [int(self.rows[min(np.flatnonzero(t), key=lambda i: tuple(p[i]))]) for t, p in zip(ties, pts)]
 
     def box_distances(self, lo, hi):
         """Distances from the closed boxes [lo[i], hi[i]] to the set, for
         (M, n) arrays lo and hi: the least row norm of each box's gaps (the
-        root is monotone), summed along the last axis as ``_squares`` sums."""
-        p = self.points
-        gaps = np.maximum(0.0, np.maximum(lo[:, None] - p, p - hi[:, None]))
-        return np.sqrt(np.add.reduce(gaps * gaps, axis=-1).min(axis=-1))
+        root is monotone)."""
+        return np.sqrt(_squares(self._gaps(lo[:, None], hi[:, None])).min(axis=-1))
 
 
 def _squares(v):
-    """Row sums of squares of v; their roots are the row norms that
-    np.linalg.norm(v, axis=1) computes."""
-    return np.add.reduce(v * v, axis=1)
+    """Sums of squares of v along its last axis; their roots are the norms
+    that np.linalg.norm(v, axis=-1) computes."""
+    return np.add.reduce(v * v, axis=-1)
 
 
 # Candidate radii are widened by this factor and this term, far beyond the
@@ -178,68 +194,22 @@ _SLACK = 1.0 + 2.0**-40
 _TINY = 2.0**-500
 
 
-class BoxUnion:
-    """A finite union of axis-aligned closed boxes."""
+class BoxUnion(FinitePoints):
+    """A finite union of axis-aligned closed boxes, each given as n (lo, hi)
+    pairs."""
 
     def __init__(self, boxes):
         if not boxes:
             raise ValueError("closed set must be non-empty")
-        self.boxes = []
-        for b in boxes:
-            b = np.asarray(b, dtype=float)  # shape (n, 2): rows (lo, hi)
+        parsed = [np.asarray(b, dtype=float) for b in boxes]  # each (n, 2): rows (lo, hi)
+        for b in parsed:
             if b.ndim != 2 or b.shape[1] != 2 or np.any(b[:, 0] > b[:, 1]):
                 raise ValueError(f"malformed box {b!r}")
-            if not np.all(np.isfinite(b)):
-                raise ValueError(f"box {b.tolist()} of the closed set is not finite")
-            if np.any(np.abs(b) >= MAX_COORD):
-                raise ValueError(
-                    f"box {b.tolist()} of the closed set is too large: "
-                    f"coordinates must stay below 2^500"
-                )
-            self.boxes.append(b)
-        self.n = self.boxes[0].shape[0]
-        if any(b.shape[0] != self.n for b in self.boxes):
+        if any(b.shape[0] != parsed[0].shape[0] for b in parsed):
             raise ValueError("boxes have mixed dimensions")
-
-    def distance(self, x):
-        _check_query(x, self.n)
-        return self.box_distance(x, x)
-
-    def reach(self, x):
-        """d(x, A) and, for any radius, the whole union, as a few boxes are
-        cheap to scan; checks the query."""
-        return self.distance(x), lambda r: self
-
-    def _contains(self, x):
-        """Exact membership: the first box with lo <= x <= hi, or None."""
-        inside = [np.all((b[:, 0] <= x) & (x <= b[:, 1])) for b in self.boxes]
-        return inside.index(True) if any(inside) else None
-
-    def nearest(self, x):
-        """Clamping x into each box gives that box's unique nearest point;
-        ties across boxes break to the lexicographically smallest point."""
-        x = np.asarray(x, float)
-        best, cands = math.inf, []
-        for b in self.boxes:
-            p = np.clip(x, b[:, 0], b[:, 1])
-            d = float(np.linalg.norm(p - x))
-            if d < best:
-                best, cands = d, [tuple(p)]
-            elif d == best:
-                cands.append(tuple(p))
-        return min(cands)
-
-    def box_distance(self, lo, hi):
-        best = math.inf
-        for b in self.boxes:
-            gap = np.maximum(0.0, np.maximum(b[:, 0] - hi, lo - b[:, 1]))
-            best = min(best, float(np.linalg.norm(gap)))
-        return best
-
-    def box_distances(self, lo, hi):
-        """Distances from the closed boxes [lo[i], hi[i]] to the union, for
-        (M, n) arrays lo and hi, each as `box_distance` measures it."""
-        return np.array([self.box_distance(l, h) for l, h in zip(lo, hi)])
+        b = np.stack(parsed)
+        _check_rows(b, lambda i: f"box {b[i].tolist()}")
+        self._hold(np.ascontiguousarray(b[:, :, 0]), np.ascontiguousarray(b[:, :, 1]), np.arange(len(b)))
 
 
 def make_closed_set(points=None, boxes=None):
@@ -342,10 +312,7 @@ class Decomposition:
         return math.ldexp(4.0 * self._sqrt_n, -j)
 
     def cube_distance(self, cube):
-        return self.A.box_distance(cube.lo, cube.hi)
-
-    def _qualifies(self, cube):
-        return self.cube_distance(cube) >= self.threshold(cube.level)
+        return float(self.A.box_distances(np.array([cube.lo]), np.array([cube.hi]))[0])
 
     def _start_level(self, d):
         """The level just below the home level that d = d(x,A) implies: as
@@ -357,33 +324,37 @@ class Decomposition:
         j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) - 1 if d else self.j_max
         return min(max(j, 0), self.j_max)
 
-    def _measure(self, x, d, reach, levels, corners):
+    def _measure(self, levels, corners, near=None):
         """Whether each cube (levels[i], corners[i]) qualifies, as a bool
-        array, from one stacked scan of the part of A that `_candidates`
-        gives for the cubes, and that part."""
+        array, from one stacked scan, and the part of A scanned: all of A,
+        or, given near = (x, d(x,A), the set's `reach` for x), the part
+        that `_candidates` gives for the cubes.  `levels` may be one level
+        for all the cubes."""
         levels = np.asarray(levels)
-        sides = np.ldexp(1.0, -levels)[:, None]
+        sides = np.ldexp(1.0, -levels)[..., None]
         z = np.asarray(corners, float)
         lo, hi = z * sides, (z + 1.0) * sides
-        scan = _candidates(x, d, reach, lo, hi)
+        scan = self.A if near is None else _candidates(*near, lo, hi)
         return scan.box_distances(lo, hi) >= np.ldexp(4.0 * self._sqrt_n, -levels), scan
 
     def _home(self, x):
         """
-        The home level of x (the level of its cube in W), d = d(x,A) and the
-        set's `reach` for x.  The home level is the first level whose
-        ancestor of x qualifies; the ancestors on `_start_level` - 1 .. + 3
-        are measured in one pass, and a block that does not decide it is
-        followed by the next five levels finer, or coarser.
+        The home level of x (the level of its cube in W) and near = (x,
+        d(x,A), the set's `reach` for x), which scopes the query's scans.
+        The home level is the first level whose ancestor of x qualifies;
+        the ancestors on `_start_level` - 1 .. + 3 are measured in one
+        pass, and a block that does not decide it is followed by the next
+        five levels finer, or coarser.
         """
         d, reach = self.A.reach(x)  # checks the query
         if d == 0.0 and (row := self.A._contains(x)) is not None:  # A is at distance 0
             raise OnSet(x, row)
+        near = (x, d, reach)
 
         def qualifying(lo, hi):
             levels = np.arange(lo, hi + 1)
             corners = np.floor(np.ldexp(np.asarray(x, float), levels[:, None]))
-            return self._measure(x, d, reach, levels, corners)[0].tolist()
+            return self._measure(levels, corners, near)[0].tolist()
 
         j = self._start_level(d)
         lo, hi = max(j - 1, 0), min(j + 3, self.j_max)
@@ -399,7 +370,7 @@ class Decomposition:
             ok = qualifying(lo, hi)
             if any(ok):
                 home = lo + ok.index(True)
-        return home, d, reach
+        return home, near
 
     def locate(self, x):
         """
@@ -415,13 +386,13 @@ class Decomposition:
 
     def in_family(self, cube):
         """Membership test: the cube qualifies and is at level 0 or its
-        parent does not qualify (see the module docstring)."""
-        if not self._qualifies(cube):
-            return False
-        if cube.level == 0:
-            return True
-        parent = WhitneyCube(cube.level - 1, tuple(z >> 1 for z in cube.corner))
-        return not self._qualifies(parent)
+        parent does not qualify (see the module docstring); the two are
+        measured together."""
+        keys = [(cube.level, cube.corner)]
+        if cube.level:
+            keys.append((cube.level - 1, tuple(z >> 1 for z in cube.corner)))
+        ok = self._measure(*zip(*keys))[0].tolist() + [False]
+        return ok[0] and not ok[1]
 
     def supporting_cubes(self, x):
         """
@@ -430,10 +401,10 @@ class Decomposition:
         level, the cubes meeting the box x ± side/4 whose D_C holds x,
         measured with their parents in one pass; a cube is in W when it
         qualifies and is at level 0 or its parent does not.  The anchor of
-        C, ``A.nearest`` of its center (a row of a finite set), comes from
-        the same part of A.
+        C, the row of A nearest its center, comes from the same part of A,
+        for all the cubes at once.
         """
-        home, d, reach = self._home(x)
+        home, near = self._home(x)
         found = []
         for lv in range(max(0, home - 1), home + 2):
             s = math.ldexp(1.0, -lv)
@@ -444,38 +415,46 @@ class Decomposition:
             found += [(lv, z) for z in itertools.product(*axes)]
         parents = [(lv - 1, tuple(zi >> 1 for zi in z)) for lv, z in found if lv]
         keys = list(dict.fromkeys(found + parents))
-        ok, scan = self._measure(x, d, reach, *zip(*keys))
+        ok, scan = self._measure(*zip(*keys), near)
         ok = dict(zip(keys, ok.tolist()))
         out = [
             WhitneyCube(lv, z)
             for lv, z in found
             if ok[lv, z] and (lv == 0 or not ok[lv - 1, tuple(zi >> 1 for zi in z)])
         ]
-        return [(cube, scan.nearest(cube.center)) for cube in out]
+        return list(zip(out, scan.nearest([cube.center for cube in out])))
 
     def enumerate_in_box(self, lo, hi, max_level):
         """
         All cubes of W intersecting the closed box [lo, hi], up to the given
         level, in deterministic (level, corner) order.  Descends the dyadic
-        tree: a qualifying cube is emitted and not refined; anything still
-        unqualified at max_level is dropped.  A box corner of the wrong
-        dimension or beyond MAX_COORD is a ValueError.
+        tree a level at a time, measuring a level's cubes in blocks of
+        about 2^18 gaps: a qualifying cube is emitted and not refined;
+        anything still unqualified at max_level is dropped.  A box corner
+        of the wrong dimension or beyond MAX_COORD is a ValueError.
         """
         _check_query(lo, self.n)
         _check_query(hi, self.n)
         out = []
-        stack = [WhitneyCube(0, z) for z in itertools.product(*_window(lo, hi, 0))]
-        while stack:
-            cube = stack.pop()
-            if self._qualifies(cube):
-                out.append(cube)
-            elif cube.level < max_level:
-                lv = cube.level + 1
-                kids = [
-                    range(max(2 * z, w.start), min(2 * z + 2, w.stop))
-                    for z, w in zip(cube.corner, _window(lo, hi, lv))
-                ]
-                stack.extend(WhitneyCube(lv, z) for z in itertools.product(*kids))
+        block = max(1, 2**18 // self.A.lo.size)
+        level, corners = 0, list(itertools.product(*_window(lo, hi, 0)))
+        while corners:
+            ok = []
+            for i in range(0, len(corners), block):
+                ok += self._measure(level, corners[i : i + block])[0].tolist()
+            out += [WhitneyCube(level, z) for z, q in zip(corners, ok) if q]
+            if level >= max_level:
+                break
+            level += 1
+            window = _window(lo, hi, level)
+            corners = [
+                kid
+                for z, q in zip(corners, ok)
+                if not q
+                for kid in itertools.product(
+                    *[range(max(2 * zi, w.start), min(2 * zi + 2, w.stop)) for zi, w in zip(z, window)]
+                )
+            ]
         out.sort()
         return out
 

@@ -115,7 +115,7 @@ class Extension:
             raise ValueError(f"degree {self.k} not available in an order-{jet.k} jet")
         self.n = jet.n
         self.m = jet.m
-        self.A = decomp.FinitePoints(jet.point_array())
+        self.A = decomp.FinitePoints(jet.X)
         self.dec = decomp.Decomposition(self.A)
         if schedule is None:
             self.schedule = None

@@ -124,19 +124,17 @@ class Jet:
         """f_alpha at the point with the given id, as an (m,) array."""
         return self.F[self.row[pid], self.pos[tuple(alpha)]]
 
-    def point_array(self):
-        """The (N, n) array of the points, the jet's own ``X``."""
-        return self.X
-
     def diameter(self, ids=None):
         """Largest pairwise distance of the selected points; a distance
-        beyond the float range is a ValueError naming its pair."""
+        beyond the float range is a ValueError naming its pair.  Where the
+        squared differences overflow or fall below 2^-1000 and lose bits,
+        ``math.dist``, which scales, measures the pairs."""
         pts = self.X if ids is None else self.X[[self.row[p] for p in ids]]
         d = 0.0
         with np.errstate(over="ignore"):
             for i in range(len(pts) - 1):
                 d = max(d, float(np.max(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1))))
-        if d == math.inf:  # a difference or its square overflowed
+        if len(pts) > 1 and not 2.0**-500 <= d < math.inf:
             pairs = itertools.combinations(map(tuple, pts.tolist()), 2)
             d, y, x = max((math.dist(y, x), y, x) for y, x in pairs)
             if d == math.inf:

@@ -44,15 +44,6 @@ def add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def sub(a, b):
-    """a - b for b <= a componentwise."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {a} vs {b}")
-    if any(y > x for x, y in zip(a, b)):
-        raise ValueError(f"{b} is not <= {a}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def enumerate_upto(n, k):
     """
     All multi-indices a in N_0^n with |a| <= k, graded-lexicographically.

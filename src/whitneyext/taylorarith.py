@@ -401,16 +401,6 @@ def _factorials(k):
     return context(1, k).factorials[:, None]
 
 
-def _positive(a, name):
-    """The constant terms of a; the first that is not positive is a
-    SeriesDomainError."""
-    a0 = _constant_terms(a)
-    for v in a0:
-        if v <= 0.0:
-            raise SeriesDomainError(f"{name} of series with constant term {v} <= 0")
-    return a0
-
-
 def _trig(f, a):
     """f(a0 + i pi/2) / i! for i = 0..k at every constant term a0: the
     coefficients of sin (f = math.sin) or cos (f = math.cos)."""
@@ -436,22 +426,34 @@ def cos(a):
     return _compose_univariate(_trig(math.cos, a), a)
 
 
+def _of_positive(a, name, column):
+    """f(a) for f = ln or sqrt, from f's outer coefficients column(v) at
+    each constant term v; the first v that is not positive, or whose
+    coefficients leave the float range, is a SeriesDomainError naming it."""
+    cols = []
+    for v in _constant_terms(a):
+        if v <= 0.0:
+            raise SeriesDomainError(f"{name} of series with constant term {v} <= 0")
+        try:
+            cols.append(column(v))
+            if not any(map(math.isinf, cols[-1])):
+                continue
+        except (ZeroDivisionError, OverflowError):
+            pass
+        raise SeriesDomainError(f"{name} of series with constant term {v}: a coefficient leaves the float range")
+    return _compose_univariate(np.array(cols).T, a)
+
+
 def ln(a):
-    a0 = _positive(a, "ln")
-    c = [[math.log(v) for v in a0]]
-    c += [[(-1.0) ** (i + 1) / (i * v**i) for v in a0] for i in range(1, a.k + 1)]
-    return _compose_univariate(np.array(c), a)
+    return _of_positive(a, "ln", lambda v: [math.log(v)] + [(-1.0) ** (i + 1) / (i * v**i) for i in range(1, a.k + 1)])
 
 
 def sqrt(a):
     # binomial series sqrt(a0 + h) = sqrt(a0) * sum C(1/2, i) (h/a0)^i
-    a0 = _positive(a, "sqrt")
-    r = [math.sqrt(v) for v in a0]
-    c, coef = [r], 1.0
+    binom = [1.0]
     for i in range(1, a.k + 1):
-        coef *= (0.5 - (i - 1)) / i
-        c.append([s * coef / v**i for s, v in zip(r, a0)])
-    return _compose_univariate(np.array(c), a)
+        binom.append(binom[-1] * ((0.5 - (i - 1)) / i))
+    return _of_positive(a, "sqrt", lambda v: [math.sqrt(v) * c / v**i for i, c in enumerate(binom)])
 
 
 _ELEMENTARY = {

@@ -78,9 +78,10 @@ def test_batch_rows_match_one_point_calls(batch, data):
     ("exp(x0)", [0.5, 800.0, 1.0, 900.0], r"^exp of 800.0 overflows$"),
     ("ln(x0)", [0.5, 2.0, -1.0, 0.0], r"^ln of series with constant term -1.0 <= 0$"),
     ("sqrt(x0)", [0.5, 0.0, 2.0], r"^sqrt of series with constant term 0.0 <= 0$"),
-    # the power 1e300^2 of the first point's table overflows before the
-    # second point's ln is found not positive; alone, the first point fails
-    ("ln(x0)", [1e300, -1.0], r"^\(34, 'Numerical result out of range'\)$"),
+    # the first point's coefficient -1/(2 1e300^2) leaves the float range
+    # before the second point's ln is found not positive; alone, the first
+    # point fails
+    ("ln(x0)", [1e300, -1.0], r"^ln of series with constant term 1e\+300: a coefficient leaves the float range$"),
 ])
 def test_from_expr_raises_what_the_failing_point_raises_alone(src, xs, message):
     f = el.VectorExpr.parse([src], 1)

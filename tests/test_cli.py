@@ -372,6 +372,17 @@ _UNREPRESENTABLE_JETS = {
         ' "points": [{"id": "a", "x": [1.0]}]}}',
         "error: exp of 1000.0 overflows\n",
     ),
+    # the outer coefficients 1/(i a0^i) of ln and sqrt leave the float range
+    "ln-coefficient-beyond-the-float-range": (
+        '{"dim": 1, "order": 2, "induce": {"expr": ["ln(x0)"],'
+        ' "points": [{"id": "a", "x": [1e-200]}, {"id": "b", "x": [1.0]}]}}',
+        "error: ln of series with constant term 1e-200: a coefficient leaves the float range\n",
+    ),
+    "sqrt-coefficient-beyond-the-float-range": (
+        '{"dim": 1, "order": 2, "induce": {"expr": ["sqrt(x0)"],'
+        ' "points": [{"id": "a", "x": [1.0]}, {"id": "b", "x": [1e200]}]}}',
+        "error: sqrt of series with constant term 1e+200: a coefficient leaves the float range\n",
+    ),
 }
 
 
@@ -678,6 +689,19 @@ def test_check_jet_names_a_distance_beyond_the_float_range(doc, message, tmp_pat
         warnings.simplefilter("error")
         rc = run(["check-jet", "--input", str(p)])
     assert (rc, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
+
+def test_check_jet_on_a_subnormal_pair_distance(tmp_path, capsys):
+    # the square of 1e-323 underflows, the distance does not: the diameter
+    # and the moduli at the deltas that stay above 0 are reported
+    values = {"[0]": [1.0]}
+    doc = _jet_file([_point("a", [0.0], values), _point("b", [1e-323], {"[0]": [2.0]})], order=0)
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(doc))
+    assert run(["check-jet", "--input", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "diameter: 1e-323"
+    assert out[-2:] == ["modulus[l=0, delta=2e-323]: 1.0", "modulus[l=0, delta=5e-324]: 0.0"]
 
 
 # -- fdb -------------------------------------------------------------------------

@@ -192,16 +192,16 @@ def test_anchor_single_candidate():
 def test_anchor_tie_break_lexicographic():
     pm = decomp.make_closed_set(points=[[-1.0], [1.0]])
     c = decomp.WhitneyCube(2, (-1,))  # [-0.25, 0], center -0.125: 0.875 from -1, 1.125 from 1
-    assert pm.nearest(c.center) == 0
+    assert pm.nearest([c.center])[0] == 0
     far = decomp.make_closed_set(points=[[9.5], [-10.0]])
     mid = decomp.WhitneyCube(0, (-1,))  # [-1, 0], center -0.5: 9.5 from -10, 10 from 9.5
-    assert far.nearest(mid.center) == 1
+    assert far.nearest([mid.center])[0] == 1
     # the center -0.25 of [-0.5, 0] is 0.75 from both points: the anchor is
     # the lexicographically smaller point, in either row order
     sym = decomp.WhitneyCube(1, (-1,))
     for pts in ([[-1.0], [0.5]], [[0.5], [-1.0]]):
         A = decomp.make_closed_set(points=pts)
-        assert pts[A.nearest(sym.center)] == [-1.0]
+        assert pts[A.nearest([sym.center])[0]] == [-1.0]
     # through the cube search: the center (0.5, 6.5) of the cube [0, 1] x
     # [6, 7] of W is equidistant from both points, and the second row is
     # the smaller
@@ -253,13 +253,13 @@ def _near_set_queries(A, rng, count, farthest=-3):
     """Points 1e-9 .. 10^farthest away from A, off A."""
     out = []
     while len(out) < count:
-        if isinstance(A, decomp.FinitePoints):
-            base = A.points[rng.integers(len(A.points))]
-        else:
-            box = A.boxes[rng.integers(len(A.boxes))]
-            base = rng.uniform(box[:, 0], box[:, 1])
+        i = rng.integers(len(A.rows))
+        if isinstance(A, decomp.BoxUnion):
+            base = rng.uniform(A.lo[i], A.hi[i])
             axis = rng.integers(A.n)
-            base[axis] = box[axis, rng.integers(2)]  # a point on a face
+            base[axis] = (A.lo, A.hi)[rng.integers(2)][i, axis]  # a point on a face
+        else:
+            base = A.lo[i]
         u = rng.normal(size=A.n)
         step = 10.0 ** rng.uniform(-9, farthest) * u / np.linalg.norm(u)
         x = tuple(float(v) for v in base + step)
@@ -329,10 +329,7 @@ def test_supporting_cubes_match_walk_and_enumeration(n):
             want = _supporting_by_enumeration(dec, x, 0.5 * home.side, home.level + 2)
             assert [(c.level, c.corner) for c, _ in got] == sorted(want), x
             for c, anchor in got:
-                if isinstance(A, decomp.FinitePoints):
-                    assert anchor == _nearest_row_by_list(A.points, c.center), (x, c)
-                else:  # a union is scanned whole
-                    assert anchor == A.nearest(c.center), (x, c)
+                assert anchor == _nearest_row_by_list(A, c.center), (x, c)
 
 
 def test_an_extension_keeps_nothing_per_query():
@@ -499,10 +496,60 @@ def test_located_cube_side_comparable_to_distance(x):
 
 
 def test_box_union_nearest_point():
+    # (2, 0.5) is 1 from both boxes: the row of the lexicographically
+    # smaller nearest point (1, 0.5) wins, and that point is its clip
     B = decomp.make_closed_set(boxes=[[[0.0, 1.0], [0.0, 1.0]], [[3.0, 4.0], [0.0, 2.0]]])
-    assert B.nearest((2.0, 0.5)) in ((1.0, 0.5), (3.0, 0.5))
+    row = B.nearest([(2.0, 0.5)])[0]
+    assert row == 0
+    assert np.clip((2.0, 0.5), B.lo[row], B.hi[row]).tolist() == [1.0, 0.5]
+    assert B.nearest([(2.5, 0.5)])[0] == 1
     assert B.distance((2.0, 0.5)) == 1.0
     assert B.distance((3.5, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_points_as_zero_width_boxes_keep_the_bits(n):
+    # a point set spelled as boxes [p, p] is the same set, held the same way:
+    # every query gives the bits of the point set
+    rng = np.random.default_rng(60 + n)
+    pts = rng.uniform(-1.0, 1.0, size=(12, n))
+    P = decomp.FinitePoints(pts)
+    B = decomp.BoxUnion([np.stack([p, p], axis=1) for p in pts])
+    dp, db = decomp.Decomposition(P), decomp.Decomposition(B)
+    queries = _near_set_queries(P, rng, 15, farthest=-1)
+    queries += [tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=n)) for _ in range(15)]
+    for x in queries:
+        assert B.distance(x) == P.distance(x)
+        (d1, near1), (d2, near2) = P.reach(x), B.reach(x)
+        assert d1 == d2
+        assert near1(2.0 * d1).rows.tolist() == near2(2.0 * d2).rows.tolist()
+        assert B.nearest([x])[0] == P.nearest([x])[0]
+        assert db.locate(x) == dp.locate(x)
+        assert db.supporting_cubes(x) == dp.supporting_cubes(x)
+    lo, hi = [-1.5] * n, [1.5] * n
+    cubes = dp.enumerate_in_box(lo, hi, 3 if n < 3 else 2)
+    assert db.enumerate_in_box(lo, hi, 3 if n < 3 else 2) == cubes
+    assert [db.cube_distance(c) for c in cubes] == [dp.cube_distance(c) for c in cubes]
+
+
+def test_box_union_distances_match_references():
+    # at non-dyadic queries and bounds, the distance to a union of boxes is
+    # within 2 ulp of the 50-digit distance to the exact float bounds
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4):
+        lo = rng.uniform(-1.0, 1.0, size=(5, n)) * 0.7
+        hi = lo + rng.uniform(0.0, 0.3, size=(5, n))
+        B = decomp.BoxUnion(list(np.stack([lo, hi], axis=-1)))
+        for _ in range(200):
+            x = (rng.uniform(-2.0, 2.0, size=n) / 3.0).tolist()
+            ref = min(
+                mpmath.sqrt(sum(max(0, mpmath.mpf(l) - xi, xi - mpmath.mpf(h)) ** 2 for l, xi, h in zip(lr, x, hr)))
+                for lr, hr in zip(lo.tolist(), hi.tolist())
+            )
+            got = B.distance(tuple(x))
+            assert abs(got - ref) <= 2 * math.ulp(float(ref)), (x, got, ref)
 
 
 def _locate_by_walk(dec, x, j_max):
@@ -543,10 +590,7 @@ def _locate_queries(A, rng, count):
     for _ in range(count // 4):
         u = rng.normal(size=n)
         far.append(tuple(float(v) for v in (2.0 + 7.0 * math.sqrt(n)) * u / np.linalg.norm(u)))
-    if isinstance(A, decomp.FinitePoints):
-        on = [tuple(map(float, p)) for p in A.points[:3]]
-    else:
-        on = [tuple(float(v) for v in b.mean(axis=1)) for b in A.boxes[:3]]
+    on = [tuple(float(v) for v in (l + h) / 2.0) for l, h in zip(A.lo[:3], A.hi[:3])]
     tiny = [
         tuple(s if i == axis else 0.0 for i in range(n))
         for axis in range(n)
@@ -618,47 +662,55 @@ def test_locate_matches_level0_walk(n):
     assert calls / located <= 1.25, calls / located
 
 
-def _nearest_by_list(points, x):
-    """The list rule: the lexicographically smallest of all nearest points."""
-    d2 = np.sum((points - np.asarray(x, float)) ** 2, axis=1)
-    return min(tuple(p) for p, d in zip(points, d2) if d == d2.min())
+def _nearest_row_by_list(A, x):
+    """The list rule: the first row holding the lexicographically smallest
+    of the nearest points clip(x, lo, hi) of all boxes of A (the points of
+    a point set)."""
+    x = np.asarray(x, float)
+    points = np.clip(x, A.lo, A.hi)
+    d2 = np.sum((points - x) ** 2, axis=1)
+    p = min(tuple(q) for q, d in zip(points, d2) if d == d2.min())
+    return next(i for i, (q, d) in enumerate(zip(points, d2)) if tuple(q) == p and d == d2.min())
 
 
-def _nearest_row_by_list(points, x):
-    """The first row holding the point of the list rule."""
-    p = _nearest_by_list(points, x)
-    return next(i for i, q in enumerate(points) if tuple(q) == p)
+def _integer_sets(n, size, rng):
+    """A point set of small integers, and a union of boxes whose bounds are
+    integers and half-integers, some of zero width, so that ties are exact."""
+    yield decomp.FinitePoints(rng.integers(-3, 4, size=(size, n)).astype(float))
+    lo = rng.integers(-6, 7, size=(size, n)) / 2.0
+    hi = lo + rng.integers(0, 3, size=(size, n)) / 2.0
+    yield decomp.BoxUnion(list(np.stack([lo, hi], axis=-1)))
 
 
 def test_candidate_scans_match_full_scans():
-    # a pass scans only the points within d + 2 rho of x, rho the widest
+    # a pass scans only the rows within d + 2 rho of x, rho the widest
     # reach of its stack of boxes; the stacked box distances must be the
-    # full scans' bit for bit, and the nearest points to the points of the
-    # boxes (the anchor pass) the full scans' too, on small-integer sets
-    # (duplicate points, exact ties) queried at integer and half-integer
-    # points, boxes and centres, each box alone and the whole stack at once
+    # full scans' bit for bit, and the nearest rows to the points of the
+    # boxes (the anchor pass) the full scans' too, on small-integer point
+    # sets and box unions (duplicate rows, exact ties) queried at integer
+    # and half-integer points, boxes and centres, each box alone and the
+    # whole stack at once
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         for size in (1, 6, 40):
-            pts = rng.integers(-3, 4, size=(size, n)).astype(float)
-            A = decomp.FinitePoints(pts)
-            for _ in range(12):
-                x = tuple(float(v) for v in rng.integers(-8, 9, size=n) / 2.0)
-                if A._contains(x) is not None:
-                    continue
-                d, reach = A.reach(x)
-                assert d == A.distance(x)
-                lo = rng.integers(-8, 9, size=(8, n)) / 2.0
-                hi = lo + rng.integers(0, 4, size=(8, n)) / 2.0
-                want = [A.box_distance(tuple(l), tuple(h)) for l, h in zip(lo, hi)]
-                stack = decomp._candidates(x, d, reach, lo, hi)
-                assert stack.box_distances(lo, hi).tolist() == want, (pts, x, lo, hi)
-                for i in range(len(lo)):
-                    alone = decomp._candidates(x, d, reach, lo[i : i + 1], hi[i : i + 1])
-                    assert alone.box_distances(lo[i : i + 1], hi[i : i + 1])[0] == want[i]
-                    c = tuple((lo[i] + (hi[i] - lo[i]) * rng.integers(0, 3, size=n) / 2.0).tolist())
-                    assert alone.nearest(c) == A.nearest(c), (pts, x, c)
-                    assert stack.nearest(c) == A.nearest(c), (pts, x, c)
+            for A in _integer_sets(n, size, rng):
+                for _ in range(12):
+                    x = tuple(float(v) for v in rng.integers(-8, 9, size=n) / 2.0)
+                    if A._contains(x) is not None:
+                        continue
+                    d, reach = A.reach(x)
+                    assert d == A.distance(x)
+                    lo = rng.integers(-8, 9, size=(8, n)) / 2.0
+                    hi = lo + rng.integers(0, 4, size=(8, n)) / 2.0
+                    want = [A.box_distances(lo[i : i + 1], hi[i : i + 1])[0] for i in range(len(lo))]
+                    stack = decomp._candidates(x, d, reach, lo, hi)
+                    assert stack.box_distances(lo, hi).tolist() == want, (A.lo, A.hi, x, lo, hi)
+                    for i in range(len(lo)):
+                        alone = decomp._candidates(x, d, reach, lo[i : i + 1], hi[i : i + 1])
+                        assert alone.box_distances(lo[i : i + 1], hi[i : i + 1])[0] == want[i]
+                        c = tuple((lo[i] + (hi[i] - lo[i]) * rng.integers(0, 3, size=n) / 2.0).tolist())
+                        assert alone.nearest([c])[0] == A.nearest([c])[0], (A.lo, A.hi, x, c)
+                        assert stack.nearest([c])[0] == A.nearest([c])[0], (A.lo, A.hi, x, c)
     # a tie exactly at the candidate radius: from x = 0 with d = 1, the
     # centre -2 of the box [-2, -2] (rho = 2) is 3 from both 1 and -5, and
     # -5 = -(d + 2 rho) wins the lexicographic tie-break; the box is 3 from
@@ -667,25 +719,41 @@ def test_candidate_scans_match_full_scans():
     d, reach = A.reach((0.0,))
     box = np.array([[-2.0]])
     scan = decomp._candidates((0.0,), d, reach, box, box)
-    assert scan.nearest((-2.0,)) == 1 == A.nearest((-2.0,))
+    assert scan.nearest([(-2.0,)])[0] == 1 == A.nearest([(-2.0,)])[0]
     assert scan.box_distances(box, box).tolist() == [3.0]
-    assert scan.points.tolist() == [[1.0], [-5.0]]
+    assert scan.lo.tolist() == scan.hi.tolist() == [[1.0], [-5.0]]
+    # the same tie from boxes: from x = 0, [1, 3] is at d = 1, the centre -2
+    # is 3 from both [1, 3] and [-6, -5], and the nearest point -5 =
+    # -(d + 2 rho) of [-6, -5] wins the tie-break
+    A = decomp.BoxUnion([[[1.0, 3.0]], [[-6.0, -5.0]], [[9.0, 10.0]]])
+    d, reach = A.reach((0.0,))
+    scan = decomp._candidates((0.0,), d, reach, box, box)
+    assert scan.nearest([(-2.0,)])[0] == 1 == A.nearest([(-2.0,)])[0]
+    assert scan.box_distances(box, box).tolist() == [3.0]
+    assert scan.rows.tolist() == [0, 1]
 
 
 def test_nearest_tie_break_matches_list_rule():
     # exact ties: the corners of a square around the query, duplicated rows,
-    # and small-integer sets queried at integer and half-integer points
+    # and small-integer point sets and box unions queried at integer and
+    # half-integer points
     square = decomp.FinitePoints([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-    assert square.nearest((0.0, 0.0)) == 3  # (-1, -1)
+    assert square.nearest([(0.0, 0.0)])[0] == 3  # (-1, -1)
     dup = decomp.FinitePoints([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
-    assert dup.nearest((1.0, 1.0)) == 1  # the first row of (0, 2)
+    assert dup.nearest([(1.0, 1.0)])[0] == 1  # the first row of (0, 2)
+    # the same for boxes: four unit squares at the corners of [-2, 2]^2,
+    # each sqrt(2) from the origin, and repeated boxes
+    square = decomp.BoxUnion(
+        [[[1.0, 2.0], [1.0, 2.0]], [[-2.0, -1.0], [1.0, 2.0]], [[1.0, 2.0], [-2.0, -1.0]], [[-2.0, -1.0], [-2.0, -1.0]]]
+    )
+    assert square.nearest([(0.0, 0.0)])[0] == 3  # nearest point (-1, -1)
+    dup = decomp.BoxUnion([[[2.0, 3.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 3.0]]] * 2)
+    assert dup.nearest([(1.0, 1.0)])[0] == 1  # the first row of nearest point (0, 2)
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         for size in (1, 5, 40):
-            pts = rng.integers(-2, 3, size=(size, n)).astype(float)
-            A = decomp.FinitePoints(pts)
-            for _ in range(30):
-                x = tuple(float(v) for v in rng.integers(-6, 7, size=n) / 2.0)
-                got = A.nearest(x)
-                assert got == _nearest_row_by_list(pts, x), (pts, x)
-                assert type(got) is int
+            for A in _integer_sets(n, size, rng):
+                xs = [tuple(float(v) for v in rng.integers(-6, 7, size=n) / 2.0) for _ in range(30)]
+                got = A.nearest(xs)  # all the points at once
+                assert got == [_nearest_row_by_list(A, x) for x in xs], (A.lo, A.hi, xs)
+                assert all(type(row) is int for row in got)

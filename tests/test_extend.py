@@ -354,7 +354,7 @@ def test_queries_scan_only_their_views():
         raise AssertionError("a scan of the whole set")
 
     F = extend.Extension(j, schedule=(0.3, 0.05))
-    F.A.distance = F.A.box_distance = F.A.box_distances = F.A.nearest = full_scan
+    F.A.distance = F.A.box_distances = F.A.nearest = full_scan
     F.A._contains = full_scan
     # and a successful batch searches once per query: no re-run
     searches = []
@@ -439,7 +439,7 @@ def test_continuity_ratio_homogeneous_under_scaling():
     sample = []
     while len(sample) < 60:
         x = tuple(rng.uniform(-2, 3, size=2))
-        if decomp.FinitePoints(j.point_array()).distance(x) > 1e-3:
+        if decomp.FinitePoints(j.X).distance(x) > 1e-3:
             sample.append(x)
     e1 = extend.Extension(j)
     e2 = extend.Extension(j2)

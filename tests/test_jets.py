@@ -538,6 +538,9 @@ def test_pair_distances_at_the_ends_of_the_float_range():
             two(2, (0.0,), (1e-200,)).whitney_modulus(2, 1.0)
         tiny = two(2, (0.0,), (1e-160,))
         assert tiny.seminorm_dprime(2) == tiny.whitney_modulus(2, 1.0) == math.inf
+        # the square of the distance underflows, the distance does not
+        assert two(0, (0.0,), (1e-323,)).diameter() == 1e-323
+        assert two(0, (0.0, 0.0), (3e-170, 4e-170)).diameter() == math.dist((0.0, 0.0), (3e-170, 4e-170))
     assert _quotient_reference(tiny, 2, "max", tiny.ids) == math.inf
 
 

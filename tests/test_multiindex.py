@@ -40,12 +40,9 @@ def test_factorial_and_binom():
     assert mi.factorial((3, 2)) // (mi.factorial((1, 1)) * mi.factorial((2, 1))) == 6
 
 
-def test_order_add_sub():
+def test_order_and_add():
     assert mi.order((2, 0, 1)) == 3
     assert mi.add((1, 0), (0, 2)) == (1, 2)
-    assert mi.sub((2, 2), (1, 0)) == (1, 2)
-    with pytest.raises(ValueError):
-        mi.sub((0, 1), (1, 0))
 
 
 def test_parse_accepts_brackets_and_parens():

@@ -321,6 +321,19 @@ def test_elementary_errors_name_the_first_failing_column():
             f(ta.seeds(np.array([[2.0], [-1.0], [0.0]]), 2)[0])
 
 
+
+@pytest.mark.parametrize("name", ["ln", "sqrt"])
+@pytest.mark.parametrize("a0", [1e-200, 1e200])
+def test_ln_and_sqrt_coefficients_beyond_the_float_range(name, a0):
+    # 1/(i a0^i) leaves the float range at order 2 (a0^2 is 0 or overflows)
+    x = ta.seeds(np.array([[1.0], [a0]]), 2)[0]
+    with pytest.raises(ta.SeriesDomainError) as info:
+        getattr(ta, name)(x)
+    assert str(info.value) == f"{name} of series with constant term {a0!r}: a coefficient leaves the float range"
+    # order 1 stays in range
+    getattr(ta, name)(ta.seeds(np.array([[a0]]), 1)[0])
+
+
 def test_series_order_limit():
     assert ta.context(1, ta.MAX_ORDER).k == ta.MAX_ORDER
     with pytest.raises(ValueError, match=r"^order 21 exceeds the largest supported series order 20$"):

@@ -1,5 +1,5 @@
 """
-Run one fixed list of 51 CLI invocations against two source trees and
+Run one fixed list of 53 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -9,8 +9,9 @@ OLD_SRC and NEW_SRC are directories that hold the ``whitneyext`` package
 temporary directory and runs every invocation there in two fresh
 interpreters side by side, one with each tree on PYTHONPATH.  The list
 covers decompose (on a point set, on a 2-D point set whose cube centres
-are equidistant from both points, which pins the anchor tie-break, and on
-boxes); extend with values, ``--k``, ``--schedule`` and ``--derivs`` at
+are equidistant from both points, which pins the anchor tie-break, on
+boxes, on a 2-D point set spelled as zero-width boxes, and on 3-D boxes
+with non-dyadic bounds); extend with values, ``--k``, ``--schedule`` and ``--derivs`` at
 n = 1, 2, 3, with ``--derivs`` on a grid of the jet's own points (their
 rows read from the jet), with ``--derivs`` on rows 1e-9 .. 1e-3 from a
 jet point at n = 3, with ``--derivs`` to order 4 on a fine off-lattice
@@ -195,6 +196,15 @@ FIXTURES = {
     # the centres (0.5, y) of the level-0 cubes above and below are
     # equidistant from both points, and the first row is not the anchor
     "set3.json": {"dim": 2, "points": [[1.0, 0.0], [0.0, 0.0]]},
+    # three points as boxes [p, p]
+    "set4.json": {
+        "dim": 2,
+        "boxes": [[[0.0, 0.0], [0.0, 0.0]], [[0.3, 0.3], [-0.7, -0.7]], [[-0.45, -0.45], [0.2, 0.2]]],
+    },
+    "set5.json": {
+        "dim": 3,
+        "boxes": [[[-0.3, 0.1], [0.2, 0.7], [-0.9, -0.4]], [[0.35, 0.6], [-0.55, -0.1], [0.15, 0.45]]],
+    },
     **JETS,
     "bundle.json": {
         "map": {"from_dim": 2, "expr": ["x0 + x1^2", "x1/2"]},
@@ -388,6 +398,8 @@ INVOCATIONS = [
     ("decompose 1-D", ["decompose", "--input", "set1.json", "--grid=-3:9", "--max-level", "5"]),
     ("decompose 2-D equidistant centres", ["decompose", "--input", "set3.json", "--grid=0:1,-8:8", "--max-level", "3"]),
     ("decompose 2-D boxes", ["decompose", "--input", "set2.json", "--grid=-2:2,-2:2", "--max-level", "4"]),
+    ("decompose 2-D points as boxes", ["decompose", "--input", "set4.json", "--grid=-1.5:1.5,-1.5:1.5", "--max-level", "5"]),
+    ("decompose 3-D non-dyadic boxes", ["decompose", "--input", "set5.json", "--grid=-1.2:1.2,-1.2:1.2,-1.2:1.2", "--max-level", "3"]),
     ("extend 1-D values", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37"]),
     ("extend 1-D --k 0", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37", "--k", "0"]),
     ("extend 1-D --schedule", ["extend", "--input", "jet1.json", "--grid=-1.9:2.3:0.37", "--schedule", "2,0.5"]),
