@@ -59,9 +59,14 @@ class Chart:
         self.codomain = codomain
 
     def contains(self, x, slack=_SLACK):
-        """Whether x lies in the codomain, with tolerance for mapped points."""
+        """Whether x lies in the codomain, with tolerance for mapped points.
+        A point of another dimension than a codomain box is a ValueError."""
         if self.codomain == "all":
             return True
+        if len(x) != len(self.codomain):
+            raise ValueError(
+                f"chart {self.id}: point {tuple(x)} has dimension {len(x)}, expected {len(self.codomain)}"
+            )
         return all(
             lo - slack <= xi <= hi + slack
             for xi, (lo, hi) in zip(x, self.codomain)

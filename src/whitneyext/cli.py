@@ -457,25 +457,23 @@ def _suite_lemma_l(args):
                 touch = np.all((los[i] <= his[i + 1 :]) & (los[i + 1 :] <= his[i]), axis=1)
                 logs = np.abs(np.log2(sides[i] / sides[i + 1 :][touch]))
                 ratio = float(np.max(logs, initial=ratio))
-            dstar = 0.0
-            for c in cubes:
-                for _ in range(5):
-                    y = tuple(
-                        ci + 0.75 * c.side * u
-                        for ci, u in zip(c.center, rng.uniform(-1.0, 1.0, size=n))
-                    )
-                    dstar = max(dstar, A.distance(y) / (14.0 * math.sqrt(n) * c.side))
+            # 5 samples y of D_C per cube, drawn as one array: the stream of
+            # 5 draws of n numbers per cube, in cube order
             centers = np.array([c.center for c in cubes])
             radii = 0.75 * sides[:, None]
+            u = rng.uniform(-1.0, 1.0, size=(5 * len(cubes), n))
+            ys = np.repeat(centers, 5, axis=0) + np.repeat(radii, 5, axis=0) * u
+            dstar = A.box_distances(ys, ys) / (14.0 * math.sqrt(n) * np.repeat(sides, 5))
+            dstar = float(np.max(dstar, initial=0.0))
+            queries = []
+            while len(queries) < 1000:
+                x = tuple(rng.uniform(-4.0, 5.0, size=n))
+                if A.distance(x) > 12.0 * math.sqrt(n) / 2.0**max_level:
+                    queries.append(x)
             mismatches = 0
             worst_count = 0
-            tested = 0
-            while tested < 1000:
-                x = tuple(rng.uniform(-4.0, 5.0, size=n))
-                if A.distance(x) <= 12.0 * math.sqrt(n) / 2.0**max_level:
-                    continue
-                tested += 1
-                got = [c for c, _ in dec.supporting_cubes(x)]
+            for x, found in zip(queries, dec.supporting_cubes_batch(queries)):
+                got = [c for c, _ in found]
                 # every cube scanned; the D_C test of WhitneyCube.enlarged_contains
                 inside = np.all(np.abs(np.asarray(x) - centers) < radii, axis=1)
                 brute = [cubes[i] for i in np.flatnonzero(inside)]

@@ -52,6 +52,25 @@ as in the full scan, the distances, verdicts and anchors come out
 identical.  The radius carries a small relative slack that covers the
 rounding of the squared distances it is compared with.
 
+A batch of queries (`supporting_cubes_batch`) runs the same passes on a
+block of queries at once, on coordinate-major arrays, so that each
+elementwise operation runs over long contiguous rows; sums of squares
+add the coordinate columns in order, as numpy's row reduction does below
+8 coordinates.  One scan gives the block's squared distances to all rows;
+pass 1 measures each query's ancestors against its own candidate rows;
+pass 2 takes per axis the at most two window corners ceil(2^lv (x - s/4))
+- 1 + {0, 1} of each level, keeps those whose D_C holds x, forms their
+product over the axes in (level, corner) order, and measures the cubes,
+their parents and their centres (the anchors) in one scan of flat
+(box, candidate row) pairs.  Float corners are exact below 2^51; a query
+whose corners reach that, or at distance 0 from A, or whose first five
+levels leave its home level open, is searched alone.  So is every query
+of a batch of fewer than BATCH_MIN = 3: the block form costs about two
+one-query searches at one query, breaks even at two and wins from three
+(n = 1..4, N = 8..1000), and single evaluations keep the one-query path.
+Blocks of _BLOCK // (N n) queries bound the memory of a whole grid.
+Every cube, order and anchor has the bits of the one-query search.
+
 Coordinates of the set and of queries must stay below MAX_COORD =
 2^500 in magnitude: distances are formed from squared differences, which
 then stay finite, and so do the dyadic corners of every level up to 520.
@@ -86,6 +105,22 @@ class OnSet(ValueError):
         super().__init__(f"point {tuple(x)} lies in the closed set")
         self.point = tuple(x)
         self.row = row
+
+
+class _once:
+    """A property computed on first access and then kept in the instance
+    dict, which later lookups read directly (``functools.cached_property``
+    without its lock, which costs a microsecond a call on CPython 3.11)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 # -- closed sets -----------------------------------------------------------
@@ -157,6 +192,13 @@ class FinitePoints:
         sub._hold(lo, hi, self.rows.compress(keep))
         return sub
 
+    @_once
+    def _columns(self):
+        """lo and hi as coordinate-major (n, N) arrays, for the scans of a
+        block of queries; a point set's one array."""
+        lo = np.ascontiguousarray(self.lo.T)
+        return lo, lo if self.hi is self.lo else np.ascontiguousarray(self.hi.T)
+
     def _contains(self, x):
         """Exact membership: the first row whose box holds x, or None."""
         x = np.asarray(x, float)
@@ -181,10 +223,40 @@ class FinitePoints:
         return np.sqrt(_squares(self._gaps(lo[:, None], hi[:, None])).min(axis=-1))
 
 
-def _squares(v):
-    """Sums of squares of v along its last axis; their roots are the norms
-    that np.linalg.norm(v, axis=-1) computes."""
-    return np.add.reduce(v * v, axis=-1)
+def _squares(v, axis=-1):
+    """Sums of squares of v along `axis` (-1, or 0 for coordinate-major
+    arrays), the columns added in coordinate order.  numpy's own reduction
+    adds in that order too below 8 coordinates, so for n < 8 their roots
+    are the norms that np.linalg.norm(v, axis=-1) computes; from 8 on it
+    adds pairwise."""
+    w = v * v
+    cols = [w[..., i] for i in range(w.shape[-1])] if axis == -1 else list(w)
+    total = cols[0] + cols[1] if len(cols) > 1 else cols[0]
+    for c in cols[2:]:
+        total += c
+    return total
+
+
+def _gap_squares(lo, hi, alo, ahi):
+    """The squared distances between the boxes [lo, hi] and [alo, ahi], of
+    coordinate-major arrays broadcast against each other: the squares of
+    the gaps max(0, lo - ahi, alo - hi) added in coordinate order, as by
+    `_squares`.  Between two points the gap is their difference up to
+    sign, which has the same square."""
+    total = None
+    for i in range(len(lo)):
+        if lo is hi and alo is ahi:
+            g = lo[i] - alo[i]
+        else:
+            g = lo[i] - ahi[i]
+            np.maximum(g, alo[i] - hi[i], out=g)
+            np.maximum(g, 0.0, out=g)
+        g *= g
+        if total is None:
+            total = g
+        else:
+            total += g
+    return total
 
 
 # Candidate radii are widened by this factor and this term, far beyond the
@@ -193,13 +265,19 @@ def _squares(v):
 _SLACK = 1.0 + 2.0**-40
 _TINY = 2.0**-500
 
+# Batches of fewer than BATCH_MIN queries are searched one query at a
+# time, larger ones by blocks of _BLOCK // (N n) queries (see the module
+# docstring); `enumerate_in_box` measures cubes in blocks of that size too.
+BATCH_MIN = 3
+_BLOCK = 2**18
+
 
 class BoxUnion(FinitePoints):
     """A finite union of axis-aligned closed boxes, each given as n (lo, hi)
     pairs."""
 
     def __init__(self, boxes):
-        if not boxes:
+        if len(boxes) == 0:  # a list of (n, 2) arrays, or one (N, n, 2) array
             raise ValueError("closed set must be non-empty")
         parsed = [np.asarray(b, dtype=float) for b in boxes]  # each (n, 2): rows (lo, hi)
         for b in parsed:
@@ -219,22 +297,6 @@ def make_closed_set(points=None, boxes=None):
 
 
 # -- cubes -------------------------------------------------------------------
-
-
-class _once:
-    """A property computed on first access and then kept in the instance
-    dict, which later lookups read directly (``functools.cached_property``
-    without its lock, which costs a microsecond a call on CPython 3.11)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclass(frozen=True, order=True)
@@ -424,6 +486,131 @@ class Decomposition:
         ]
         return list(zip(out, scan.nearest([cube.center for cube in out])))
 
+    def supporting_cubes_batch(self, xs):
+        """
+        `supporting_cubes` at every query of xs (a sequence of points), as a
+        list with one item per query: its (cube, anchor row) pairs, or the
+        OnSet it raises, returned.  A batch of BATCH_MIN or more queries is
+        searched by blocks in shared array passes, with the same bits (see
+        the module docstring).  A failing batch raises what its first
+        failing query raises alone.
+        """
+        found = [None] * len(xs)
+        if len(xs) >= BATCH_MIN and all(len(x) == self.n for x in xs):
+            pts = np.array(xs, float)
+            good = np.flatnonzero((np.abs(pts) < MAX_COORD).all(axis=1))  # finite and in range
+            block = max(1, _BLOCK // self.A.lo.size)
+            for i in range(0, len(good), block):
+                qs = good[i : i + block]
+                for q, item in zip(qs.tolist(), self._search_block(pts[qs])):
+                    found[q] = item
+        for q, x in enumerate(xs):
+            if found[q] is None:
+                try:
+                    found[q] = self.supporting_cubes(x)
+                except OnSet as on:
+                    found[q] = on
+        return found
+
+    def _search_block(self, xs):
+        """The (cube, anchor row) pairs at the checked queries, the rows of
+        the (Q, n) array xs, or None for a query to search alone (see the
+        module docstring)."""
+        Q = len(xs)
+        x = np.ascontiguousarray(xs.T)  # (n, Q)
+        lo, hi = self.A._columns
+        xq, alo = x[:, :, None], lo[:, None]
+        d2 = _gap_squares(xq, xq, alo, alo if hi is lo else hi[:, None])
+        d = np.sqrt(d2.min(axis=1))
+        # pass 1: the ancestors on the levels `_start_level` - 1 .. + 3,
+        # clamped (a clamped level repeats the last)
+        j = np.array([self._start_level(v) for v in d.tolist()])
+        first, last = np.maximum(j - 1, 0), np.minimum(j + 3, self.j_max)
+        levels = np.minimum(first[:, None] + np.arange(5), last[:, None]).ravel()
+        side = np.ldexp(1.0, -levels)
+        z = np.floor(np.ldexp(np.repeat(x, 5, axis=1), levels))
+        sq, seg, _, _ = self._block_scan(x, d, d2, z * side, (z + 1.0) * side, np.repeat(np.arange(Q), 5))
+        ok = np.sqrt(np.minimum.reduceat(sq, seg)) >= np.ldexp(4.0 * self._sqrt_n, -levels)
+        ok = ok.reshape(Q, 5)
+        at = ok.argmax(axis=1)
+        home = first + at
+        settled = ok.any(axis=1) & ((at > 0) | (first == 0)) & (d > 0.0)
+        settled &= np.ldexp(np.abs(xs).max(axis=1), home + 1) < 2.0**51
+        out = [None] * Q
+        qs = np.flatnonzero(settled)
+        if not qs.size:
+            return out
+        # pass 2: on the levels home - 1 .. home + 1, per axis the corners
+        # ceil(2^lv (x - s/4)) - 1 + {0, 1} of the window, kept where D_C
+        # holds x, and their product over the axes in (level, corner) order
+        x, d, d2 = x[:, qs], d[qs], d2[qs]
+        lv = home[qs, None] + np.arange(-1, 2)  # (Q, 3)
+        s = np.ldexp(1.0, -lv)
+        r = 0.25 * s
+        xq = x[:, :, None]
+        z = np.ceil(np.ldexp(xq - r, lv)) - np.array([1.0, 0.0])[:, None, None, None]  # (2, n, Q, 3)
+        inside = (z <= np.floor(np.ldexp(xq + r, lv))) & (np.abs(xq - (z + 0.5) * s) < 0.75 * s) & (lv >= 0)
+        bits = np.array(list(itertools.product((0, 1), repeat=self.n))).T  # (n, 2^n)
+        axes = np.arange(self.n)[:, None]
+        inside = np.logical_and.reduce(inside[bits, axes], axis=0)  # (2^n, Q, 3)
+        q, k, c = np.nonzero(inside.transpose(1, 2, 0))
+        z = z[bits[:, c], axes, q, k]  # (n, M)
+        lv, s = lv[q, k], s[q, k]
+        up = lv > 0
+        pz, ps = np.where(up, np.floor(0.5 * z), z), np.where(up, 2.0 * s, s)  # a level-0 cube is its own parent
+        mid = (z + 0.5) * s  # the centres, for the anchors
+        M = len(q)
+        sq, seg, kb, rows = self._block_scan(
+            x, d, d2, np.hstack([z * s, pz * ps, mid]), np.hstack([(z + 1.0) * s, (pz + 1.0) * ps, mid]), np.tile(q, 3)
+        )
+        least = np.minimum.reduceat(sq, seg)
+        ok = np.sqrt(least[: 2 * M]) >= np.ldexp(4.0 * self._sqrt_n, -np.concatenate([lv, lv - 1]))
+        fam = np.flatnonzero(ok[:M] & ~(up & ok[M:]))
+        # the anchors: the first nearest row of each centre or, where rows
+        # tie, the tie-break of `FinitePoints.nearest` on its candidates
+        tail = seg[2 * M]
+        box = np.repeat(np.arange(M), kb[2 * M :])
+        hits = np.flatnonzero(sq[tail:] == least[2 * M :][box])
+        starts = np.flatnonzero(np.diff(box.take(hits), prepend=-1))
+        anchors = self.A.rows.take(rows.take(tail + hits.take(starts))).take(fam)
+        for t in np.flatnonzero(np.diff(starts, append=len(hits)).take(fam) > 1).tolist():
+            i = 2 * M + fam[t]
+            keep = np.zeros(len(self.A.rows), bool)
+            keep[rows[seg[i] : seg[i] + kb[i]]] = True
+            anchors[t] = self.A._subset(keep).nearest(mid[:, fam[t], None].T)[0]
+        for i in qs.tolist():
+            out[i] = []
+        for i, level, corner, row in zip(
+            qs[q[fam]].tolist(), lv[fam].tolist(), z[:, fam].T.astype(np.int64).tolist(), anchors.tolist()
+        ):
+            out[i].append((WhitneyCube(level, tuple(corner)), row))
+        return out
+
+    def _block_scan(self, x, d, d2, lo, hi, owner):
+        """
+        For a block of queries (the columns of x, at distances d from A, and
+        d2 their squared distances to the rows of A), the squared distances
+        from the boxes [lo[:, i], hi[:, i]] (coordinate-major (n, M) arrays;
+        box i belongs to query owner[i]) to the candidate rows of their
+        query (`_candidates`).  They are one flat array, box after box,
+        returned with the offset and the count of each box's pairs and the
+        row of each pair.
+        """
+        xo = x.take(owner, axis=1)
+        rho2 = np.zeros(len(d))
+        np.maximum.at(rho2, owner, _squares(np.maximum(xo - lo, hi - xo), 0))
+        r = (d + 2.0 * np.sqrt(rho2)) * _SLACK + _TINY
+        q, near = np.divmod(np.flatnonzero(d2 <= (r * r)[:, None]), d2.shape[1])  # np.nonzero is slower
+        counts = np.bincount(q, minlength=len(d))
+        kb = counts.take(owner)
+        seg = np.cumsum(kb) - kb
+        box = np.repeat(np.arange(len(owner)), kb)
+        rows = near.take(np.arange(len(box)) + np.repeat((np.cumsum(counts) - counts).take(owner) - seg, kb))
+        alo, ahi = self.A._columns
+        alo = alo.take(rows, axis=1)
+        ahi = alo if self.A.hi is self.A.lo else ahi.take(rows, axis=1)
+        return _gap_squares(lo.take(box, axis=1), hi.take(box, axis=1), alo, ahi), seg, kb, rows
+
     def enumerate_in_box(self, lo, hi, max_level):
         """
         All cubes of W intersecting the closed box [lo, hi], up to the given
@@ -436,7 +623,7 @@ class Decomposition:
         _check_query(lo, self.n)
         _check_query(hi, self.n)
         out = []
-        block = max(1, 2**18 // self.A.lo.size)
+        block = max(1, _BLOCK // self.A.lo.size)
         level, corners = 0, list(itertools.product(*_window(lo, hi, 0)))
         while corners:
             ok = []

@@ -52,13 +52,14 @@ full stored order; requesting a degree beyond the stored jet raises
 
 Every evaluation is one call of ``Extension.blend`` on a batch of queries;
 ``eval``, ``derivs``, ``eval_derivs`` and ``eval_adaptive`` are its batch
-of one, ``eval_batch`` its order-0 rows.  Each query's cubes and the rows
-of their anchors come from ``Decomposition.supporting_cubes``, which
-measures them in two array passes (one distance vector, then one stacked
-scan for the home level and one for the cubes next to it and their
-anchors, each of the few points that can decide them), or names the row
-of a query on A.  The series work of the batch is one array computation
-over its (query, cube) columns: one ψ/φ batch with a single division of
+of one, ``eval_batch`` its order-0 rows.  The cubes of the batch's
+queries and the rows of their anchors come from one
+``Decomposition.supporting_cubes_batch`` call, which names the row of a
+query on A.  It searches a batch of three or more queries by blocks in
+shared array passes (one distance scan, then one candidate scan for the
+home levels and one for the cubes next to them and their anchors), and
+a smaller batch one query at a time, with the same bits.  The series
+work of the batch is one array computation over its (query, cube) columns: one ψ/φ batch with a single division of
 each query's columns by its own Σ ψ, one anchored Taylor computation per
 distinct degree, and one batched product for the halved blend.  Every
 column has the arithmetic of a one-query call, and each query's sums run
@@ -196,12 +197,12 @@ class Extension:
         """
         out = np.empty((len(xs), ctx.ncoef, self.m))
         off, found = [], []  # the queries off A and their (cube, anchor row) pairs
-        for q, x in enumerate(xs):
-            try:
-                found.append(self.dec.supporting_cubes(x))
+        for q, got in enumerate(self.dec.supporting_cubes_batch(xs)):
+            if isinstance(got, decomp.OnSet):
+                out[q] = self.jet.F[got.row, : ctx.ncoef]
+            else:
+                found.append(got)
                 off.append(q)
-            except decomp.OnSet as on:
-                out[q] = self.jet.F[on.row, : ctx.ncoef]
         if not off:
             return out
         xs = [xs[q] for q in off]

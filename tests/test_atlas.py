@@ -71,8 +71,15 @@ def test_chart_codomain_box():
     assert allc.contains((1e9, -1e9))
 
 
+def test_chart_contains_rejects_a_point_of_another_dimension():
+    with pytest.raises(ValueError, match=r"^chart c: point \(0\.5, 7\.0\) has dimension 2, expected 1$"):
+        atlas.Chart("c", [[0, 1]]).contains((0.5, 7.0))
+    with pytest.raises(ValueError, match=r"has dimension 1, expected 2$"):
+        atlas.Chart("c", [[0, 1], [0, 1]]).contains((0.5,))
+    assert atlas.Chart("d").contains((0.5, 7.0))
+
+
 def test_atlas_rejects_a_codomain_of_another_dimension():
-    # Chart.contains reads only the coordinates its box has pairs for
     with pytest.raises(ValueError, match=r"^chart c: codomain box has 1 pair\(s\), expected dim = 2$"):
         atlas.FiniteAtlas(2, [atlas.Chart("d"), atlas.Chart("c", [[0, 1]])], {})
     with pytest.raises(ValueError, match=r"^chart c: codomain box has 2 pair\(s\), expected dim = 1$"):

@@ -1,6 +1,7 @@
 """Dyadic cube decomposition of the complement of a closed set."""
 
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -526,6 +527,7 @@ def test_points_as_zero_width_boxes_keep_the_bits(n):
         assert B.nearest([x])[0] == P.nearest([x])[0]
         assert db.locate(x) == dp.locate(x)
         assert db.supporting_cubes(x) == dp.supporting_cubes(x)
+    assert db.supporting_cubes_batch(queries) == dp.supporting_cubes_batch(queries)
     lo, hi = [-1.5] * n, [1.5] * n
     cubes = dp.enumerate_in_box(lo, hi, 3 if n < 3 else 2)
     assert db.enumerate_in_box(lo, hi, 3 if n < 3 else 2) == cubes
@@ -757,3 +759,106 @@ def test_nearest_tie_break_matches_list_rule():
                 got = A.nearest(xs)  # all the points at once
                 assert got == [_nearest_row_by_list(A, x) for x in xs], (A.lo, A.hi, xs)
                 assert all(type(row) is int for row in got)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_squares_keep_the_bits_of_numpys_row_reduction(n):
+    # below 8 coordinates numpy's reduction along a row adds in coordinate
+    # order, as _squares does, so the norms keep their bits
+    rng = np.random.default_rng(70 + n)
+    v = rng.standard_normal((200_000, n)) * 10.0 ** rng.uniform(-150, 150, (200_000, n))
+    want = np.add.reduce(v * v, axis=-1)
+    assert np.array_equal(decomp._squares(v), want)
+    assert np.array_equal(decomp._squares(np.ascontiguousarray(v.T), 0), want)
+
+
+def test_box_union_takes_its_boxes_as_one_array():
+    boxes = np.array([[[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [-1.0, 0.0]]])
+    A, B = decomp.BoxUnion(boxes), decomp.BoxUnion(list(boxes))
+    assert A.lo.tolist() == B.lo.tolist() == [[0.0, 2.0], [4.0, -1.0]]
+    assert A.hi.tolist() == B.hi.tolist() == [[1.0, 3.0], [5.0, 0.0]]
+    assert decomp.BoxUnion(np.zeros((2, 1, 2))).lo.tolist() == [[0.0], [0.0]]
+    with pytest.raises(ValueError, match="^closed set must be non-empty$"):
+        decomp.BoxUnion(np.zeros((0, 1, 2)))
+
+
+def _search_alone(dec, x):
+    try:
+        return dec.supporting_cubes(x)
+    except decomp.OnSet as on:
+        return ("on", on.row)
+
+
+def _search_batch(dec, xs):
+    return [("on", g.row) if isinstance(g, decomp.OnSet) else g for g in dec.supporting_cubes_batch(xs)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batch_search_matches_per_query_search(n, monkeypatch):
+    # the block passes give every query the cubes, their order and the
+    # anchor rows of its own search, on point sets and box unions: queries
+    # 1e-9 .. 1e-1 from A, on dyadic boundaries, far away, on A, at
+    # half-integers next to small-integer sets (exact distance ties), near
+    # a cube centre equidistant from 2^n points (an anchor tie), and with
+    # corners beyond 2^51 (searched alone); batches of 1, 2, 3 and 16
+    # queries, and a batch of several blocks
+    rng = np.random.default_rng(80 + n)
+    ties = decomp.FinitePoints(list(itertools.product((21.0, -20.0), repeat=n)))  # (-20, ...) last
+    for A in [*_closed_sets(n, 30, rng), *_integer_sets(n, 12, rng), ties]:
+        dec = decomp.Decomposition(A)
+        xs = _locate_queries(A, rng, 12)
+        xs += [tuple(float(v) for v in rng.integers(-8, 9, size=n) / 2.0) for _ in range(10)]
+        xs += [tuple(float(v) for v in 0.5 + rng.uniform(-0.7, 0.7, size=n)) for _ in range(10)]
+        xs += [(1e17,) * n, (-3e15,) + (0.5,) * (n - 1)]
+        xs = [x for x in xs if _outcome(dec.supporting_cubes, x) is not decomp.ResolutionExceeded]
+        want = [_search_alone(dec, x) for x in xs]
+        # a block settles every query off A whose corners stay below 2^51
+        alone = [A.distance(x) == 0.0 or max(map(abs, x)) > 1e10 for x in xs]
+        for size in (1, 2, 3, 16):
+            for i in range(0, len(xs), size):
+                got = dec._search_block(np.array(xs[i : i + size]))
+                assert [g is None for g in got] == alone[i : i + size]
+                assert all(g == w for g, w in zip(got, want[i : i + size]) if g is not None)
+        assert _search_batch(dec, xs) == want
+        monkeypatch.setattr(decomp, "_BLOCK", 4 * A.lo.size)  # blocks of 4 queries
+        assert _search_batch(dec, xs) == want
+        monkeypatch.undo()
+    # the equidistant centre anchors to the lexicographically smallest point
+    found = decomp.Decomposition(ties).supporting_cubes_batch([(0.5,) * n] * 3)
+    assert all((decomp.WhitneyCube(0, (0,) * n), 2**n - 1) in f for f in found)
+
+
+def test_batch_search_raises_what_its_first_failing_query_raises():
+    dec = decomp.Decomposition(decomp.FinitePoints([[0.0, 0.0], [1.0, 0.5]]))
+    fine = [(0.3, 0.2), (2.0, 2.0), (0.5, 0.5), (0.0, 0.0)]
+    deep = (1e-160, 0.0)
+    with pytest.raises(decomp.ResolutionExceeded) as alone:
+        dec.supporting_cubes(deep)
+    for xs in (fine[:2] + [deep] + fine[2:], fine + [deep, (math.nan, 0.0)]):
+        with pytest.raises(decomp.ResolutionExceeded) as batch:
+            dec.supporting_cubes_batch(xs)
+        assert str(batch.value) == str(alone.value) and batch.value.point == alone.value.point
+    with pytest.raises(ValueError, match="not finite"):
+        dec.supporting_cubes_batch(fine + [(math.nan, 0.0), deep])
+    with pytest.raises(ValueError, match="has dimension 1, expected 2"):
+        dec.supporting_cubes_batch(fine + [(0.5,), deep])
+
+
+def test_batch_search_memory_is_bounded_in_the_query_count():
+    # a batch is searched by blocks: beyond the result, a search of 4000
+    # queries at N = 1000 holds what one of 400 holds, one block's arrays
+    # (the whole batch at once would need 64 MB for its distance scan alone)
+    rng = np.random.default_rng(8)
+    dec = decomp.Decomposition(decomp.FinitePoints(rng.uniform(-1.0, 1.0, (1000, 2))))
+    working = {}
+    for count in (400, 4000):
+        xs = [tuple(v) for v in rng.uniform(-1.2, 1.2, (count, 2)).tolist()]
+        tracemalloc.start()
+        try:
+            found = dec.supporting_cubes_batch(xs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == count
+        working[count] = peak - held
+    assert working[4000] < 8 * 2**20 and working[4000] < 1.5 * working[400] + 2**18, working

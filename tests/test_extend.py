@@ -356,15 +356,17 @@ def test_queries_scan_only_their_views():
     F = extend.Extension(j, schedule=(0.3, 0.05))
     F.A.distance = F.A.box_distances = F.A.nearest = full_scan
     F.A._contains = full_scan
-    # and a successful batch searches once per query: no re-run
+    # and a successful batch is searched once, by blocks: no re-run, and no
+    # query searched alone
     searches = []
-    search = F.dec.supporting_cubes
-    F.dec.supporting_cubes = lambda x: searches.append(x) or search(x)
+    batch, alone = F.dec.supporting_cubes_batch, F.dec.supporting_cubes
+    F.dec.supporting_cubes_batch = lambda xs: searches.append(list(xs)) or batch(xs)
+    F.dec.supporting_cubes = lambda x: searches.append(x) or alone(x)
     got = []
     for args in [(), (2,), (0, True)]:
         searches.clear()
         got.append(F.blend(grid, *args))
-        assert searches == grid
+        assert searches == [grid]
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 

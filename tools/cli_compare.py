@@ -1,5 +1,5 @@
 """
-Run one fixed list of 53 CLI invocations against two source trees and
+Run one fixed list of 55 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -16,9 +16,11 @@ n = 1, 2, 3, with ``--derivs`` on a grid of the jet's own points (their
 rows read from the jet), with ``--derivs`` on rows 1e-9 .. 1e-3 from a
 jet point at n = 3, with ``--derivs`` to order 4 on a fine off-lattice
 grid at n = 3 (its rows fall in the cut-offs' transition bands), with
-values at n = 4, on a jet file of explicit values with varied key
+values at n = 4 (on 81 rows and on 625), on a jet file of explicit values with varied key
 spellings (with values and ``--schedule``), on a
-1000-point jet file of the benchmark's grid-tile shape, on a jet file
+1000-point jet file of the benchmark's grid-tile shape (a tile with
+values, and 2500 rows with ``--derivs``, which the cube search takes in
+many blocks), on a jet file
 whose points use three key layouts, on jet files of that shape whose
 points spell their keys alike in reverse order, whose points all but one
 spell them in order, and whose points spell an extra index beyond the
@@ -446,6 +448,7 @@ INVOCATIONS = [
         ],
     ),
     ("extend 4-D values", ["extend", "--input", "jet4.json", "--grid=-1:1:0.7,-1:1:0.7,-1:1:0.7,-1:1:0.7"]),
+    ("extend 4-D values on 625 rows", ["extend", "--input", "jet4.json", "--grid=-1.1:1.1:0.55,-1.1:1.1:0.55,-1.1:1.1:0.55,-1.1:1.1:0.55"]),
     ("extend 2-D explicit values", ["extend", "--input", "explicit.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
     # the supporting cubes take schedule degrees 0, 1 and 2 on this grid
     (
@@ -455,6 +458,10 @@ INVOCATIONS = [
     # one 4x4 tile of the grid-tile workload's query grid, on a 1000-point
     # jet file of its shape
     ("extend 2-D tile of a 1000-point jet", ["extend", "--input", "tile.json", "--grid=-0.25:-0.03:0.0702,0.3:0.52:0.0702"]),
+    (
+        "extend 2-D --derivs on 2500 rows of a 1000-point jet",
+        ["extend", "--input", "tile.json", "--grid=-1.2:1.2:0.0485,-1.2:1.2:0.0485", "--derivs", "(1,0) (0,1) (1,1) (0,2)"],
+    ),
     ("extend 2-D three key layouts", ["extend", "--input", "layouts.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
     ("extend 2-D keys reordered alike", ["extend", "--input", "reordered.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
     (
