@@ -52,24 +52,18 @@ as in the full scan, the distances, verdicts and anchors come out
 identical.  The radius carries a small relative slack that covers the
 rounding of the squared distances it is compared with.
 
-A batch of queries (`supporting_cubes_batch`) runs the same passes on a
-block of queries at once, on coordinate-major arrays, so that each
-elementwise operation runs over long contiguous rows; sums of squares
-add the coordinate columns in order, as numpy's row reduction does below
-8 coordinates.  One scan gives the block's squared distances to all rows;
-pass 1 measures each query's ancestors against its own candidate rows;
-pass 2 takes per axis the at most two window corners ceil(2^lv (x - s/4))
-- 1 + {0, 1} of each level, keeps those whose D_C holds x, forms their
-product over the axes in (level, corner) order, and measures the cubes,
-their parents and their centres (the anchors) in one scan of flat
-(box, candidate row) pairs.  Float corners are exact below 2^51; a query
-whose corners reach that, or at distance 0 from A, or whose first five
-levels leave its home level open, is searched alone.  So is every query
-of a batch of fewer than BATCH_MIN = 3: the block form costs about two
-one-query searches at one query, breaks even at two and wins from three
-(n = 1..4, N = 8..1000), and single evaluations keep the one-query path.
-Blocks of _BLOCK // (N n) queries bound the memory of a whole grid.
-Every cube, order and anchor has the bits of the one-query search.
+A batch of queries (`supporting_cubes_batch`) runs these passes on
+blocks of _BLOCK // (N n) queries, in bounded memory: one distance scan
+for the block; pass 1 against each query's own candidate rows; pass 2 on
+the window cubes, per axis the at most two corners ceil(2^lv (x - s/4))
+- 1 + {0, 1} whose D_C holds x, multiplied out in (level, corner) order
+and measured with their parents and centres (the anchors) in one scan of
+(box, candidate row) pairs, by chunks of _BLOCK / 16 numbers.  Arrays are
+coordinate-major, so each operation runs over long contiguous rows.
+Float corners are exact below 2^51; a query whose corners reach that, on
+A, or whose first five levels leave its home level open is searched
+alone, as is every query of a batch below BATCH_MIN = 3: at one query the
+block form costs about two one-query searches, at two it breaks even.
 
 Coordinates of the set and of queries must stay below MAX_COORD =
 2^500 in magnitude: distances are formed from squared differences, which
@@ -107,22 +101,6 @@ class OnSet(ValueError):
         self.row = row
 
 
-class _once:
-    """A property computed on first access and then kept in the instance
-    dict, which later lookups read directly (``functools.cached_property``
-    without its lock, which costs a microsecond a call on CPython 3.11)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 # -- closed sets -----------------------------------------------------------
 
 
@@ -154,23 +132,24 @@ def _check_rows(a, shown):
 class FinitePoints:
     """A closed set held as the union of the closed boxes [lo[i], hi[i]],
     the rows of two (N, n) arrays; a finite point set is its zero-width
-    boxes, lo = hi = the points.  Distance and nearest-box queries are
-    array expressions over the rows, and name boxes by their rows."""
+    boxes, lo = hi = the points.  They are stored coordinate-major, as (n,
+    N) arrays _lo and _hi (one array for a point set), which every
+    distance (`_gap_squares`) reads by contiguous rows.  Distance and
+    nearest-box queries name boxes by their rows."""
 
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             raise ValueError("closed set must be non-empty")
         _check_rows(pts, lambda i: f"point {tuple(pts[i].tolist())}")
-        self._hold(pts, pts, np.arange(len(pts)))
+        cols = np.ascontiguousarray(pts.T)
+        self._hold(cols, cols, np.arange(len(pts)))
 
     def _hold(self, lo, hi, rows):
-        self.lo, self.hi, self.n, self.rows = lo, hi, lo.shape[1], rows
+        self._lo, self._hi, self.n, self.rows = lo, hi, len(lo), rows
 
-    def _gaps(self, lo, hi):
-        """The gaps of the box [lo, hi] (broadcast against the rows) to the
-        rows' boxes, per axis (see the module docstring)."""
-        return np.maximum(0.0, np.maximum(lo - self.hi, self.lo - hi))
+    lo = property(lambda self: self._lo.T)  # the (N, n) rows
+    hi = property(lambda self: self._hi.T)
 
     def distance(self, x):
         return self.reach(x)[0]
@@ -180,83 +159,67 @@ class FinitePoints:
         set within r of x (as a FinitePoints that keeps their rows), from
         one vector of squared distances; checks the query."""
         _check_query(x, self.n)
-        # x copied to every row: a short row broadcast over many costs more
-        x = np.repeat(np.asarray(x, float)[None], len(self.lo), axis=0)
-        d2 = _squares(self._gaps(x, x))
+        x = np.asarray(x, float)[:, None]
+        d2 = _gap_squares(x, x, self._lo, self._hi)
         return math.sqrt(d2.min()), lambda r: self._subset(d2 <= r * r)
 
     def _subset(self, keep):
         sub = object.__new__(FinitePoints)  # rows of a checked set
-        lo = self.lo.compress(keep, axis=0)
-        hi = lo if self.hi is self.lo else self.hi.compress(keep, axis=0)  # a point set's one array
+        lo = self._lo.compress(keep, axis=1)
+        hi = lo if self._hi is self._lo else self._hi.compress(keep, axis=1)  # a point set's one array
         sub._hold(lo, hi, self.rows.compress(keep))
         return sub
 
-    @_once
-    def _columns(self):
-        """lo and hi as coordinate-major (n, N) arrays, for the scans of a
-        block of queries; a point set's one array."""
-        lo = np.ascontiguousarray(self.lo.T)
-        return lo, lo if self.hi is self.lo else np.ascontiguousarray(self.hi.T)
-
     def _contains(self, x):
         """Exact membership: the first row whose box holds x, or None."""
-        x = np.asarray(x, float)
-        hits = np.flatnonzero(np.all((self.lo <= x) & (x <= self.hi), axis=1))
+        x = np.asarray(x, float)[:, None]
+        hits = np.flatnonzero(np.all((self._lo <= x) & (x <= self._hi), axis=0))
         return int(self.rows[hits[0]]) if hits.size else None
 
     def nearest(self, ys):
         """For each point y of ys (rows of an (M, n) array), the row of a
         box nearest y; ties break to the lexicographically smallest nearest
         point clip(y, lo, hi) (a point set's own points), then to the first
-        row.  clip(y, lo, hi) - y is the gap up to sign."""
-        ys = np.asarray(ys, float)[:, None]
-        pts = np.minimum(np.maximum(ys, self.lo), self.hi)  # clip(y, lo, hi)
-        d2 = _squares(pts - ys)
+        row."""
+        ys = np.asarray(ys, float)
+        y, lo = ys.T[:, :, None], self._lo[:, None]
+        d2 = _gap_squares(y, y, lo, lo if self._hi is self._lo else self._hi[:, None])
         ties = d2 == d2.min(axis=1, keepdims=True)
-        return [int(self.rows[min(np.flatnonzero(t), key=lambda i: tuple(p[i]))]) for t, p in zip(ties, pts)]
+        out = ties.argmax(axis=1)
+        for i in np.flatnonzero(ties.sum(axis=1) > 1).tolist():
+            out[i] = min(np.flatnonzero(ties[i]).tolist(), key=lambda k: tuple(np.clip(ys[i], self.lo[k], self.hi[k])))
+        return self.rows.take(out).tolist()
 
     def box_distances(self, lo, hi):
         """Distances from the closed boxes [lo[i], hi[i]] to the set, for
-        (M, n) arrays lo and hi: the least row norm of each box's gaps (the
-        root is monotone)."""
-        return np.sqrt(_squares(self._gaps(lo[:, None], hi[:, None])).min(axis=-1))
+        (M, n) arrays lo and hi: the least of each box's squared distances
+        to the rows (the root is monotone)."""
+        lo, hi = np.asarray(lo).T[:, :, None], np.asarray(hi).T[:, :, None]
+        return np.sqrt(_gap_squares(lo, hi, self._lo[:, None], self._hi[:, None]).min(axis=-1))
 
 
-def _squares(v, axis=-1):
-    """Sums of squares of v along `axis` (-1, or 0 for coordinate-major
-    arrays), the columns added in coordinate order.  numpy's own reduction
-    adds in that order too below 8 coordinates, so for n < 8 their roots
-    are the norms that np.linalg.norm(v, axis=-1) computes; from 8 on it
-    adds pairwise."""
-    w = v * v
-    cols = [w[..., i] for i in range(w.shape[-1])] if axis == -1 else list(w)
-    total = cols[0] + cols[1] if len(cols) > 1 else cols[0]
-    for c in cols[2:]:
+def _squares(v, out=None):
+    """Sums of squares of v over its first axis (the coordinates of a
+    coordinate-major array), formed in `out` and added in coordinate order,
+    as numpy's row reduction adds below 8 coordinates (from 8 on, pairwise)."""
+    w = np.multiply(v, v, out=out)
+    total = w[0] + w[1] if len(w) > 1 else w[0]
+    for c in w[2:]:
         total += c
     return total
 
 
 def _gap_squares(lo, hi, alo, ahi):
-    """The squared distances between the boxes [lo, hi] and [alo, ahi], of
-    coordinate-major arrays broadcast against each other: the squares of
-    the gaps max(0, lo - ahi, alo - hi) added in coordinate order, as by
-    `_squares`.  Between two points the gap is their difference up to
-    sign, which has the same square."""
-    total = None
-    for i in range(len(lo)):
-        if lo is hi and alo is ahi:
-            g = lo[i] - alo[i]
-        else:
-            g = lo[i] - ahi[i]
-            np.maximum(g, alo[i] - hi[i], out=g)
-            np.maximum(g, 0.0, out=g)
-        g *= g
-        if total is None:
-            total = g
-        else:
-            total += g
-    return total
+    """The squared distances between the boxes [lo, hi] and [alo, ahi] of
+    coordinate-major arrays, broadcast: the `_squares` of the gaps max(0,
+    lo - ahi, alo - hi), which between points are their differences."""
+    if lo is hi and alo is ahi:
+        g = lo - alo
+    else:
+        g = lo - ahi
+        np.maximum(g, alo - hi, out=g)
+        np.maximum(g, 0.0, out=g)
+    return _squares(g, g)
 
 
 # Candidate radii are widened by this factor and this term, far beyond the
@@ -265,9 +228,9 @@ def _gap_squares(lo, hi, alo, ahi):
 _SLACK = 1.0 + 2.0**-40
 _TINY = 2.0**-500
 
-# Batches of fewer than BATCH_MIN queries are searched one query at a
-# time, larger ones by blocks of _BLOCK // (N n) queries (see the module
-# docstring); `enumerate_in_box` measures cubes in blocks of that size too.
+# Batches below BATCH_MIN queries are searched a query at a time, larger
+# ones by blocks (see the module docstring); `enumerate_in_box` measures
+# cubes in blocks of _BLOCK gaps.
 BATCH_MIN = 3
 _BLOCK = 2**18
 
@@ -287,7 +250,7 @@ class BoxUnion(FinitePoints):
             raise ValueError("boxes have mixed dimensions")
         b = np.stack(parsed)
         _check_rows(b, lambda i: f"box {b[i].tolist()}")
-        self._hold(np.ascontiguousarray(b[:, :, 0]), np.ascontiguousarray(b[:, :, 1]), np.arange(len(b)))
+        self._hold(np.ascontiguousarray(b[:, :, 0].T), np.ascontiguousarray(b[:, :, 1].T), np.arange(len(b)))
 
 
 def make_closed_set(points=None, boxes=None):
@@ -297,6 +260,22 @@ def make_closed_set(points=None, boxes=None):
 
 
 # -- cubes -------------------------------------------------------------------
+
+
+class _once:
+    """A property computed on first access and then kept in the instance
+    dict, which later lookups read directly (``functools.cached_property``
+    without its lock, which costs a microsecond a call on CPython 3.11)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True, order=True)
@@ -490,16 +469,14 @@ class Decomposition:
         """
         `supporting_cubes` at every query of xs (a sequence of points), as a
         list with one item per query: its (cube, anchor row) pairs, or the
-        OnSet it raises, returned.  A batch of BATCH_MIN or more queries is
-        searched by blocks in shared array passes, with the same bits (see
-        the module docstring).  A failing batch raises what its first
+        OnSet it raises, returned.  A failing batch raises what its first
         failing query raises alone.
         """
         found = [None] * len(xs)
         if len(xs) >= BATCH_MIN and all(len(x) == self.n for x in xs):
             pts = np.array(xs, float)
             good = np.flatnonzero((np.abs(pts) < MAX_COORD).all(axis=1))  # finite and in range
-            block = max(1, _BLOCK // self.A.lo.size)
+            block = max(1, _BLOCK // self.A._lo.size)
             for i in range(0, len(good), block):
                 qs = good[i : i + block]
                 for q, item in zip(qs.tolist(), self._search_block(pts[qs])):
@@ -518,9 +495,8 @@ class Decomposition:
         module docstring)."""
         Q = len(xs)
         x = np.ascontiguousarray(xs.T)  # (n, Q)
-        lo, hi = self.A._columns
-        xq, alo = x[:, :, None], lo[:, None]
-        d2 = _gap_squares(xq, xq, alo, alo if hi is lo else hi[:, None])
+        xq, lo = x[:, :, None], self.A._lo[:, None]
+        d2 = _gap_squares(xq, xq, lo, lo if self.A._hi is self.A._lo else self.A._hi[:, None])
         d = np.sqrt(d2.min(axis=1))
         # pass 1: the ancestors on the levels `_start_level` - 1 .. + 3,
         # clamped (a clamped level repeats the last)
@@ -529,9 +505,8 @@ class Decomposition:
         levels = np.minimum(first[:, None] + np.arange(5), last[:, None]).ravel()
         side = np.ldexp(1.0, -levels)
         z = np.floor(np.ldexp(np.repeat(x, 5, axis=1), levels))
-        sq, seg, _, _ = self._block_scan(x, d, d2, z * side, (z + 1.0) * side, np.repeat(np.arange(Q), 5))
-        ok = np.sqrt(np.minimum.reduceat(sq, seg)) >= np.ldexp(4.0 * self._sqrt_n, -levels)
-        ok = ok.reshape(Q, 5)
+        least, _ = self._block_scan(x, d, d2, z * side, (z + 1.0) * side, np.repeat(np.arange(Q), 5))
+        ok = (np.sqrt(least) >= np.ldexp(4.0 * self._sqrt_n, -levels)).reshape(Q, 5)
         at = ok.argmax(axis=1)
         home = first + at
         settled = ok.any(axis=1) & ((at > 0) | (first == 0)) & (d > 0.0)
@@ -558,58 +533,64 @@ class Decomposition:
         lv, s = lv[q, k], s[q, k]
         up = lv > 0
         pz, ps = np.where(up, np.floor(0.5 * z), z), np.where(up, 2.0 * s, s)  # a level-0 cube is its own parent
-        mid = (z + 0.5) * s  # the centres, for the anchors
+        mid = (z + 0.5) * s  # the centres, whose nearest rows are the anchors
         M = len(q)
-        sq, seg, kb, rows = self._block_scan(
-            x, d, d2, np.hstack([z * s, pz * ps, mid]), np.hstack([(z + 1.0) * s, (pz + 1.0) * ps, mid]), np.tile(q, 3)
-        )
-        least = np.minimum.reduceat(sq, seg)
+        lo, hi = np.hstack([z * s, pz * ps, mid]), np.hstack([(z + 1.0) * s, (pz + 1.0) * ps, mid])
+        least, anchors = self._block_scan(x, d, d2, lo, hi, np.tile(q, 3), 2 * M)
         ok = np.sqrt(least[: 2 * M]) >= np.ldexp(4.0 * self._sqrt_n, -np.concatenate([lv, lv - 1]))
         fam = np.flatnonzero(ok[:M] & ~(up & ok[M:]))
-        # the anchors: the first nearest row of each centre or, where rows
-        # tie, the tie-break of `FinitePoints.nearest` on its candidates
-        tail = seg[2 * M]
-        box = np.repeat(np.arange(M), kb[2 * M :])
-        hits = np.flatnonzero(sq[tail:] == least[2 * M :][box])
-        starts = np.flatnonzero(np.diff(box.take(hits), prepend=-1))
-        anchors = self.A.rows.take(rows.take(tail + hits.take(starts))).take(fam)
-        for t in np.flatnonzero(np.diff(starts, append=len(hits)).take(fam) > 1).tolist():
-            i = 2 * M + fam[t]
-            keep = np.zeros(len(self.A.rows), bool)
-            keep[rows[seg[i] : seg[i] + kb[i]]] = True
-            anchors[t] = self.A._subset(keep).nearest(mid[:, fam[t], None].T)[0]
         for i in qs.tolist():
             out[i] = []
         for i, level, corner, row in zip(
-            qs[q[fam]].tolist(), lv[fam].tolist(), z[:, fam].T.astype(np.int64).tolist(), anchors.tolist()
+            qs[q[fam]].tolist(), lv[fam].tolist(), z[:, fam].T.astype(np.int64).tolist(), anchors[2 * M + fam].tolist()
         ):
             out[i].append((WhitneyCube(level, tuple(corner)), row))
         return out
 
-    def _block_scan(self, x, d, d2, lo, hi, owner):
+    def _block_scan(self, x, d, d2, lo, hi, owner, tail=None):
         """
-        For a block of queries (the columns of x, at distances d from A, and
-        d2 their squared distances to the rows of A), the squared distances
-        from the boxes [lo[:, i], hi[:, i]] (coordinate-major (n, M) arrays;
-        box i belongs to query owner[i]) to the candidate rows of their
-        query (`_candidates`).  They are one flat array, box after box,
-        returned with the offset and the count of each box's pairs and the
-        row of each pair.
+        The least squared distance from each box [lo[:, i], hi[:, i]] to the
+        candidate rows (`_candidates`) of its query owner[i], a column of x
+        at distance d from A and squared distances d2 to the rows; and the
+        anchor rows of the boxes from `tail` on, which are points, by the
+        rule of `FinitePoints.nearest` on the candidates.
         """
+        A = self.A
         xo = x.take(owner, axis=1)
         rho2 = np.zeros(len(d))
-        np.maximum.at(rho2, owner, _squares(np.maximum(xo - lo, hi - xo), 0))
+        np.maximum.at(rho2, owner, _squares(np.maximum(xo - lo, hi - xo)))
         r = (d + 2.0 * np.sqrt(rho2)) * _SLACK + _TINY
         q, near = np.divmod(np.flatnonzero(d2 <= (r * r)[:, None]), d2.shape[1])  # np.nonzero is slower
         counts = np.bincount(q, minlength=len(d))
-        kb = counts.take(owner)
-        seg = np.cumsum(kb) - kb
-        box = np.repeat(np.arange(len(owner)), kb)
-        rows = near.take(np.arange(len(box)) + np.repeat((np.cumsum(counts) - counts).take(owner) - seg, kb))
-        alo, ahi = self.A._columns
-        alo = alo.take(rows, axis=1)
-        ahi = alo if self.A.hi is self.A.lo else ahi.take(rows, axis=1)
-        return _gap_squares(lo.take(box, axis=1), hi.take(box, axis=1), alo, ahi), seg, kb, rows
+        kb = counts.take(owner)  # the candidate rows of each box, at least its nearest
+        start = (np.cumsum(counts) - counts).take(owner)  # and where they begin in near
+        cuts = np.flatnonzero(np.diff((np.cumsum(kb) - kb) // max(1, _BLOCK // (16 * self.n)), prepend=-1))
+        least = np.empty(len(owner))
+        anchors = np.zeros(len(owner), np.int64)
+        for b0, b1 in itertools.pairwise(cuts.tolist() + [len(owner)]):
+            k = kb[b0:b1]
+            seg = np.cumsum(k) - k
+            box = np.repeat(np.arange(b0, b1), k)
+            rows = near.take(np.arange(len(box)) + np.repeat(start[b0:b1] - seg, k))
+            alo = A._lo.take(rows, axis=1)
+            ahi = alo if A._hi is A._lo else A._hi.take(rows, axis=1)
+            sq = _gap_squares(np.repeat(lo[:, b0:b1], k, axis=1), np.repeat(hi[:, b0:b1], k, axis=1), alo, ahi)
+            least[b0:b1] = np.minimum.reduceat(sq, seg)
+            if tail is None or b1 <= tail:
+                continue
+            # the first nearest row of each point; where rows tie, the
+            # tie-break of `FinitePoints.nearest` on its candidates
+            p0 = seg[max(tail - b0, 0)]
+            hits = p0 + np.flatnonzero(sq[p0:] == least.take(box[p0:]))
+            heads = np.flatnonzero(np.diff(box.take(hits), prepend=-1))
+            h = hits.take(heads)
+            anchors[box.take(h)] = A.rows.take(rows.take(h))
+            for t in np.flatnonzero(np.diff(heads, append=len(hits)) > 1).tolist():
+                i = box[h[t]]
+                keep = np.zeros(len(A.rows), bool)
+                keep[rows[seg[i - b0] : seg[i - b0] + k[i - b0]]] = True
+                anchors[i] = A._subset(keep).nearest(lo[:, i, None].T)[0]
+        return least, anchors
 
     def enumerate_in_box(self, lo, hi, max_level):
         """
@@ -623,7 +604,7 @@ class Decomposition:
         _check_query(lo, self.n)
         _check_query(hi, self.n)
         out = []
-        block = max(1, _BLOCK // self.A.lo.size)
+        block = max(1, _BLOCK // self.A._lo.size)
         level, corners = 0, list(itertools.product(*_window(lo, hi, 0)))
         while corners:
             ok = []
@@ -653,7 +634,7 @@ def _candidates(x, d, reach, lo, hi):
     d + 2 rho of x, rho the farthest any of the boxes reaches from x (see
     the module docstring)."""
     x = np.asarray(x, float)
-    rho = math.sqrt(_squares(np.maximum(x - lo, hi - x)).max())
+    rho = math.sqrt(_squares(np.maximum(x - lo, hi - x).T).max())
     return reach((d + 2.0 * rho) * _SLACK + _TINY)
 
 

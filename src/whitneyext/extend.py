@@ -59,7 +59,8 @@ query on A.  It searches a batch of three or more queries by blocks in
 shared array passes (one distance scan, then one candidate scan for the
 home levels and one for the cubes next to them and their anchors), and
 a smaller batch one query at a time, with the same bits.  The series
-work of the batch is one array computation over its (query, cube) columns: one ψ/φ batch with a single division of
+work of the batch is one array computation over its (query, cube)
+columns: one ψ/φ batch with a single division of
 each query's columns by its own Σ ψ, one anchored Taylor computation per
 distinct degree, and one batched product for the halved blend.  Every
 column has the arithmetic of a one-query call, and each query's sums run
@@ -247,7 +248,7 @@ class Extension:
         of A to y_C, so d(y_C, A) is the norm of their difference, computed
         as the scans of A compute it.
         """
-        d = math.sqrt(decomp._squares(self.jet.X[[row]] - cube.center)[0])
+        d = math.sqrt(decomp._squares(self.jet.X[row] - cube.center))
         g = 0
         for i, delta in enumerate(self.schedule, start=1):
             if d < delta:

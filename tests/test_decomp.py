@@ -768,8 +768,8 @@ def test_squares_keep_the_bits_of_numpys_row_reduction(n):
     rng = np.random.default_rng(70 + n)
     v = rng.standard_normal((200_000, n)) * 10.0 ** rng.uniform(-150, 150, (200_000, n))
     want = np.add.reduce(v * v, axis=-1)
-    assert np.array_equal(decomp._squares(v), want)
-    assert np.array_equal(decomp._squares(np.ascontiguousarray(v.T), 0), want)
+    assert np.array_equal(decomp._squares(np.ascontiguousarray(v.T)), want)
+    assert np.array_equal(decomp._squares(v.T), want)
 
 
 def test_box_union_takes_its_boxes_as_one_array():
@@ -844,21 +844,30 @@ def test_batch_search_raises_what_its_first_failing_query_raises():
         dec.supporting_cubes_batch(fine + [(0.5,), deep])
 
 
-def test_batch_search_memory_is_bounded_in_the_query_count():
-    # a batch is searched by blocks: beyond the result, a search of 4000
-    # queries at N = 1000 holds what one of 400 holds, one block's arrays
-    # (the whole batch at once would need 64 MB for its distance scan alone)
+@pytest.mark.parametrize(
+    "n, span, counts",
+    [(2, (-1.2, 1.2), (400, 4000)), (2, (5.0, 10.0), (200, 2000)), (4, (5.0, 10.0), (65, 260))],
+    ids=["near-2d", "far-2d", "far-4d"],
+)
+def test_batch_search_memory_is_bounded_in_the_query_count(n, span, counts):
+    # a batch is searched by blocks of queries, and a block's (box,
+    # candidate row) pairs by chunks: beyond the result, a search of many
+    # queries at N = 1000 holds what one of a tenth or a quarter as many
+    # holds, also far from A, where every row is a candidate of every box
+    # (the whole batch at once would need 64 MB for its distance scan
+    # alone, and far queries' pairs at once 150 MB and more)
     rng = np.random.default_rng(8)
-    dec = decomp.Decomposition(decomp.FinitePoints(rng.uniform(-1.0, 1.0, (1000, 2))))
+    dec = decomp.Decomposition(decomp.FinitePoints(rng.uniform(-1.0, 1.0, (1000, n))))
     working = {}
-    for count in (400, 4000):
-        xs = [tuple(v) for v in rng.uniform(-1.2, 1.2, (count, 2)).tolist()]
+    for count in counts:
+        xs = [tuple(v) for v in rng.uniform(*span, (count, n)).tolist()]
         tracemalloc.start()
         try:
             found = dec.supporting_cubes_batch(xs)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(found) == count
+        assert len(found) == count and all(found)
         working[count] = peak - held
-    assert working[4000] < 8 * 2**20 and working[4000] < 1.5 * working[400] + 2**18, working
+    small, large = counts
+    assert working[large] < 8 * 2**20 and working[large] < 1.5 * working[small] + 2**18, working

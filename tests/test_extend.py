@@ -356,17 +356,39 @@ def test_queries_scan_only_their_views():
     F = extend.Extension(j, schedule=(0.3, 0.05))
     F.A.distance = F.A.box_distances = F.A.nearest = full_scan
     F.A._contains = full_scan
-    # and a successful batch is searched once, by blocks: no re-run, and no
-    # query searched alone
-    searches = []
-    batch, alone = F.dec.supporting_cubes_batch, F.dec.supporting_cubes
+    # and a successful batch is searched once: by blocks, whose passes
+    # measure each box against a few candidate rows, not the set; a batch
+    # of one or two queries, by one-query searches
+    searches, pairs = [], [0, 0]
+    batch, alone, scan = F.dec.supporting_cubes_batch, F.dec.supporting_cubes, F.dec._block_scan
     F.dec.supporting_cubes_batch = lambda xs: searches.append(list(xs)) or batch(xs)
     F.dec.supporting_cubes = lambda x: searches.append(x) or alone(x)
+
+    def counted(x, d, d2, lo, *rest):
+        pairs[0] += lo.shape[1] * len(F.A.rows)
+        before = decomp._gap_squares
+
+        def measured(lo, hi, alo, ahi):
+            pairs[1] += alo.shape[-1]
+            return before(lo, hi, alo, ahi)
+
+        decomp._gap_squares = measured
+        try:
+            return scan(x, d, d2, lo, *rest)
+        finally:
+            decomp._gap_squares = before
+
+    F.dec._block_scan = counted
     got = []
     for args in [(), (2,), (0, True)]:
         searches.clear()
         got.append(F.blend(grid, *args))
         assert searches == [grid]
+        for few in (grid[:1], grid[-2:]):
+            searches.clear()
+            F.blend(few, *args)
+            assert searches == [few, *few]
+    assert 0 < pairs[1] < pairs[0] / 4, pairs
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
