@@ -24,6 +24,7 @@ multi-index cells use the bracketed form "[a,b]".
 import argparse
 import csv
 import functools
+import gc
 import itertools
 import json
 import math
@@ -164,9 +165,24 @@ def _expr_list(d, owner):
     return exprs
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _read(path, convert):
+    """
+    convert(the JSON document in the file at path), decoded and converted
+    with the cyclic collector paused.  A JSON document holds no cycle, so a
+    collection during the load could free none of its thousands of
+    containers, only scan them and promote them toward the oldest
+    generation; the document is dropped when convert returns, before the
+    collector resumes.  The collector is left as it was found.
+    """
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        with open(path) as fh:
+            return convert(json.load(fh))
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _write_rows(path, header, rows):
@@ -192,8 +208,8 @@ def _write_text(path, text):
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_decompose(args):
-    doc = _load_json(args.input)
+def _closed_set(doc):
+    """The closed set of a set spec."""
     n = int(doc["dim"])
     points, boxes = doc.get("points"), doc.get("boxes")
     if (points is None) == (boxes is None):
@@ -201,8 +217,13 @@ def cmd_decompose(args):
     A = decomp.make_closed_set(points=points, boxes=boxes)
     if A.n != n:
         raise ValueError(f"set data has dimension {A.n}, spec says {n}")
+    return A
+
+
+def cmd_decompose(args):
+    A = _read(args.input, _closed_set)
     dec = decomp.Decomposition(A)
-    axes = _parse_grid(args.grid, n, need_step=False)
+    axes = _parse_grid(args.grid, A.n, need_step=False)
     lo = [a[0] for a in axes]
     hi = [a[1] for a in axes]
     cubes = dec.enumerate_in_box(lo, hi, args.max_level)
@@ -247,7 +268,7 @@ class _NumericAtPoint(Exception):
 
 
 def cmd_extend(args):
-    jet = load_jet_spec(_load_json(args.input))
+    jet = _read(args.input, load_jet_spec)
     schedule = _parse_schedule(args.schedule) if args.schedule else None
     derivs = _parse_derivs(args.derivs, jet.n) if args.derivs else []
     if schedule and derivs:
@@ -269,7 +290,7 @@ def cmd_extend(args):
 
 
 def cmd_check_jet(args):
-    jet = load_jet_spec(_load_json(args.input))
+    jet = _read(args.input, load_jet_spec)
     l = jet.k if args.k is None else int(args.k)
     d, sp = jet.diameter(), jet.seminorm_prime(l)
     deltas = tuple(t for t in (2 * d, d / 2, d / 8) if t > 0)  # one that underflows to 0 is left out
@@ -308,8 +329,8 @@ def cmd_fdb(args):
     return 0
 
 
-def cmd_pullback(args):
-    doc = _load_json(args.input)
+def _bundle(doc):
+    """The map g, the jet f and the points of a pullback bundle."""
     if not isinstance(doc, dict):
         raise ValueError(f"the bundle is {jets._kind(doc)}, expected an object")
     m = doc.get("map")
@@ -320,15 +341,18 @@ def cmd_pullback(args):
             raise ValueError(f'"map" has no "{field}"')
     g = exprlang.VectorExpr.parse(_expr_list(m, "map"), jets._integer(m, "from_dim"))
     f = load_jet_spec(doc["jet"])
-    points = _parse_point_list(doc["points"])
+    return g, f, _parse_point_list(doc["points"])
+
+
+def cmd_pullback(args):
+    g, f, points = _read(args.input, _bundle)
     pulled = fdb.jet_pullback(g, f, points, tol=args.tol)
     _write_text(args.out, json.dumps(pulled.to_dict(), indent=2) + "\n")
     return 0
 
 
 def cmd_manifold_extend(args):
-    doc = _load_json(args.input)
-    at, aj, bumps = atlas.load_atlas(doc)
+    at, aj, bumps = _read(args.input, atlas.load_atlas)
     if aj is None:
         raise ValueError("atlas file carries no jets")
     if not bumps:
@@ -599,7 +623,7 @@ def _suite_correspondence(args):
     tol = 1e-9 if args.tol is None else args.tol
     checks, constants = [], {}
     if args.input:
-        at, aj, _ = atlas.load_atlas(_load_json(args.input))
+        at, aj, _ = _read(args.input, atlas.load_atlas)
         if aj is None:
             raise ValueError("atlas file carries no jets")
     else:

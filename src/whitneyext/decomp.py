@@ -486,7 +486,8 @@ class Decomposition:
                 try:
                     found[q] = self.supporting_cubes(x)
                 except OnSet as on:
-                    found[q] = on
+                    # without its traceback, whose frame holds `found`
+                    found[q] = on.with_traceback(None)
         return found
 
     def _search_block(self, xs):

@@ -1,13 +1,14 @@
 """Finite atlases: transitions, correspondence, transport, projection,
 manifold extension through user-supplied bumps."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whitneyext import atlas, fdb, jets
+from whitneyext import atlas, extend, fdb, jets
 from whitneyext import taylorarith as ta
 from whitneyext import exprlang as el
 
@@ -269,6 +270,31 @@ def test_manifold_values_are_row_zero_of_the_derivatives(chart, t, near):
     value = me.eval(chart, x)
     assert np.array_equal(value, me.eval_derivs(chart, x, 0)[(0,)])
     assert np.array_equal(value, me.eval_derivs(chart, x, 2)[(0,)])
+
+
+def test_queries_leave_no_cyclic_garbage():
+    # a query on A keeps no traceback, whose frames would hold the batch's
+    # search results and, through f_back, the callers' frames and arrays
+    # until the collector runs: on and off A, in batches of 1, 2 and 16 and
+    # through a manifold extension, nothing is left for it
+    rng = np.random.default_rng(23)
+    pts = [(f"p{i}", tuple(p)) for i, p in enumerate(rng.uniform(-1.0, 1.0, (12, 2)).tolist())]
+    F = extend.Extension(jets.Jet.from_expr(el.VectorExpr.parse(["exp(x0)*sin(x1)"], 2), pts, 3))
+    on = [x for _, x in pts]
+    off = [tuple(x) for x in rng.uniform(-1.5, 1.5, (8, 2)).tolist()]
+    batches = [on[:1], off[:1], [on[1], off[1]], [off[2], on[2]], on[4:12] + off]
+    at, aj, pou = overlap_fixture()
+    me = atlas.ManifoldExtension(aj, at, pou)
+    gc.collect()
+    gc.disable()
+    try:
+        for xs in batches:
+            F.blend(xs)
+            F.blend(xs, upto=2)
+        me.eval_derivs("u", aj.jets["u"].coords["p"], upto=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _composed_in_every_chart(me, chart, x, upto):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, file formats, exit codes, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -7,11 +8,13 @@ import pathlib
 import subprocess
 import sys
 import warnings
+import weakref
 
+import numpy as np
 import pytest
 
 import whitneyext
-from whitneyext import cli, multiindex
+from whitneyext import cli, exprlang, jets, multiindex
 
 
 def run(argv):
@@ -895,8 +898,10 @@ def test_verify_lemma_l_reports_margins(tmp_path, capsys):
             assert 0.0 < c["value"] <= c["bound"] == 1.0, c
 
 
-def test_verify_correspondence_fail_exit(tmp_path):
-    doc = {
+def _atlas_of_constants(v0):
+    """A two-chart 1-D atlas whose jets at one point are the constants 1 in
+    chart u and v0 in chart v: consistent when v0 is 1."""
+    return {
         "dim": 1,
         "charts": [{"id": "u", "codomain": "all"}, {"id": "v", "codomain": "all"}],
         "transitions": [
@@ -904,20 +909,15 @@ def test_verify_correspondence_fail_exit(tmp_path):
             {"from": "v", "to": "u", "map": ["x0/2"]},
         ],
         "jets": [
-            {
-                "chart": "u",
-                "points": [{"id": "p", "x": [1.0],
-                            "values": {"[0]": [1.0], "[1]": [0.0]}}],
-            },
-            {
-                "chart": "v",
-                "points": [{"id": "p", "x": [2.0],
-                            "values": {"[0]": [5.0], "[1]": [0.0]}}],
-            },
+            {"chart": c, "points": [{"id": "p", "x": [x], "values": {"[0]": [v], "[1]": [0.0]}}]}
+            for c, x, v in [("u", 1.0, 1.0), ("v", 2.0, v0)]
         ],
     }
+
+
+def test_verify_correspondence_fail_exit(tmp_path):
     p = tmp_path / "bad_atlas.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(_atlas_of_constants(5.0)))
     rc = run(["verify", "--suite", "correspondence", "--input", str(p)])
     assert rc == 1
 
@@ -960,6 +960,101 @@ def test_shared_parser_gives_the_output_of_a_fresh_one(jetfile, setfile, capsys,
     assert cli.build_parser() is cli.build_parser()
     monkeypatch.setattr(cli, "cmd_decompose", lambda args: 7)
     assert run(calls[2]) == 7
+
+
+# -- the document loader ---------------------------------------------------------
+
+
+def _document_calls(tmp_path, setfile, jetfile, atlasfile):
+    """(argv, exit code) of every command that reads a document, on good
+    and bad documents."""
+    files = {
+        "bad-jet": _second_point(x=[1.0, 2.0]),
+        "bundle": {
+            "map": {"from_dim": 1, "expr": ["2*x0"]},
+            "jet": {"dim": 1, "order": 2, "induce": {"expr": ["sin(x0)"], "points": [{"id": "i0", "x": [2.0]}]}},
+            "points": [{"id": "b0", "x": [1.0]}],
+        },
+        "good-atlas": _atlas_of_constants(1.0),
+        "bad-atlas": _atlas_of_constants(5.0),
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    path = {name: str(tmp_path / f"{name}.json") for name in files}
+    out = ["--out", str(tmp_path / "out")]
+    return [
+        (["decompose", "--input", setfile, "--grid", "1:8", "--max-level", "3", *out], 0),
+        (["extend", "--input", jetfile, "--grid=-2:2:0.5", *out], 0),
+        (["extend", "--input", path["bad-jet"], "--grid=0:1:0.5", *out], 2),
+        (["extend", "--input", jetfile, "--grid", "1e-30:1e-30:1.0", *out], 3),
+        (["extend", "--input", str(tmp_path / "missing.json"), "--grid=0:1:0.5", *out], 2),
+        (["check-jet", "--input", jetfile, *out], 0),
+        (["check-jet", "--input", path["bad-jet"], *out], 2),
+        (["pullback", "--input", path["bundle"], *out], 0),
+        (["pullback", "--input", path["bad-jet"], *out], 2),
+        (["manifold-extend", "--input", atlasfile, "--chart", "u", "--grid", "0.5:0.5:1.0", *out], 0),
+        (["manifold-extend", "--input", path["bad-jet"], "--chart", "u", "--grid", "0:1:0.5", *out], 2),
+        (["verify", "--suite", "correspondence", "--input", path["good-atlas"], *out], 0),
+        (["verify", "--suite", "correspondence", "--input", path["bad-atlas"], *out], 1),
+        (["verify", "--suite", "correspondence", "--input", path["bad-jet"], *out], 2),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loading_leaves_the_collector_as_it_was(enabled, setfile, jetfile, atlasfile, tmp_path):
+    # the loader pauses the cyclic collector only if it was running, and
+    # whatever the command's exit, leaves it as it found it
+    calls = _document_calls(tmp_path, setfile, jetfile, atlasfile)
+    was = gc.isenabled()
+    try:
+        for argv, rc in calls:
+            (gc.enable if enabled else gc.disable)()
+            assert (run(argv), gc.isenabled()) == (rc, enabled), argv
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class _Document(dict):
+    """A decoded document that a weak reference can watch."""
+
+
+def test_no_collection_runs_while_a_document_is_alive(tmp_path, monkeypatch):
+    # a JSON document holds no cycle, so the collector has nothing to free
+    # in it: over 20 extends of a 1000-point 2-D jet file on 4x4 tiles, no
+    # collection starts while a decoded document is alive, and each is
+    # freed before its command returns
+    rng = np.random.default_rng(7)
+    pts = [(f"p{i}", tuple(x)) for i, x in enumerate(rng.uniform(-1.0, 1.0, (1000, 2)).tolist())]
+    jet = jets.Jet.from_expr(exprlang.VectorExpr.parse(["1 + x0*x1 - x1^2/2"], 2), pts, 2)
+    path = tmp_path / "jet.json"
+    path.write_text(json.dumps(jet.to_dict()))
+    docs, starts, decoding = [], [], []
+    load = json.load
+
+    def tracked(fh):
+        decoding.append(fh)
+        try:
+            doc = _Document(load(fh))
+        finally:
+            decoding.pop()
+        docs.append(weakref.ref(doc))
+        return doc
+
+    def watch(phase, info):
+        if phase == "start":
+            starts.append(len(decoding) + sum(ref() is not None for ref in docs))
+
+    monkeypatch.setattr(json, "load", tracked)
+    gc.callbacks.append(watch)
+    try:
+        for t in range(20):
+            lo = -1.2 + 0.12 * t
+            grid = f"--grid={lo!r}:{lo + 0.15!r}:0.05,{-lo!r}:{0.15 - lo!r}:0.05"
+            assert run(["extend", "--input", str(path), grid, "--out", str(tmp_path / "f.csv")]) == 0
+            assert docs[-1]() is None
+    finally:
+        gc.callbacks.remove(watch)
+    assert len(docs) == 20 and not any(starts), starts
 
 
 def _declared_console_script(name):

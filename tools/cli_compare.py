@@ -1,5 +1,5 @@
 """
-Run one fixed list of 55 CLI invocations against two source trees and
+Run one fixed list of 56 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -36,7 +36,7 @@ order 4 on 3 and on 15 source points and at order 3 on 64, a map from
 R^3 to R^2 at order 3, and a bundle whose middle point overflows, exit
 2); manifold-extend with values and ``--derivs`` in 1-D, and with
 ``--derivs`` on a 2-D atlas of two charts with a jet in each; and every
-verify suite.
+verify suite, the correspondence suite also on that 2-D atlas.
 
 For each invocation it prints "identical" when exit status, stdout and
 stderr agree byte for byte.  Otherwise it lists the differing fields: CSV
@@ -515,6 +515,7 @@ INVOCATIONS = [
     ("verify extension", ["verify", "--suite", "extension"]),
     ("verify linearity", ["verify", "--suite", "linearity"]),
     ("verify correspondence", ["verify", "--suite", "correspondence"]),
+    ("verify correspondence on the 2-D atlas", ["verify", "--suite", "correspondence", "--input", "atlas2.json"]),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
