@@ -58,8 +58,8 @@ class Chart:
             codomain = box
         self.codomain = codomain
 
-    def contains(self, x, slack=_SLACK):
-        """Whether x lies in the codomain, with tolerance for mapped points.
+    def contains(self, x):
+        """Whether x lies in the codomain, widened by _SLACK for mapped points.
         A point of another dimension than a codomain box is a ValueError."""
         if self.codomain == "all":
             return True
@@ -68,7 +68,7 @@ class Chart:
                 f"chart {self.id}: point {tuple(x)} has dimension {len(x)}, expected {len(self.codomain)}"
             )
         return all(
-            lo - slack <= xi <= hi + slack
+            lo - _SLACK <= xi <= hi + _SLACK
             for xi, (lo, hi) in zip(x, self.codomain)
         )
 
@@ -166,7 +166,7 @@ class AtlasJet:
         """Forget derivative data above order l in every chart."""
         return AtlasJet({cid: jet.project(l) for cid, jet in self.jets.items()})
 
-    def coords_in_chart(self, atlas, pid, target, slack=_SLACK):
+    def coords_in_chart(self, atlas, pid, target):
         """
         Coordinates of the point pid in the target chart, or None when the
         point does not lie in that chart's domain.  Stored coordinates win;
@@ -179,10 +179,8 @@ class AtlasJet:
         for cid, src in self.jets.items():
             if pid not in src.coords or not atlas.has_transition(cid, target):
                 continue
-            if cid == target:
-                continue
             y = atlas.map_point(cid, target, src.coords[pid])
-            if atlas.chart(target).contains(y, slack):
+            if atlas.chart(target).contains(y):
                 return y
         return None
 
@@ -468,8 +466,8 @@ def load_atlas(doc):
     for c in _objects(doc["charts"], "charts"):
         charts.append(Chart(c["id"], _codomain(c, n)))
     transitions = {}
-    for t in _objects(doc.get("transitions", []), "transitions"):
-        ve = exprlang.VectorExpr.parse(t["map"], n)
+    for i, t in enumerate(_objects(doc.get("transitions", []), "transitions")):
+        ve = exprlang.VectorExpr.parse(jets._strings(t, "map", f"transitions[{i}]"), n)
         transitions[(str(t["from"]), str(t["to"]))] = ve
     atlas = FiniteAtlas(n, charts, transitions)
     aj = None
@@ -482,8 +480,8 @@ def load_atlas(doc):
             jet_map[cid] = _jet_from_points(n, entry["points"])
         aj = AtlasJet(jet_map)
     pou = []
-    for entry in _objects(doc.get("pou", []), "pou"):
-        exprs = entry["h"]
+    for i, entry in enumerate(_objects(doc.get("pou", []), "pou")):
+        exprs = jets._strings(entry, "h", f"pou[{i}]")
         if len(exprs) != 1:
             raise ValueError("each bump must be a single scalar expression")
         pou.append((str(entry["chart"]), exprlang.parse(exprs[0], n)))

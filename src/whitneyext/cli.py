@@ -147,22 +147,13 @@ def load_jet_spec(doc):
         ind = doc["induce"]
         if not isinstance(ind, dict):
             raise ValueError(f'"induce" is {jets._kind(ind)}, expected an object')
-        f = exprlang.VectorExpr.parse(_expr_list(ind, "induce"), n)
+        f = exprlang.VectorExpr.parse(jets._strings(ind, "expr", '"induce"'), n)
         if "outdim" in doc and jets._integer(doc, "outdim") != f.m:
             raise ValueError(
                 f"outdim {doc['outdim']} does not match {f.m} expression(s)"
             )
         return jets.Jet.from_expr(f, _parse_point_list(ind["points"]), k)
     return jets.Jet.from_dict(doc)
-
-
-def _expr_list(d, owner):
-    """The "expr" field of the object `owner`; anything but a list of
-    strings is a ValueError."""
-    exprs = d["expr"]
-    if not (isinstance(exprs, list) and all(isinstance(e, str) for e in exprs)):
-        raise ValueError(f'"expr" of "{owner}" is {exprs!r}, expected a list of strings')
-    return exprs
 
 
 def _read(path, convert):
@@ -339,7 +330,7 @@ def _bundle(doc):
     for field in ("from_dim", "expr"):
         if field not in m:
             raise ValueError(f'"map" has no "{field}"')
-    g = exprlang.VectorExpr.parse(_expr_list(m, "map"), jets._integer(m, "from_dim"))
+    g = exprlang.VectorExpr.parse(jets._strings(m, "expr", '"map"'), jets._integer(m, "from_dim"))
     f = load_jet_spec(doc["jet"])
     return g, f, _parse_point_list(doc["points"])
 

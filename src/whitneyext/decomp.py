@@ -22,8 +22,8 @@ on, and a cube is in W exactly when it qualifies and its parent does not
 (distances are monotone rounded operations on exact dyadic bounds, so the
 computed verdicts inherit too).  The level-j ancestor C of x has
 d(x,A) - sqrt(n)/2^j <= d(C,A) <= d(x,A), so the home level of x (the
-level of its cube in W) follows from d(x,A) to within about one level,
-and the first qualifying level is found from a few levels around it.
+level of its cube in W) is one of three consecutive levels that d(x,A)
+gives (`Decomposition._start_level` states and proves the bound).
 A cube C of side s has x in D_C exactly when C meets the open box
 x ± s/4; such cubes touch the cube of W holding x, so they lie at most one
 level above or below it.
@@ -35,14 +35,14 @@ distance its norm; between points the gap is exactly |p - y|.  A query's
 cubes are measured in two array passes.  ``A.reach(x)`` checks the query
 and measures d = d(x,A) from the squared distances d(x, B_i)^2 of all
 rows, computed once.  Pass 1 stacks the ancestors of x on the levels
-`_start_level` - 1 .. + 3 and measures their distances to A at once; the
-home level is the first that qualifies (a block that does not decide it is
-followed by the next block of levels).  Pass 2 lists, on the levels
-home - 1 .. home + 1, the cubes whose D_C holds x and measures them and
-their parents at once; the anchors (rows of A) of the cubes returned come
-from the same scan.  A pass scans only the rows with d(x, B_i) <=
-d + 2 rho, rho the largest distance from x to the farthest point of any
-box of its stack.  For one box C of farthest-point distance rho_C <= rho, q
+`_start_level` .. + 2 and measures their distances to A at once; the home
+level is the first that qualifies, and where none does, the block has
+reached j_max and the query raises ResolutionExceeded.  Pass 2 lists, on
+the levels home - 1 .. home + 1, the cubes whose D_C holds x and measures
+them and their parents at once; the anchors (rows of A) of the cubes
+returned come from the same scan.  A pass scans only the rows with
+d(x, B_i) <= d + 2 rho, rho the largest distance from x to the farthest
+point of any box of its stack.  For one box C of farthest-point distance rho_C <= rho, q
 a point of A nearest x, B a row nearest C and (b, c) a nearest pair of B x
 C: d(x,B) <= |b - c| + |c - x| <= d(q,C) + rho_C <= d + 2 rho_C; for a row
 B nearest a centre y of C (|y - x| <= rho_C): d(x,B) <= d(y,B) + |y - x|
@@ -60,10 +60,11 @@ the window cubes, per axis the at most two corners ceil(2^lv (x - s/4))
 and measured with their parents and centres (the anchors) in one scan of
 (box, candidate row) pairs, by chunks of _BLOCK / 16 numbers.  Arrays are
 coordinate-major, so each operation runs over long contiguous rows.
-Float corners are exact below 2^51; a query whose corners reach that, on
-A, or whose first five levels leave its home level open is searched
-alone, as is every query of a batch below BATCH_MIN = 3: at one query the
-block form costs about two one-query searches, at two it breaks even.
+Float corners are exact below 2^51; a query whose corners reach that, one
+at distance 0 (on A), or one none of whose three levels qualifies (its
+block ends at j_max) is searched alone, as is every query of a batch below
+BATCH_MIN = 3: at one query the block form costs about two one-query
+searches, at two it breaks even.
 
 Coordinates of the set and of queries must stay below MAX_COORD =
 2^500 in magnitude: distances are formed from squared differences, which
@@ -356,13 +357,20 @@ class Decomposition:
         return float(self.A.box_distances(np.array([cube.lo]), np.array([cube.hi]))[0])
 
     def _start_level(self, d):
-        """The level just below the home level that d = d(x,A) implies: as
-        d(x,A) - sqrt(n)/2^j <= d(C,A) <= d(x,A) for the level-j ancestor C
-        of x, no level with 4*sqrt(n)/2^j > d(x,A) qualifies, so the search
-        starts at floor(log2(4*sqrt(n)/d)) - 1, clamped to 0..j_max (at
-        j_max if d underflows to 0)."""
+        """The first level s of the three, s .. s + 2, that hold the home
+        level at d = d(x,A): s = floor(T), T = log2(4 sqrt(n)) - log2(d),
+        clamped to 0..j_max (j_max if d underflows to 0).  No level l <= s
+        - 1 <= T - 1 qualifies: its threshold 4 sqrt(n)/2^l is >= 2d, and
+        the level-l ancestor of x is no farther from A than x (its computed
+        gaps are no larger than those of x, and what follows is monotone).
+        Level s + 2 <= j_max qualifies: its ancestor, of side <= 2^-(T+1)
+        = d/(8 sqrt(n)), is at least d - sqrt(n) side >= 7d/8 from A, and
+        its threshold at most d/2; so do the finer levels, and level 2 when
+        the clamp lifts s to 0.  The margins, about 2 and 1.75, are far
+        beyond the few-ulp rounding of the distances and of log2, so a
+        floor that rounding moves by one near an integer T changes nothing."""
         # a log difference, as 4*sqrt(n)/d is inf for a subnormal d
-        j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) - 1 if d else self.j_max
+        j = math.floor(math.log2(4.0 * self._sqrt_n) - math.log2(d)) if d else self.j_max
         return min(max(j, 0), self.j_max)
 
     def _measure(self, levels, corners, near=None):
@@ -381,37 +389,21 @@ class Decomposition:
     def _home(self, x):
         """
         The home level of x (the level of its cube in W) and near = (x,
-        d(x,A), the set's `reach` for x), which scopes the query's scans.
-        The home level is the first level whose ancestor of x qualifies;
-        the ancestors on `_start_level` - 1 .. + 3 are measured in one
-        pass, and a block that does not decide it is followed by the next
-        five levels finer, or coarser.
+        d(x,A), the set's `reach` for x), which scopes the query's scans:
+        the first level of `_start_level`'s block whose ancestor of x
+        qualifies, from one pass over the block.
         """
         d, reach = self.A.reach(x)  # checks the query
         if d == 0.0 and (row := self.A._contains(x)) is not None:  # A is at distance 0
             raise OnSet(x, row)
         near = (x, d, reach)
-
-        def qualifying(lo, hi):
-            levels = np.arange(lo, hi + 1)
-            corners = np.floor(np.ldexp(np.asarray(x, float), levels[:, None]))
-            return self._measure(levels, corners, near)[0].tolist()
-
         j = self._start_level(d)
-        lo, hi = max(j - 1, 0), min(j + 3, self.j_max)
-        ok = qualifying(lo, hi)
-        while not any(ok):  # the home level is finer
-            if hi == self.j_max:
-                raise ResolutionExceeded(x, self.j_max)
-            lo, hi = hi + 1, min(hi + 5, self.j_max)
-            ok = qualifying(lo, hi)
-        home = lo + ok.index(True)
-        while home == lo > 0:  # the home level may be coarser
-            lo, hi = max(lo - 5, 0), lo - 1
-            ok = qualifying(lo, hi)
-            if any(ok):
-                home = lo + ok.index(True)
-        return home, near
+        levels = np.arange(j, min(j + 2, self.j_max) + 1)
+        corners = np.floor(np.ldexp(np.asarray(x, float), levels[:, None]))
+        ok = self._measure(levels, corners, near)[0].tolist()
+        if not any(ok):  # the block reached j_max
+            raise ResolutionExceeded(x, self.j_max)
+        return j + ok.index(True), near
 
     def locate(self, x):
         """
@@ -499,18 +491,16 @@ class Decomposition:
         xq, lo = x[:, :, None], self.A._lo[:, None]
         d2 = _gap_squares(xq, xq, lo, lo if self.A._hi is self.A._lo else self.A._hi[:, None])
         d = np.sqrt(d2.min(axis=1))
-        # pass 1: the ancestors on the levels `_start_level` - 1 .. + 3,
-        # clamped (a clamped level repeats the last)
+        # pass 1: the ancestors on the levels `_start_level` .. + 2, clamped
+        # (a clamped level repeats the last)
         j = np.array([self._start_level(v) for v in d.tolist()])
-        first, last = np.maximum(j - 1, 0), np.minimum(j + 3, self.j_max)
-        levels = np.minimum(first[:, None] + np.arange(5), last[:, None]).ravel()
+        levels = np.minimum(j[:, None] + np.arange(3), self.j_max).ravel()
         side = np.ldexp(1.0, -levels)
-        z = np.floor(np.ldexp(np.repeat(x, 5, axis=1), levels))
-        least, _ = self._block_scan(x, d, d2, z * side, (z + 1.0) * side, np.repeat(np.arange(Q), 5))
-        ok = (np.sqrt(least) >= np.ldexp(4.0 * self._sqrt_n, -levels)).reshape(Q, 5)
-        at = ok.argmax(axis=1)
-        home = first + at
-        settled = ok.any(axis=1) & ((at > 0) | (first == 0)) & (d > 0.0)
+        z = np.floor(np.ldexp(np.repeat(x, 3, axis=1), levels))
+        least, _ = self._block_scan(x, d, d2, z * side, (z + 1.0) * side, np.repeat(np.arange(Q), 3))
+        ok = (np.sqrt(least) >= np.ldexp(4.0 * self._sqrt_n, -levels)).reshape(Q, 3)
+        home = j + ok.argmax(axis=1)
+        settled = ok.any(axis=1) & (d > 0.0)
         settled &= np.ldexp(np.abs(xs).max(axis=1), home + 1) < 2.0**51
         out = [None] * Q
         qs = np.flatnonzero(settled)

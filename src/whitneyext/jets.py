@@ -468,6 +468,15 @@ def _integer(d, field):
         raise ValueError(f'"{field}" is {_kind(d[field])}, expected an integer') from None
 
 
+def _strings(d, field, owner):
+    """The field of the object `owner` of a document that lists expressions;
+    anything but a list of strings is a ValueError naming both."""
+    v = d[field]
+    if not (isinstance(v, list) and all(isinstance(e, str) for e in v)):
+        raise ValueError(f'"{field}" of {owner} is {v!r}, expected a list of strings')
+    return v
+
+
 def _order(d):
     """The "order" field of a jet file, at most ``taylorarith.MAX_ORDER``,
     the largest order of a series context."""

@@ -350,6 +350,75 @@ def test_manifold_piece_in_the_query_chart_is_not_composed(monkeypatch):
         assert rows.tobytes() == want.tobytes(), (chart, x)
 
 
+def _bumped_rows(hd, ext, x):
+    """The rows of h·F at x in one dimension, for F the extension ext and
+    hd the derivatives of h at x, by Leibniz's rule."""
+    fd = ext.derivs(x, len(hd) - 1)
+    return np.array([sum(math.comb(j, i) * hd[i] * fd[j - i] for i in range(j + 1)) for j in range(len(hd))])
+
+
+def _without_derivs(monkeypatch, me, cid):
+    """Make the piece of chart cid fail if its extension is evaluated."""
+    ext = next(e for c, _, e in me.pieces if c == cid)
+    monkeypatch.setattr(ext, "derivs", lambda *args: pytest.fail(f"the piece of chart {cid} was evaluated"))
+
+
+def test_manifold_pieces_off_their_chart_are_skipped(monkeypatch):
+    # the chart change u -> v only, and a codomain box [0, 5] for v: from u
+    # at 3 the image 6 leaves v's box, and from v no transition reaches u,
+    # so each query gets the other piece's h·F alone
+    at = atlas.FiniteAtlas(1, [atlas.Chart("u"), atlas.Chart("v", [[0.0, 5.0]])], {
+        ("u", "v"): el.VectorExpr.parse(["2*x0"], 1),
+    })
+    _, aj, pou = sine_bump_fixture()
+    me = atlas.ManifoldExtension(aj, at, pou)
+    bumps = {  # the derivatives of h_u = 0.5 + sin(x)/4 and h_v = 0.5 - sin(y/2)/4
+        "u": lambda t: [0.5 + 0.25 * math.sin(t), 0.25 * math.cos(t), -0.25 * math.sin(t)],
+        "v": lambda t: [0.5 - 0.25 * math.sin(t / 2), -0.125 * math.cos(t / 2), 0.0625 * math.sin(t / 2)],
+    }
+    for chart, x in [("u", (3.0,)), ("v", (4.5,)), ("v", (0.5,))]:
+        ext = {c: e for c, _, e in me.pieces}[chart]
+        want = _bumped_rows(bumps[chart](x[0]), ext, x)
+        _without_derivs(monkeypatch, me, "v" if chart == "u" else "u")
+        got = me.eval_derivs(chart, x, 2)
+        monkeypatch.undo()
+        np.testing.assert_allclose([got[(j,)] for j in range(3)], want, rtol=1e-13, atol=1e-15)
+
+
+def test_manifold_piece_whose_bump_vanishes_is_skipped(monkeypatch):
+    # h_v = (y - 6)^3 / 64 in v-coordinates and h_u = 1 - h_v(2 x): at u = 3
+    # the series of h_v vanishes to order 2, so F is F_u there
+    at, aj, _ = overlap_fixture()
+    pou = [("u", el.parse("1 - (2*x0 - 6)^3/64", 1)), ("v", el.parse("(x0 - 6)^3/64", 1))]
+    me = atlas.ManifoldExtension(aj, at, pou)
+    want = _bumped_rows([1.0, 0.0, 0.0], me.pieces[0][2], (3.0,))
+    _without_derivs(monkeypatch, me, "v")
+    got = me.eval_derivs("u", (3.0,), 2)
+    np.testing.assert_allclose([got[(j,)] for j in range(3)], want, rtol=1e-13, atol=0)
+
+
+def test_manifold_extension_checks_its_bumps():
+    at, aj, _ = overlap_fixture()
+    scalar = [("u", el.VectorExpr.parse(["0.5"], 1)), ("v", el.parse("0.5", 1))]
+    plain = [("u", el.parse("0.5", 1)), ("v", el.parse("0.5", 1))]
+    for x in [(1.3,), (0.2,)]:  # a one-component VectorExpr is its expression
+        want = atlas.ManifoldExtension(aj, at, plain).eval_derivs("u", x, 2)
+        got = atlas.ManifoldExtension(aj, at, scalar).eval_derivs("u", x, 2)
+        assert all(np.array_equal(got[a], want[a]) for a in want)
+    with pytest.raises(ValueError, match=r"^bump for chart 'u' must be scalar$"):
+        atlas.ManifoldExtension(aj, at, [("u", el.VectorExpr.parse(["0.5", "0.5"], 1))])
+    with pytest.raises(ValueError, match=r"^bump attached to chart 'w', which carries no jet$"):
+        atlas.ManifoldExtension(aj, at, plain + [("w", el.parse("0", 1))])
+    with pytest.raises(ValueError, match=r"^empty partition of unity$"):
+        atlas.ManifoldExtension(aj, at, [])
+
+
+@pytest.mark.parametrize("box", [[[1.0, 1.0]], [[0.0, 1.0], [2.0, -2.0]]])
+def test_chart_rejects_an_empty_codomain_box(box):
+    with pytest.raises(ValueError, match=r"^chart c: empty codomain box \["):
+        atlas.Chart("c", box)
+
+
 def test_manifold_wrong_dimension_query_is_a_value_error():
     # a query with the wrong number of chart coordinates is rejected before
     # it is mapped into any chart

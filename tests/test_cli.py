@@ -119,6 +119,21 @@ def test_decompose_bad_set_spec(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "boxes, message",
+    [
+        ([[[1.0, 0.0]]], "malformed box"),
+        ([[[0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]], "boxes have mixed dimensions"),
+    ],
+)
+def test_decompose_rejects_malformed_boxes(boxes, message, tmp_path, capsys):
+    p = tmp_path / "set.json"
+    p.write_text(json.dumps({"dim": 1, "boxes": boxes}))
+    rc = run(["decompose", "--input", str(p), "--grid=-1:1", "--max-level", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"error: {message}") and "Traceback" not in err, err
+
+
 # -- extend ----------------------------------------------------------------------
 
 
@@ -635,6 +650,32 @@ def test_manifold_extend_rejects_a_malformed_codomain(case, tmp_path, capsys):
     assert (rc, capsys.readouterr().err) == (2, f'error: "codomain" of chart u is {shown}, {expected}\n')
 
 
+_MALFORMED_EXPRS = {
+    "h-number": ("pou", "h", 3),
+    "h-list-of-number": ("pou", "h", [3]),
+    "h-string": ("pou", "h", "5"),  # not read as its characters
+    "map-number": ("transitions", "map", 3),
+    "map-list-of-number": ("transitions", "map", [3]),
+    "map-string": ("transitions", "map", "x0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_EXPRS))
+@pytest.mark.parametrize("command", ["manifold-extend", "verify"])
+def test_atlas_expressions_must_be_lists_of_strings(case, command, tmp_path, capsys):
+    field, key, value = _MALFORMED_EXPRS[case]
+    doc = {**_atlas_of_constants(1.0), "pou": [{"chart": "u", "h": ["1"]}]}
+    doc[field][0][key] = value
+    p = tmp_path / "atlas.json"
+    p.write_text(json.dumps(doc))
+    if command == "verify":
+        rc = run(["verify", "--suite", "correspondence", "--input", str(p)])
+    else:
+        rc = run(["manifold-extend", "--input", str(p), "--chart", "u", "--grid=0:1:0.5"])
+    message = f'"{key}" of {field}[0] is {value!r}, expected a list of strings'
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
 def test_extend_determinism(jetfile, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -877,6 +918,20 @@ def test_verify_extension_passes(tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert rep["suite"] == "extension"
     assert all(c["pass"] for c in rep["checks"])
+
+
+@pytest.mark.parametrize("suite", ["partition", "linearity", "correspondence"])
+def test_verify_suite_passes_within_its_bounds(suite, tmp_path, capsys):
+    # correspondence without --input checks its built-in two-chart fixture
+    out = tmp_path / "r.json"
+    rc = run(["verify", "--suite", suite, "--out", str(out)])
+    text = capsys.readouterr().out
+    assert rc == 0 and text.startswith(f"suite: {suite}\n") and text.endswith("result: pass\n"), text
+    rep = json.loads(out.read_text())
+    assert (rep["suite"], rep["pass"]) == (suite, True) and rep["checks"] and rep["constants"]
+    for c in rep["checks"]:
+        assert c["pass"] and 0.0 <= c["value"] <= c["bound"], c
+        assert f"ok   {c['name']}: value " in text
 
 
 def test_verify_lemma_l_reports_margins(tmp_path, capsys):

@@ -44,6 +44,20 @@ def test_box_union_rejects_non_finite_box(box, shown):
         decomp.BoxUnion([[[-1.0, -0.5]], box])
 
 
+@pytest.mark.parametrize(
+    "boxes, message",
+    [
+        ([[[1.0, 0.0]]], "malformed box"),  # lo > hi
+        ([[0.0, 1.0]], "malformed box"),  # one pair, not n pairs
+        ([[[0.0, 1.0, 2.0]]], "malformed box"),
+        ([[[0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]], "boxes have mixed dimensions"),
+    ],
+)
+def test_box_union_rejects_malformed_boxes(boxes, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        decomp.BoxUnion(boxes)
+
+
 def test_box_union_rejects_huge_box():
     msg = r"box \[\[0\.0, 1e\+200\]\] of the closed set is too large"
     with pytest.raises(ValueError, match=msg):
@@ -613,11 +627,12 @@ def _closed_sets(n, size, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_locate_matches_level0_walk(n):
-    # the home-level start must find the cube the walk from level 0 finds,
-    # or raise the same OnSet / ResolutionExceeded, at the default j_max and
-    # at small ones, with few stacked passes at the default j_max
+    # the block of `_start_level` must hold the cube the walk from level 0
+    # finds, or raise the same OnSet / ResolutionExceeded, at the default
+    # j_max and at small ones, with one stacked pass per query off A at the
+    # default j_max
     rng = np.random.default_rng(200 + n)
-    calls = located = 0
+    calls = off_set = 0
     outcomes = set()
     for size in (1, 8, 200):
         for A in _closed_sets(n, size, rng):
@@ -644,24 +659,57 @@ def test_locate_matches_level0_walk(n):
                         got = _outcome(dec.locate, x)
                     finally:
                         del A.reach
-                    located += j_max == 52
+                    off_set += j_max == 52 and got is not decomp.OnSet
                     assert got == expected, (x, j_max)
+                    if isinstance(got, decomp.WhitneyCube):
+                        start = dec._start_level(A.distance(x))
+                        assert start <= got.level <= start + 2, (x, j_max)
                     outcomes.add(got.level if isinstance(got, decomp.WhitneyCube) else got)
-            # the start level is only a hint: from a start up to six levels
-            # too coarse or too fine, the block search ends on the same cube
-            dec = decomp.Decomposition(A)
-            for shift in (-6, 6):
-                dec._start_level = lambda d, f=dec._start_level, s=shift: min(
-                    max(f(d) + s, 0), dec.j_max
-                )
-                try:
-                    for x in queries[:6]:
-                        assert _outcome(dec.locate, x) == _outcome(_locate_by_walk, dec, x, 52)
-                finally:
-                    del dec._start_level
     assert {0, decomp.OnSet, decomp.ResolutionExceeded} <= outcomes
     assert max(o for o in outcomes if isinstance(o, int)) > 30
-    assert calls / located <= 1.25, calls / located
+    assert calls == off_set, (calls, off_set)
+
+
+def _threshold_queries(n):
+    """Points at the distances 4 sqrt(n) 2^-k f from the origin, for k =
+    -2..47 and f at and around the factors where a level's threshold meets
+    d(x,A) (1) or where level s + 2 is closest to failing (0.8, 1.25,
+    0.625), on an axis, the diagonal and a fixed direction."""
+    rng = np.random.default_rng(40 + n)
+    dirs = [np.eye(n)[0], np.ones(n) / math.sqrt(n), rng.normal(size=n)]
+    dirs[2] /= np.linalg.norm(dirs[2])
+    factors = (1.0 - 2.0**-50, 1.0, 1.0 + 2.0**-50, 0.8, 0.7999, 0.8001, 1.25, 0.625)
+    return [
+        tuple((math.ldexp(4.0 * math.sqrt(n) * f, -k) * u).tolist())
+        for k in range(-2, 48)
+        for f in factors
+        for u in dirs
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_home_level_lies_in_the_start_block(n):
+    # `_start_level` proves that the home level is one of s .. s + 2; at
+    # distances where a threshold meets d(x,A), or where level s + 2 is
+    # closest to failing, both searches find a home cube of W there: the
+    # one-query search a cube that qualifies and whose parent does not,
+    # and the block search, which settles every query, the same cube among
+    # the supporting cubes of the query
+    A = decomp.FinitePoints([[0.0] * n, [100.0] * n])
+    dec = decomp.Decomposition(A)
+    xs = _threshold_queries(n)
+    found = dec._search_block(np.array(xs))
+    assert all(f is not None for f in found)
+    assert dec.supporting_cubes_batch(xs) == found
+    levels = set()
+    for x, cubes in zip(xs, found):
+        start = dec._start_level(A.distance(x))
+        home = dec.locate(x)
+        assert start <= home.level <= start + 2 and dec.in_family(home), x
+        holding = [c for c, _ in cubes if c.corner == tuple(math.floor(math.ldexp(xi, c.level)) for xi in x)]
+        assert holding == [home], x
+        levels.add(home.level - start)
+    assert levels == ({0, 1} if n == 1 else {0, 1, 2})  # on the line, level s + 1 qualifies at all of them
 
 
 def _nearest_row_by_list(A, x):

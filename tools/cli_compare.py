@@ -1,5 +1,5 @@
 """
-Run one fixed list of 56 CLI invocations against two source trees and
+Run one fixed list of 58 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -25,8 +25,10 @@ whose points use three key layouts, on jet files of that shape whose
 points spell their keys alike in reverse order, whose points all but one
 spell them in order, and whose points spell an extra index beyond the
 order, on two malformed jet files (exit 2),
-and on grids whose middle row overflows (exit 2), lies below the
-resolution (exit 3) or exhausts the degree schedule (exit 3); check-jet
+on grids whose middle row overflows (exit 2), lies below the
+resolution (exit 3) or exhausts the degree schedule (exit 3), and on
+single rows (the one-query cube search) below the resolution (exit 3)
+and 1e-9 from a jet point with ``--derivs``; check-jet
 on 3 points, on 40 points at n = 3, order 3, m = 2, at its order and
 with ``--k 1``, on 120 such points (three blocks of anchors), and on a
 jet whose tiny pair distances leave the float range at the power 2
@@ -478,6 +480,10 @@ INVOCATIONS = [
         ["extend", "--input", "slopes.json", "--derivs", "(1)", "--grid=0.5:0.52:0.01"],
     ),
     ("extend resolution at a middle row", ["extend", "--input", "jet1.json", "--grid=-0.3:0.3:0.1"]),
+    # single rows, which take the one-query cube search: one below the
+    # dyadic resolution of 0 (exit 3), and one on level 33 with derivatives
+    ("extend one row below the resolution", ["extend", "--input", "jet1.json", "--grid=5.55e-17:5.55e-17:1"]),
+    ("extend one deep row --derivs", ["extend", "--input", "jet1.json", "--grid=1e-9:1e-9:1", "--derivs", "(1) (2)"]),
     # the fourth of seven rows, -1.4, needs schedule degree 3 of an order-2
     # jet (exit 3)
     (
