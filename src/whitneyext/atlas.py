@@ -155,12 +155,7 @@ class AtlasJet:
 
     def point_ids(self):
         """All manifold point ids, in first-appearance order."""
-        seen = []
-        for jet in self.jets.values():
-            for pid in jet.ids:
-                if pid not in seen:
-                    seen.append(pid)
-        return seen
+        return list(dict.fromkeys(pid for jet in self.jets.values() for pid in jet.ids))
 
     def project(self, l):
         """Forget derivative data above order l in every chart."""
@@ -463,26 +458,27 @@ def load_atlas(doc):
         raise ValueError(f"the atlas is {jets._kind(doc)}, expected an object")
     n = jets._integer(doc, "dim")
     charts = []
-    for c in _objects(doc["charts"], "charts"):
-        charts.append(Chart(c["id"], _codomain(c, n)))
+    for i, c in enumerate(_objects(jets._field(doc, "charts", "the atlas"), "charts")):
+        charts.append(Chart(jets._field(c, "id", f"charts[{i}]"), _codomain(c, n)))
     transitions = {}
     for i, t in enumerate(_objects(doc.get("transitions", []), "transitions")):
-        ve = exprlang.VectorExpr.parse(jets._strings(t, "map", f"transitions[{i}]"), n)
-        transitions[(str(t["from"]), str(t["to"]))] = ve
+        owner = f"transitions[{i}]"
+        ve = exprlang.VectorExpr.parse(jets._strings(t, "map", owner), n)
+        transitions[(str(jets._field(t, "from", owner)), str(jets._field(t, "to", owner)))] = ve
     atlas = FiniteAtlas(n, charts, transitions)
     aj = None
     if doc.get("jets"):
         jet_map = {}
-        for entry in _objects(doc["jets"], "jets"):
-            cid = str(entry["chart"])
+        for i, entry in enumerate(_objects(doc["jets"], "jets")):
+            cid = str(jets._field(entry, "chart", f"jets[{i}]"))
             if cid in jet_map:
                 raise ValueError(f"duplicate jet entry for chart {cid!r}")
-            jet_map[cid] = _jet_from_points(n, entry["points"])
+            jet_map[cid] = _jet_from_points(n, jets._field(entry, "points", f"jets[{i}]"))
         aj = AtlasJet(jet_map)
     pou = []
     for i, entry in enumerate(_objects(doc.get("pou", []), "pou")):
         exprs = jets._strings(entry, "h", f"pou[{i}]")
         if len(exprs) != 1:
             raise ValueError("each bump must be a single scalar expression")
-        pou.append((str(entry["chart"]), exprlang.parse(exprs[0], n)))
+        pou.append((str(jets._field(entry, "chart", f"pou[{i}]")), exprlang.parse(exprs[0], n)))
     return atlas, aj, pou

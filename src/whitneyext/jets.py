@@ -98,7 +98,8 @@ class Jet:
         N, ncoef = len(self.ids), len(self.indices)
         try:
             X = np.asarray(xs, dtype=float) if N else np.empty((0, n))
-            F = np.asarray(vs, dtype=float) if N else np.empty((0, ncoef, m))
+            # row-major, as the hot gathers take whole rows of F
+            F = np.ascontiguousarray(vs, dtype=float) if N else np.empty((0, ncoef, m))
             if not (len(self.row) == N and X.shape == (N, n) and F.shape == (N, ncoef, m)
                     and np.isfinite(X).all() and np.isfinite(F).all() and not _repeats(X)):
                 raise ValueError("the stacked jet fails a check")
@@ -196,14 +197,16 @@ class Jet:
             raise ValueError(f"derivative order {upto} outside 0..{l}")
         ctx = taylorarith.context(self.n, l)
         h = np.asarray(x, dtype=float) - self.X.take(rows, axis=0)
-        powers = [_power(v, e) for v in h.ravel().tolist() for e in range(l + 1)]
+        hs, es = h.ravel().tolist(), range(l + 1)
+        try:
+            powers = [v**e for v in hs for e in es]
+        except OverflowError:
+            powers = [_power(v, e) for v in hs for e in es]
         powers = np.array(powers).reshape(len(rows), self.n, l + 1)
-        nrows = multiindex.count_upto(self.n, upto)
-        p = int(np.searchsorted(ctx.pair_i, nrows))  # the pairs with |b| <= upto
+        width = len(rows) * self.m
+        nrows, p, keys = ctx.shift_keys(upto, width)  # p: the pairs with |b| <= upto
         # contiguous, as gathering rows from the transposed view is slower
         values = np.ascontiguousarray(self.F.take(rows, axis=0).transpose(1, 0, 2))
-        width = len(rows) * self.m
-        keys = (ctx.pair_i[:p, None] * width + np.arange(width)).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             mono = powers[:, 0].take(ctx.exponents[:, 0], axis=1)
             for i in range(1, self.n):
@@ -468,10 +471,19 @@ def _integer(d, field):
         raise ValueError(f'"{field}" is {_kind(d[field])}, expected an integer') from None
 
 
+def _field(d, field, owner):
+    """The field of the object `owner` of a document; a missing field is a
+    ValueError naming both."""
+    try:
+        return d[field]
+    except KeyError:
+        raise ValueError(f'{owner} has no "{field}"') from None
+
+
 def _strings(d, field, owner):
     """The field of the object `owner` of a document that lists expressions;
     anything but a list of strings is a ValueError naming both."""
-    v = d[field]
+    v = _field(d, field, owner)
     if not (isinstance(v, list) and all(isinstance(e, str) for e in v)):
         raise ValueError(f'"{field}" of {owner} is {v!r}, expected a list of strings')
     return v

@@ -45,9 +45,13 @@ constant series — the junctions are flat.)  In the transition band the
 argument is linear, and ``_step_series`` forms the series of s(t + tau) by
 three O(k^2) recurrences: g = -1/p for p = p0 -/+ tau (g_j = g_0 (+/-1/p0)^j),
 E = exp(g) (E_j = (1/j) sum_{i=1..j} i g_i E_{j-i} from E_0 = math.exp(g_0))
-and the quotient up/(up + down).  Row 0 does the float operations of the
-scalar formula, so every s(t) keeps its bits (``np.exp`` would move the last
-bit of some); the derivative rows round as the recurrences do.
+and the quotient up/(up + down).  Each step j of the last two is one
+``np.add.reduce`` over its j products, divided into its row in place.  Row
+0 does the float operations of the scalar formula, so every s(t) keeps its
+bits (``np.exp`` would move the last bit of some); the derivative rows
+round as the recurrences do.  What depends only on the shape, the degree
+|a|, the multinomial |a|!/a! and the exponent columns of every index a,
+``bump_taylor`` reads from the shared ``taylorarith.Context``.
 """
 
 import itertools
@@ -71,7 +75,6 @@ def bump_taylor(u):
     s_0, and for a slope that is a power of 2 the scaling is exact.
     """
     ctx, c = u.ctx, u.coeffs.reshape(len(u.coeffs), -1)
-    degree = ctx.exponents.sum(axis=1)
     if c[ctx.n + 1 :].any():  # the rows of degree >= 2, after row n in graded-lex order
         raise ValueError("the profile takes a linear argument: u has a nonzero coefficient of degree >= 2")
     t0 = np.abs(c[0])
@@ -80,9 +83,8 @@ def bump_taylor(u):
     mid = np.flatnonzero((0.5 < t0) & (t0 < 0.75))
     if mid.size:
         slopes = c[1 : ctx.n + 1].take(mid, axis=1) * np.sign(c[0, mid])  # the rows e_i; none for k = 0
-        powers = np.prod(slopes ** ctx.exponents[:, : len(slopes), None], axis=1)
-        multinomial = np.array([math.factorial(d) for d in degree]) / ctx.factorials
-        out[:, mid] = _step_series(t0[mid], ctx.k).take(degree, axis=0) * (multinomial[:, None] * powers)
+        powers = np.multiply.reduce(slopes**ctx.slope_exponents, axis=1)
+        out[:, mid] = _step_series(t0[mid], ctx.k).take(ctx.degrees, axis=0) * (ctx.multinomials * powers)
     return TaylorValue(ctx, out.reshape(u.coeffs.shape))
 
 
@@ -99,11 +101,11 @@ def _step_series(t, k):
     e = np.empty_like(ig)
     e[0] = e0
     for j in range(1, k + 1):
-        e[j] = (ig[1 : j + 1] * e[j - 1 :: -1]).sum(axis=0) / j
+        np.divide(np.add.reduce(ig[1 : j + 1] * e[j - 1 :: -1], axis=0), j, out=e[j])
     up, total = e[:, : t.size], e[:, : t.size] + e[:, t.size :]
     s = up / total[0]  # row 0 is final
     for j in range(1, k + 1):
-        s[j] = (up[j] - (total[1 : j + 1] * s[j - 1 :: -1]).sum(axis=0)) / total[0]
+        np.divide(up[j] - np.add.reduce(total[1 : j + 1] * s[j - 1 :: -1], axis=0), total[0], out=s[j])
     return s
 
 
@@ -150,7 +152,7 @@ def psi_cube(cube, x, k):
     ctx = taylorarith.context(len(x), k)
     out = constant(1.0, ctx.n, k)
     for i, e in enumerate(ctx.exponents.T):
-        alone = e == ctx.exponents.sum(axis=1)  # the indices j·e_i
+        alone = e == ctx.degrees  # the indices j·e_i
         out = out * TaylorValue(ctx, np.where(alone, profiles[e, i], 0.0))
     return out
 

@@ -37,8 +37,8 @@ operand keeps plain indexing, which is the faster there (0.2 against
 
 The convolution runs over a pair table precomputed once per (n, k) and
 shared by every value of that shape (see :class:`Context`); the tables are
-immutable after construction, so values can be used freely from multiple
-threads.
+immutable after construction, and a memoized key array is never changed,
+so values can be used freely from multiple threads.
 """
 
 import math
@@ -56,6 +56,9 @@ class SeriesDomainError(ArithmeticError):
 MAX_ORDER = 20
 """The largest series order: the factorials of a context of a higher order
 leave the 64-bit integers (21! > 2^63)."""
+
+KEY_MEMO_ENTRIES = 1 << 15
+"""The most keys of one bincount key array that a Context memoizes."""
 
 
 class Context:
@@ -78,9 +81,19 @@ class Context:
         |a_i| + |a_j| <= k.
     factorials : ndarray
         a! per index, for derivative extraction.
+    degrees : ndarray of int
+        |a| per index.
+    multinomials : ndarray, shape (ncoef, 1)
+        |a|! / a! per index, as a column.
+    slope_exponents : ndarray of int, shape (ncoef, n, 1)
+        `exponents` as columns, one per variable (none for k = 0): the
+        powers of the slopes of a linear argument (``pou.bump_taylor``).
 
-    The scatter keys of batched products are memoized per width
-    (``scatter_keys``); the memo only ever gains identical entries.
+    The bincount keys of batched products (``scatter_keys``) and of
+    shifted polynomials (``shift_keys``) are memoized per width, but only
+    arrays of at most KEY_MEMO_ENTRIES keys; wider ones are built per call.
+    The memo is emptied when the next array would bring it past
+    16 * KEY_MEMO_ENTRIES keys, so it never holds more than about 4 MB.
     """
 
     def __init__(self, n, k):
@@ -104,14 +117,45 @@ class Context:
         self.factorials = np.array(
             [multiindex.factorial(a) for a in self.indices], dtype=float
         )
+        self.degrees = self.exponents.sum(axis=1)
+        self.multinomials = (np.array([math.factorial(d) for d in self.degrees]) / self.factorials)[:, None]
+        self.slope_exponents = self.exponents[:, : n if k else 0, None]
         self._keys = {}
+        self._kept = 0  # the keys the memo holds
 
     def scatter_keys(self, width):
         """pair_t[p] * width + c for every pair p and column c < width, flattened."""
         keys = self._keys.get(width)
         if keys is None:
-            keys = self._keys[width] = (self.pair_t[:, None] * width + np.arange(width)).ravel()
+            keys = (self.pair_t[:, None] * width + np.arange(width)).ravel()
+            self._keep(width, keys, keys.size)
         return keys
+
+    def shift_keys(self, upto, width):
+        """
+        For the rows |b| <= upto of a shifted polynomial over `width`
+        columns (``jets.Jet.taylor_series``): (the row count, the count p of
+        the pairs whose first index is such a row, which come first, and
+        pair_i[q] * width + c for q < p and c < width, flattened).
+        """
+        got = self._keys.get((upto, width))
+        if got is None:
+            rows = multiindex.count_upto(self.n, upto)
+            p = int(np.searchsorted(self.pair_i, rows))
+            keys = (self.pair_i[:p, None] * width + np.arange(width)).ravel()
+            got = rows, p, keys
+            self._keep((upto, width), got, keys.size)
+        return got
+
+    def _keep(self, key, table, size):
+        """Memoize table, of `size` keys, under key if size is at most
+        KEY_MEMO_ENTRIES."""
+        if size <= KEY_MEMO_ENTRIES:
+            if self._kept + size > 16 * KEY_MEMO_ENTRIES:
+                self._keys.clear()
+                self._kept = 0
+            self._keys[key] = table
+            self._kept += size
 
 
 _CONTEXTS = {}
@@ -306,16 +350,21 @@ def mul(a, b):
     column c is pair_t[p] * B + c, so every column sums its pairs in the
     order of the 1-D product.
     """
-    ctx, x, y = a.ctx, a.coeffs, b.coeffs
-    if x.ndim == y.ndim == 1:
-        return TaylorValue(ctx, np.bincount(ctx.pair_t, weights=x[ctx.pair_i] * y[ctx.pair_j], minlength=ctx.ncoef))
+    ctx, y = a.ctx, b.coeffs
     # gathers by take (see the module docstring)
+    return TaylorValue(ctx, _times(ctx, a.coeffs, y[ctx.pair_j] if y.ndim == 1 else y.take(ctx.pair_j, axis=0)))
+
+
+def _times(ctx, x, yj):
+    """The product coefficients of x and y, given the gather yj of y's
+    coefficients at pair_j (1-D, or with columns)."""
+    if x.ndim == yj.ndim == 1:
+        return np.bincount(ctx.pair_t, weights=x[ctx.pair_i] * yj, minlength=ctx.ncoef)
     x = x[ctx.pair_i] if x.ndim == 1 else x.take(ctx.pair_i, axis=0)
-    y = y[ctx.pair_j] if y.ndim == 1 else y.take(ctx.pair_j, axis=0)
-    prod = x.reshape(len(x), -1) * y.reshape(len(y), -1)
+    prod = x.reshape(len(x), -1) * yj.reshape(len(yj), -1)
     width = prod.shape[1]
     out = np.bincount(ctx.scatter_keys(width), weights=prod.ravel(), minlength=ctx.ncoef * width)
-    return TaylorValue(ctx, out.reshape(ctx.ncoef, width))
+    return out.reshape(ctx.ncoef, width)
 
 
 def div(a, b):
@@ -324,20 +373,22 @@ def div(a, b):
 
     Truncated forward substitution: with b = b0 + w and w the
     zero-constant part, each sweep q <- (a - q*w) / b0 fixes one more
-    degree, so k sweeps give the quotient.  Since the last sweep only
-    rounds, every coefficient of q*b - a is within a small multiple (set by
-    n and k) of eps * (1 + max|q|) * (1 + max|b|).
+    degree, so k sweeps give the quotient; w is gathered for its products
+    once.  Since the last sweep only rounds, every coefficient of q*b - a
+    is within a small multiple (set by n and k) of
+    eps * (1 + max|q|) * (1 + max|b|).
     """
-    b0 = b.coeffs[0]
+    ctx, b0 = a.ctx, b.coeffs[0]
     if not b0.all():
         raise SeriesDomainError("division by a series with zero constant term")
-    w = b.copy()
-    w.coeffs[0] = 0.0
-    num = a.coeffs if a.coeffs.ndim >= b.coeffs.ndim else a.coeffs[:, None]
-    q = TaylorValue(a.ctx, num / b0)
+    w = b.coeffs.copy()
+    w[0] = 0.0
+    wj = w[ctx.pair_j] if w.ndim == 1 else w.take(ctx.pair_j, axis=0)
+    num = a.coeffs if a.coeffs.ndim >= w.ndim else a.coeffs[:, None]
+    q = num / b0
     for _ in range(a.k):
-        q = TaylorValue(a.ctx, (num - mul(q, w).coeffs) / b0)
-    return q
+        q = (num - _times(ctx, q, wj)) / b0
+    return TaylorValue(ctx, q)
 
 
 def pow_int(a, e):

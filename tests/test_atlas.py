@@ -103,6 +103,15 @@ def test_atlas_jet_shared_ids():
     assert aj.n == 1 and aj.k == 2 and aj.m == 1
 
 
+def test_point_ids_keep_first_appearance_order():
+    # chart v repeats two of u's ids in another order and adds its own
+    sin = el.VectorExpr.parse(["sin(x0)"], 1)
+    fu = jets.Jet.from_expr(sin, [("c", (0.0,)), ("a", (1.0,)), ("d", (2.0,))], 1)
+    fv = jets.Jet.from_expr(sin, [("e", (0.0,)), ("d", (1.0,)), ("b", (2.0,)), ("c", (3.0,))], 1)
+    assert atlas.AtlasJet({"u": fu, "v": fv}).point_ids() == ["c", "a", "d", "e", "b"]
+    assert atlas.AtlasJet({"v": fv, "u": fu}).point_ids() == ["e", "d", "b", "c", "a"]
+
+
 def test_atlas_jet_shape_mismatch():
     f1 = jets.Jet.from_expr(el.VectorExpr.parse(["x0"], 1), [("p", (0.0,))], 1)
     f2 = jets.Jet.from_expr(el.VectorExpr.parse(["x0"], 1), [("p", (0.0,))], 2)

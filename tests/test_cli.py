@@ -676,6 +676,34 @@ def test_atlas_expressions_must_be_lists_of_strings(case, command, tmp_path, cap
     assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
+_MISSING_FIELDS = {
+    "charts": (None, "charts", "the atlas"),
+    "chart-id": ("charts", "id", "charts[0]"),
+    "map": ("transitions", "map", "transitions[0]"),
+    "from": ("transitions", "from", "transitions[0]"),
+    "to": ("transitions", "to", "transitions[0]"),
+    "jet-chart": ("jets", "chart", "jets[0]"),
+    "jet-points": ("jets", "points", "jets[0]"),
+    "h": ("pou", "h", "pou[0]"),
+    "pou-chart": ("pou", "chart", "pou[0]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSING_FIELDS))
+@pytest.mark.parametrize("command", ["manifold-extend", "verify"])
+def test_atlas_names_a_missing_field(case, command, tmp_path, capsys):
+    field, key, owner = _MISSING_FIELDS[case]
+    doc = {**_atlas_of_constants(1.0), "pou": [{"chart": "u", "h": ["1"]}]}
+    del (doc if field is None else doc[field][0])[key]
+    p = tmp_path / "atlas.json"
+    p.write_text(json.dumps(doc))
+    if command == "verify":
+        rc = run(["verify", "--suite", "correspondence", "--input", str(p)])
+    else:
+        rc = run(["manifold-extend", "--input", str(p), "--chart", "u", "--grid=0:1:0.5"])
+    assert (rc, capsys.readouterr().err) == (2, f'error: {owner} has no "{key}"\n')
+
+
 def test_extend_determinism(jetfile, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -2,6 +2,7 @@
 derivative consistency, boundary recovery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -536,3 +537,27 @@ def test_derivs_near_set_scale_aware(n, k, npts, queries):
             worst_near = max(worst_near, r)
     assert worst_near < 1e-3, worst_near
     assert worst < 1.0, worst
+
+
+def test_blends_of_many_batch_sizes_keep_a_bounded_key_memo():
+    # every batch size gives the order-4 products new widths, whose key
+    # arrays (up to 2.2 MB here) are built per call and let go: before the
+    # bound, these ten blends left 25 MB of them in the memo
+    rng = np.random.default_rng(5)
+    ext = extend.Extension(jet_of(["x0*x1 + x2^3", "x0^2 - x1*x2"], rng.uniform(-1.0, 1.0, (50, 3)), 4, n=3))
+    ext.blend([(0.3, 0.2, 0.1)], 4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for q in range(100, 200, 10):
+            ext.blend(rng.uniform(-1.2, 1.2, (q, 3)), 4)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 6e6, grown  # a context's memo holds at most 16 * 2^15 keys, 4.2 MB
+    held = [
+        v.size if isinstance(v, np.ndarray) else v[2].size
+        for ctx in taylorarith._CONTEXTS.values()
+        for v in ctx._keys.values()
+    ]
+    assert max(held) <= taylorarith.KEY_MEMO_ENTRIES

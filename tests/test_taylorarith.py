@@ -342,6 +342,37 @@ def test_series_order_limit():
         ta.seeds((0.0, 1.0), 21)
 
 
+@pytest.mark.parametrize("n, k", [(1, 0), (3, 0), (1, 4), (3, 4)])
+def test_context_profile_tables(n, k):
+    ctx = ta.context(n, k)
+    for i, a in enumerate(ctx.indices):
+        assert ctx.degrees[i] == sum(a)
+        assert ctx.multinomials[i, 0] == math.factorial(sum(a)) / math.prod(map(math.factorial, a))
+    assert ctx.slope_exponents.shape == (ctx.ncoef, n if k else 0, 1)
+    assert np.array_equal(ctx.slope_exponents[:, :, 0], ctx.exponents[:, : n if k else 0])
+
+
+def test_key_memo_keeps_only_arrays_within_its_bound():
+    ctx = ta.Context(2, 3)  # not the shared one, whose memo other tests fill
+    bound, pairs = ta.KEY_MEMO_ENTRIES, len(ctx.pair_t)
+    small = bound // pairs
+    for width in (1, small, small + 1):
+        keys = ctx.scatter_keys(width)
+        assert np.array_equal(keys, (ctx.pair_t[:, None] * width + np.arange(width)).ravel())
+        assert (ctx.scatter_keys(width) is keys) == (width <= small)
+    rows, p, keys = ctx.shift_keys(1, 5)
+    assert (rows, p) == (3, np.count_nonzero(ctx.pair_i < 3))
+    assert np.array_equal(keys, (ctx.pair_i[:p, None] * 5 + np.arange(5)).ravel())
+    assert ctx.shift_keys(1, 5)[2] is keys
+    assert ctx.shift_keys(3, small + 1)[2] is not ctx.shift_keys(3, small + 1)[2]  # built per call
+    # widths whose arrays add up to many times the memo: it stays bounded
+    for width in range(1, 3 * small):
+        ctx.scatter_keys(width)
+        ctx.shift_keys(2, width)
+    held = [v.size if isinstance(v, np.ndarray) else v[2].size for v in ctx._keys.values()]
+    assert max(held) <= bound and sum(held) <= 16 * bound
+
+
 def test_batched_compose_matches_columnwise_calls():
     rng = np.random.default_rng(7)
     ctx = ta.context(2, 3)

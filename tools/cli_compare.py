@@ -1,5 +1,5 @@
 """
-Run one fixed list of 58 CLI invocations against two source trees and
+Run one fixed list of 60 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -15,7 +15,8 @@ with non-dyadic bounds); extend with values, ``--k``, ``--schedule`` and ``--der
 n = 1, 2, 3, with ``--derivs`` on a grid of the jet's own points (their
 rows read from the jet), with ``--derivs`` on rows 1e-9 .. 1e-3 from a
 jet point at n = 3, with ``--derivs`` to order 4 on a fine off-lattice
-grid at n = 3 (its rows fall in the cut-offs' transition bands), with
+grid at n = 3 and on a one-row and a two-row grid there (their rows fall
+in the cut-offs' transition bands), with
 values at n = 4 (on 81 rows and on 625), on a jet file of explicit values with varied key
 spellings (with values and ``--schedule``), on a
 1000-point jet file of the benchmark's grid-tile shape (a tile with
@@ -447,6 +448,23 @@ INVOCATIONS = [
         [
             "extend", "--input", "jet3.json", "--grid=-1.13:1.1:0.137,-1.07:1.1:0.151,-0.93:1:0.173",
             "--derivs", "(1,0,0) (0,1,1) (2,1,1) (0,0,4) (1,1,2)",
+        ],
+    ),
+    # one row and two rows, blended as batches of one and two queries; each
+    # row has supporting cubes of two or three anchors with coordinates in
+    # their cut-offs' transition bands
+    (
+        "extend 3-D --derivs on one row in the transition bands",
+        [
+            "extend", "--input", "jet3.json", "--grid=0.74:0.74:1,-0.45:-0.45:1,0.12:0.12:1",
+            "--derivs", "(1,0,0) (0,2,1) (4,0,0) (1,1,2) (0,0,4) (2,2,0)",
+        ],
+    ),
+    (
+        "extend 3-D --derivs on two rows in the transition bands",
+        [
+            "extend", "--input", "jet3.json", "--grid=-0.15:-0.02:0.13,0.88:0.88:1,-0.76:-0.76:1",
+            "--derivs", "(1,0,0) (0,2,1) (4,0,0) (1,1,2) (0,0,4) (2,2,0)",
         ],
     ),
     ("extend 4-D values", ["extend", "--input", "jet4.json", "--grid=-1:1:0.7,-1:1:0.7,-1:1:0.7,-1:1:0.7"]),
