@@ -456,7 +456,7 @@ def load_atlas(doc):
     """
     if not isinstance(doc, dict):
         raise ValueError(f"the atlas is {jets._kind(doc)}, expected an object")
-    n = jets._integer(doc, "dim")
+    n = jets._integer(doc, "dim", "the atlas")
     charts = []
     for i, c in enumerate(_objects(jets._field(doc, "charts", "the atlas"), "charts")):
         charts.append(Chart(jets._field(c, "id", f"charts[{i}]"), _codomain(c, n)))

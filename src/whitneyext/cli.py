@@ -128,7 +128,8 @@ def _parse_point_list(entries):
         raise ValueError(f'"points" is {jets._kind(entries)}, expected a list')
     pts = []
     for i, e in enumerate(entries):
-        pid, x = (str(e["id"]), e["x"]) if isinstance(e, dict) else (f"p{i}", e)
+        pid = str(jets._field(e, "id", f"points[{i}]")) if isinstance(e, dict) else f"p{i}"
+        x = jets._field(e, "x", f"point {pid}") if isinstance(e, dict) else e
         try:  # a list only: a string would be read as its characters
             pts.append((pid, tuple(map(float, x if isinstance(x, list) else None))))
         except (OverflowError, TypeError, ValueError):
@@ -143,17 +144,55 @@ def load_jet_spec(doc):
     {"induce": {"expr": [...], "points": [...]}} with "dim" and "order".
     """
     if isinstance(doc, dict) and "induce" in doc:
-        n, k = jets._integer(doc, "dim"), jets._order(doc)
+        n, k = jets._integer(doc, "dim", "the jet"), jets._order(doc)
         ind = doc["induce"]
         if not isinstance(ind, dict):
             raise ValueError(f'"induce" is {jets._kind(ind)}, expected an object')
         f = exprlang.VectorExpr.parse(jets._strings(ind, "expr", '"induce"'), n)
-        if "outdim" in doc and jets._integer(doc, "outdim") != f.m:
+        if "outdim" in doc and jets._integer(doc, "outdim", "the jet") != f.m:
             raise ValueError(
                 f"outdim {doc['outdim']} does not match {f.m} expression(s)"
             )
-        return jets.Jet.from_expr(f, _parse_point_list(ind["points"]), k)
+        return jets.Jet.from_expr(f, _parse_point_list(jets._field(ind, "points", '"induce"')), k)
     return jets.Jet.from_dict(doc)
+
+
+# digits read as "0", "." kept, any other byte a space: an integer literal
+# of 19 or more digits then reads as a space and 19 zeros
+_DIGIT_RUNS = bytes(48 if 48 <= b <= 57 else 46 if b == 46 else 32 for b in range(256))
+# every byte but the quotes and brackets, which tell how deep a document nests
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'"[]{}')
+_BRACKETS = bytes.maketrans(b"{}", b"[]")
+
+
+def _nests_at_most(data, depth):
+    """Whether the JSON text data nests at most depth containers deep.  Each
+    round drops every empty pair of quotes and of brackets, so a container
+    goes in the round after all it holds; nesting deeper than depth, or
+    brackets a string leaves unpaired, leave something behind."""
+    if b"\\" in data:  # escapes out, so that no escaped quote ends a string
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    s = data.translate(_BRACKETS, _NOT_STRUCTURE)
+    for _ in range(depth):
+        if not s:
+            return True
+        s = s.replace(b'""', b"").replace(b"[]", b"")
+    return not s
+
+
+def _decode(path):
+    """The JSON document in the file at path, as json.load reads it (see _read)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    plain = data.isascii() and b" " + b"0" * 19 not in (b" " + data).translate(_DIGIT_RUNS)
+    if plain and _nests_at_most(data, 100):
+        import orjson  # here: 3 to 5 ms and 0.5 MB that runs reading no document need not pay
+        try:
+            return orjson.loads(data)
+        except Exception:  # json.load decides, and raises its own error
+            pass
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _read(path, convert):
@@ -164,13 +203,21 @@ def _read(path, convert):
     containers, only scan them and promote them toward the oldest
     generation; the document is dropped when convert returns, before the
     collector resumes.  The collector is left as it was found.
+
+    orjson decodes the document three times faster than json.load, to the
+    same values, float bits and key order.  json.load of the file as text
+    reads the files where the two could differ: those orjson rejects (NaN,
+    Infinity, 1e400, lone surrogates, malformed text), so every error keeps
+    its message; those holding an integer of 19 or more digits (orjson reads
+    one outside [-2^63, 2^64) as a float); those not pure ASCII (text mode
+    decodes by the locale); and those nested over 100 deep (json.load raises
+    RecursionError near 1000, orjson 3.8 recurses until the C stack overflows).
     """
     paused = gc.isenabled()
     if paused:
         gc.disable()
     try:
-        with open(path) as fh:
-            return convert(json.load(fh))
+        return convert(_decode(path))
     finally:
         if paused:
             gc.enable()
@@ -327,12 +374,9 @@ def _bundle(doc):
     m = doc.get("map")
     if not isinstance(m, dict):
         raise ValueError(f'"map" is {jets._kind(m)}, expected an object')
-    for field in ("from_dim", "expr"):
-        if field not in m:
-            raise ValueError(f'"map" has no "{field}"')
-    g = exprlang.VectorExpr.parse(jets._strings(m, "expr", '"map"'), jets._integer(m, "from_dim"))
-    f = load_jet_spec(doc["jet"])
-    return g, f, _parse_point_list(doc["points"])
+    g = exprlang.VectorExpr.parse(jets._strings(m, "expr", '"map"'), jets._integer(m, "from_dim", '"map"'))
+    f = load_jet_spec(jets._field(doc, "jet", "the bundle"))
+    return g, f, _parse_point_list(jets._field(doc, "points", "the bundle"))
 
 
 def cmd_pullback(args):

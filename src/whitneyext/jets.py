@@ -373,7 +373,7 @@ class Jet:
         """
         if not isinstance(d, dict):
             raise ValueError(f"the jet is {_kind(d)}, expected an object")
-        n, k, m = _integer(d, "dim"), _order(d), _integer(d, "outdim")
+        n, k, m = _integer(d, "dim", "the jet"), _order(d), _integer(d, "outdim", "the jet")
         indices = multiindex.enumerate_upto(n, k)
         parse = functools.cache(lambda key: multiindex.parse(key, n))  # once per spelling
         layouts = {}
@@ -463,12 +463,14 @@ def _kind(v):
     return "null" if v is None else kinds.get(type(v), "a number")
 
 
-def _integer(d, field):
-    """The integer field of a jet file; a value int() does not take is a ValueError."""
+def _integer(d, field, owner):
+    """The integer field of the object `owner` of a document; a missing field
+    or a value int() does not take is a ValueError."""
+    v = _field(d, field, owner)
     try:
-        return int(d[field])
+        return int(v)
     except TypeError:
-        raise ValueError(f'"{field}" is {_kind(d[field])}, expected an integer') from None
+        raise ValueError(f'"{field}" is {_kind(v)}, expected an integer') from None
 
 
 def _field(d, field, owner):
@@ -492,7 +494,7 @@ def _strings(d, field, owner):
 def _order(d):
     """The "order" field of a jet file, at most ``taylorarith.MAX_ORDER``,
     the largest order of a series context."""
-    k = _integer(d, "order")
+    k = _integer(d, "order", "the jet")
     if k > taylorarith.MAX_ORDER:
         raise ValueError(f"order {k} exceeds the largest supported jet order {taylorarith.MAX_ORDER}")
     return k

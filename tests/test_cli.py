@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import whitneyext
 from whitneyext import cli, exprlang, jets, multiindex
@@ -840,6 +842,8 @@ def test_pullback_unmatched_image(tmp_path):
     assert rc == 2
 
 
+_IDENTITY_JET = {"dim": 1, "order": 1, "induce": {"expr": ["x0"], "points": [[0.0]]}}
+
 _MALFORMED_BUNDLE = {
     "map-number": ({"map": 3, "jet": {}, "points": []}, '"map" is a number, expected an object'),
     "no-map": ({"jet": {}, "points": []}, '"map" is null, expected an object'),
@@ -848,6 +852,17 @@ _MALFORMED_BUNDLE = {
     "from-dim-null": ({"map": {"from_dim": None, "expr": ["x0"]}}, '"from_dim" is null, expected an integer'),
     "expr-string": ({"map": {"from_dim": 1, "expr": "x0"}}, '"expr" of "map" is \'x0\', expected a list of strings'),
     "document-list": ([1], "the bundle is a list, expected an object"),
+    # missing fields printed only the key, as "error: 'points'"
+    "no-jet": ({"map": {"from_dim": 1, "expr": ["x0"]}, "points": []}, 'the bundle has no "jet"'),
+    "no-points": ({"map": {"from_dim": 1, "expr": ["x0"]}, "jet": _IDENTITY_JET}, 'the bundle has no "points"'),
+    "point-without-id": (
+        {"map": {"from_dim": 1, "expr": ["x0"]}, "jet": _IDENTITY_JET, "points": [{"x": [0.0]}]},
+        'points[0] has no "id"',
+    ),
+    "point-without-x": (
+        {"map": {"from_dim": 1, "expr": ["x0"]}, "jet": _IDENTITY_JET, "points": [{"id": "s"}]},
+        'point s has no "x"',
+    ),
 }
 
 
@@ -857,6 +872,39 @@ def test_pullback_rejects_a_malformed_bundle(case, tmp_path, capsys):
     p = tmp_path / "bundle.json"
     p.write_text(json.dumps(bundle))
     rc = run(["pullback", "--input", str(p), "--out", str(tmp_path / "o.json")])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+# jet documents without a field, explicit and induced, and the error line
+# each prints (exit 2); each printed only the key, as "error: 'dim'"
+_MISSING_JET_FIELDS = {
+    "dim": ({"order": 1, "outdim": 1, "points": []}, 'the jet has no "dim"'),
+    "order": ({"dim": 1, "outdim": 1, "points": []}, 'the jet has no "order"'),
+    "outdim": ({"dim": 1, "order": 1, "points": []}, 'the jet has no "outdim"'),
+    "induce-dim": ({"order": 1, "induce": _IDENTITY_JET["induce"]}, 'the jet has no "dim"'),
+    "induce-order": ({"dim": 1, "induce": _IDENTITY_JET["induce"]}, 'the jet has no "order"'),
+    "induce-points": ({"dim": 1, "order": 1, "induce": {"expr": ["x0"]}}, '"induce" has no "points"'),
+    "induce-point-id": (
+        {"dim": 1, "order": 1, "induce": {"expr": ["x0"], "points": [{"x": [0.0]}]}}, 'points[0] has no "id"'
+    ),
+    "induce-point-x": (
+        {"dim": 1, "order": 1, "induce": {"expr": ["x0"], "points": [{"id": "a"}]}}, 'point a has no "x"'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSING_JET_FIELDS))
+@pytest.mark.parametrize("command", ["extend", "pullback"])
+def test_a_missing_jet_field_is_named(case, command, tmp_path, capsys):
+    jet, message = _MISSING_JET_FIELDS[case]
+    p = tmp_path / "doc.json"
+    if command == "extend":
+        p.write_text(json.dumps(jet))
+        rc = run(["extend", "--input", str(p), "--grid=0:1:0.5"])
+    else:
+        bundle = {"map": {"from_dim": 1, "expr": ["x0"]}, "jet": jet, "points": [{"id": "s", "x": [0.0]}]}
+        p.write_text(json.dumps(bundle))
+        rc = run(["pullback", "--input", str(p), "--out", str(tmp_path / "o.json")])
     assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
@@ -1097,6 +1145,17 @@ def test_loading_leaves_the_collector_as_it_was(enabled, setfile, jetfile, atlas
         (gc.enable if was else gc.disable)()
 
 
+def _tile_jet_file(tmp_path):
+    """A 1000-point 2-D jet file as Jet.to_dict writes it, of the benchmark's
+    grid-tile shape."""
+    rng = np.random.default_rng(7)
+    pts = [(f"p{i}", tuple(x)) for i, x in enumerate(rng.uniform(-1.0, 1.0, (1000, 2)).tolist())]
+    jet = jets.Jet.from_expr(exprlang.VectorExpr.parse(["1 + x0*x1 - x1^2/2"], 2), pts, 2)
+    path = tmp_path / "jet.json"
+    path.write_text(json.dumps(jet.to_dict()))
+    return path
+
+
 class _Document(dict):
     """A decoded document that a weak reference can watch."""
 
@@ -1106,18 +1165,14 @@ def test_no_collection_runs_while_a_document_is_alive(tmp_path, monkeypatch):
     # in it: over 20 extends of a 1000-point 2-D jet file on 4x4 tiles, no
     # collection starts while a decoded document is alive, and each is
     # freed before its command returns
-    rng = np.random.default_rng(7)
-    pts = [(f"p{i}", tuple(x)) for i, x in enumerate(rng.uniform(-1.0, 1.0, (1000, 2)).tolist())]
-    jet = jets.Jet.from_expr(exprlang.VectorExpr.parse(["1 + x0*x1 - x1^2/2"], 2), pts, 2)
-    path = tmp_path / "jet.json"
-    path.write_text(json.dumps(jet.to_dict()))
+    path = _tile_jet_file(tmp_path)
     docs, starts, decoding = [], [], []
-    load = json.load
+    decode = cli._decode
 
-    def tracked(fh):
-        decoding.append(fh)
+    def tracked(p):
+        decoding.append(p)
         try:
-            doc = _Document(load(fh))
+            doc = _Document(decode(p))
         finally:
             decoding.pop()
         docs.append(weakref.ref(doc))
@@ -1127,7 +1182,7 @@ def test_no_collection_runs_while_a_document_is_alive(tmp_path, monkeypatch):
         if phase == "start":
             starts.append(len(decoding) + sum(ref() is not None for ref in docs))
 
-    monkeypatch.setattr(json, "load", tracked)
+    monkeypatch.setattr(cli, "_decode", tracked)
     gc.callbacks.append(watch)
     try:
         for t in range(20):
@@ -1138,6 +1193,153 @@ def test_no_collection_runs_while_a_document_is_alive(tmp_path, monkeypatch):
     finally:
         gc.callbacks.remove(watch)
     assert len(docs) == 20 and not any(starts), starts
+
+
+def _exact(v):
+    """A decoded JSON value spelled so that equal spellings mean the same
+    types, float bits and key order."""
+    if isinstance(v, dict):
+        return ("object", [(key, _exact(x)) for key, x in v.items()])
+    if isinstance(v, list):
+        return ("list", [_exact(x) for x in v])
+    if isinstance(v, float):
+        return ("float", struct.pack("<d", v))
+    return (type(v).__name__, v)
+
+
+def _reading(read, path):
+    """What read(path) gives: the exact value, or the exception's type and
+    message."""
+    try:
+        return _exact(read(path))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _stdlib_reading(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _decodes_as_stdlib(path, data):
+    path.write_bytes(data)
+    assert _reading(cli._decode, path) == _reading(_stdlib_reading, path), data[:200]
+
+
+# files where orjson and the standard library's reader could differ, and
+# files that orjson reads
+_EDGE_DOCUMENTS = {
+    "nan": b'{"v": [NaN, 1.5]}',
+    "infinity": b"[Infinity, -Infinity]",
+    "beyond-float-range": b"[1e400, -1e400, 1.7976931348623159e308]",
+    "below-float-range": b"[1e-400, -2.4703282292062327e-324, 2.4703282292062328e-324, 5e-324]",
+    "negative-zero": b"[-0.0, -0, 0e0]",
+    "long-fraction": b"[0.1000000000000000055511151231257827021181583404541015625, 0.00012345678901234567]",
+    "long-mantissa-exponent": b"[123456789012345678e290, 1.2345678901234567890123e-300]",
+    "int-2^63-1": b"[9223372036854775807, -9223372036854775807]",
+    "int-2^63": b"[9223372036854775808, -9223372036854775808]",
+    "int-beyond-2^63": b"-9223372036854775809",
+    "int-2^64": b"[18446744073709551615, 18446744073709551616]",
+    "int-2^100": str(2**100).encode(),
+    "30-digit-id": b'{"points": [{"id": 123456789012345678901234567890, "x": [0.5]}]}',
+    "19-digit-integer-part": b"[1234567890123456789.5]",
+    "bom": b'\xef\xbb\xbf{"dim": 1}',
+    "invalid-utf-8": b'{"id": "\xff"}',
+    "lone-surrogate": b'{"id": "\\ud800"}',
+    "surrogate-pair": b'{"id": "\\ud83d\\ude00"}',
+    "non-ascii-ids": '{"points": [{"id": "\u00e9t\u00e9", "x": [1.0]}, {"id": "\u03b1", "x": [2.0]}]}'.encode(),
+    "escaped-non-ascii": b'{"id": "\\u00e9"}',
+    "duplicate-keys": b'{"a": 1, "b": 2, "a": 3.5}',
+    "crlf": b'{\r\n  "dim": 1,\r\n  "x": [0.5, 2]\r\n}\r\n',
+    "crlf-malformed": b'{\r\n  "dim": 1,\r\n  "x": [0.5, ]\r\n}\r\n',
+    "control-character": b'["a\x01b"]',
+    "truncated-object": b'{"dim": 1, "points": [{"id": "a", "x": [0.',
+    "truncated-number": b"[1.5, 2e",
+    "trailing-data": b'{"dim": 1} {}',
+    "empty": b"",
+    "nesting-100": b"[" * 100 + b"1" + b"]" * 100,
+    "nesting-101": b'{"a":' * 101 + b"1" + b"}" * 101,
+    "deep-nesting": b"[" * 1100 + b"]" * 1100,
+    # orjson 3.8 reads this deep and past it until the C stack overflows
+    "deeper-nesting": b'{"a":' * 150000 + b"1" + b"}" * 150000,
+    "brackets-in-strings": b'{"[1,0]": [1], "[[": {"]]": [2]}, "x": "]"}',
+    "escaped-quotes": b'{"a\\"b": [1], "c\\\\": [[2]], "d": "\\\\\\"e"}',
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_DOCUMENTS))
+def test_decode_reads_edge_documents_as_the_standard_library(case, tmp_path):
+    _decodes_as_stdlib(tmp_path / "doc.json", _EDGE_DOCUMENTS[case])
+
+
+def _spelled_number():
+    """Number literals, valid or not: floats from random bit patterns,
+    integers up to 100 bits, and decimals spelled with long mantissas."""
+    bits = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+    decimal = st.tuples(
+        st.sampled_from(["", "-"]),
+        st.one_of(st.just("0"), st.from_regex(r"[1-9][0-9]{0,24}", fullmatch=True)),
+        st.one_of(st.just(""), st.from_regex(r"\.[0-9]{1,30}", fullmatch=True)),
+        st.one_of(st.just(""), st.from_regex(r"[eE][-+]?[0-9]{1,3}", fullmatch=True)),
+    ).map("".join)
+    return st.one_of(
+        bits.map(json.dumps),
+        st.integers(-(2**100), 2**100).map(str),
+        decimal,
+        st.sampled_from(["NaN", "-Infinity", "1e400", "true", "false", "null"]),
+    )
+
+
+def _spelled_string():
+    """String literals of ASCII or of any code point, lone surrogates
+    included, escaped to ASCII or not."""
+    text = st.one_of(st.text(st.characters(max_codepoint=127)), st.text(st.characters(exclude_categories=())))
+    return st.tuples(text, st.booleans()).map(lambda t: json.dumps(t[0], ensure_ascii=t[1]))
+
+
+_SPACE = st.sampled_from(["", " ", "\n", "\r\n", "\t"])
+
+
+def _spelled_document():
+    def containers(kids):
+        items = st.lists(st.tuples(_SPACE, kids, _SPACE).map("".join), max_size=5)
+        members = st.lists(
+            st.tuples(st.one_of(st.sampled_from(['"a"', '"b"']), _spelled_string()), kids).map(":".join),
+            max_size=5,
+        )
+        return st.one_of(
+            items.map(lambda xs: "[" + ",".join(xs) + "]"), members.map(lambda xs: "{" + ",".join(xs) + "}")
+        )
+
+    return st.recursive(st.one_of(_spelled_number(), _spelled_string()), containers, max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_spelled_document(), cut=st.one_of(st.none(), st.integers(0, 10**6)))
+def test_decode_reads_random_documents_as_the_standard_library(text, cut, tmp_path_factory):
+    data = text.encode("utf-8", "surrogatepass")
+    if cut is not None:  # truncated documents
+        data = data[: cut % (len(data) + 1)]
+    _decodes_as_stdlib(tmp_path_factory.getbasetemp() / "random-doc.json", data)
+
+
+def test_a_jet_file_is_decoded_without_the_standard_library(tmp_path, monkeypatch):
+    # a 1000-point 2-D jet file as Jet.to_dict writes it takes orjson's
+    # decode: it is ASCII, four containers deep, with no integer of 19 digits
+    path = _tile_jet_file(tmp_path)
+
+    def refuse(fh):
+        raise AssertionError("json.load called")
+
+    monkeypatch.setattr(json, "load", refuse)
+    assert run(["extend", "--input", str(path), "--grid=-0.25:-0.03:0.0702,0.3:0.52:0.0702"]) == 0
+
+
+def test_importing_the_cli_leaves_orjson_unimported():
+    # orjson is imported by the first decode, not by the library or the CLI module
+    code = "import sys, whitneyext, whitneyext.cli; print('orjson' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def _declared_console_script(name):

@@ -1,5 +1,5 @@
 """
-Run one fixed list of 60 CLI invocations against two source trees and
+Run one fixed list of 65 CLI invocations against two source trees and
 compare what they print.
 
     python tools/cli_compare.py OLD_SRC NEW_SRC
@@ -25,7 +25,8 @@ many blocks), on a jet file
 whose points use three key layouts, on jet files of that shape whose
 points spell their keys alike in reverse order, whose points all but one
 spell them in order, and whose points spell an extra index beyond the
-order, on two malformed jet files (exit 2),
+order, on two malformed jet files and one with CRLF line ends (exit 2),
+on a jet file with NaN and one with a UTF-8 byte-order mark (exit 2),
 on grids whose middle row overflows (exit 2), lies below the
 resolution (exit 3) or exhausts the degree schedule (exit 3), and on
 single rows (the one-query cube search) below the resolution (exit 3)
@@ -37,8 +38,9 @@ jet whose tiny pair distances leave the float range at the power 2
 fdb; pullback (a polynomial map, the shear (x0 + 0.3 sin x1, x1) at
 order 4 on 3 and on 15 source points and at order 3 on 64, a map from
 R^3 to R^2 at order 3, and a bundle whose middle point overflows, exit
-2); manifold-extend with values and ``--derivs`` in 1-D, and with
-``--derivs`` on a 2-D atlas of two charts with a jet in each; and every
+2, and bundles whose ids are integers of 20 and 30 digits and strings
+that are not ASCII); manifold-extend with values and ``--derivs`` in
+1-D, and with ``--derivs`` on a 2-D atlas of two charts with a jet in each; and every
 verify suite, the correspondence suite also on that 2-D atlas.
 
 For each invocation it prints "identical" when exit status, stdout and
@@ -397,6 +399,47 @@ FIXTURES = {
         ],
         "pou": [{"chart": "u", "h": ["0.5 + 0.1*sin(x0)"]}, {"chart": "v", "h": ["0.5 - 0.1*sin(x0 - 0.3*sin(x1))"]}],
     },
+    # ids of 20 and 30 digits, beyond what orjson reads as integers
+    "bundle_long_ids.json": {
+        "map": {"from_dim": 1, "expr": ["2*x0"]},
+        "jet": {
+            "dim": 1,
+            "order": 2,
+            "induce": {
+                "expr": ["exp(x0)"],
+                "points": [{"id": 12345678901234567890, "x": [0.5]}, {"id": 98765432109876543210, "x": [1.0]}],
+            },
+        },
+        "points": [{"id": 123456789012345678901234567890, "x": [0.25]}, {"id": 10**29 + 7, "x": [0.5]}],
+    },
+    "jet_nan.json": {
+        "dim": 1,
+        "order": 1,
+        "outdim": 1,
+        "points": [
+            {"id": "a", "x": [0.0], "values": {"[0]": [0.0], "[1]": [1.0]}},
+            {"id": "b", "x": [1.0], "values": {"[0]": [math.nan], "[1]": [1.0]}},
+        ],
+    },
+}
+
+# files written as these bytes: a UTF-8 byte-order mark, ids that are not
+# ASCII, and a malformed jet with CRLF line ends
+RAW_FIXTURES = {
+    "jet_bom.json": b"\xef\xbb\xbf" + json.dumps(JETS["jet1.json"]).encode(),
+    "bundle_non_ascii.json": json.dumps(
+        {
+            "map": {"from_dim": 1, "expr": ["2*x0"]},
+            "jet": {
+                "dim": 1,
+                "order": 2,
+                "induce": {"expr": ["sin(x0)"], "points": [{"id": "\u00e9t\u00e9", "x": [0.5]}, {"id": "\u03b1", "x": [1.0]}]},
+            },
+            "points": [{"id": "\u00fcber", "x": [0.25]}, {"id": "\u03b2\u2082", "x": [0.5]}],
+        },
+        ensure_ascii=False,
+    ).encode(),
+    "jet_crlf.json": b'{\r\n  "dim": 1,\r\n  "order": 1,\r\n  "outdim": 1,\r\n  "points": [,]\r\n}\r\n',
 }
 
 INVOCATIONS = [
@@ -491,6 +534,9 @@ INVOCATIONS = [
     ("extend 2-D an extra key at every point", ["extend", "--input", "extra_key.json", "--grid=-1.1:1.1:0.23,-1.1:1.1:0.31"]),
     ("extend malformed jet, x null", ["extend", "--input", "x_null.json", "--grid=0:1:0.5"]),
     ("extend malformed jet, long value row", ["extend", "--input", "long_row.json", "--grid=0:1:0.5"]),
+    ("extend jet with NaN", ["extend", "--input", "jet_nan.json", "--grid=0:1:0.5"]),
+    ("extend jet with a byte-order mark", ["extend", "--input", "jet_bom.json", "--grid=0:1:0.5"]),
+    ("extend malformed jet, CRLF line ends", ["extend", "--input", "jet_crlf.json", "--grid=0:1:0.5"]),
     # a middle row fails: F'(0.51) overflows (exit 2), and the fourth of
     # seven rows, 5.55e-17, lies below the dyadic resolution of 0 (exit 3)
     (
@@ -522,6 +568,8 @@ INVOCATIONS = [
     # the middle point's row overflows before the last image fails to match
     # (exit 2)
     ("pullback overflow at a middle point", ["pullback", "--input", "bundle_fails.json"]),
+    ("pullback ids of 20 and 30 digits", ["pullback", "--input", "bundle_long_ids.json"]),
+    ("pullback ids that are not ASCII", ["pullback", "--input", "bundle_non_ascii.json"]),
     ("manifold-extend values", ["manifold-extend", "--input", "atlas.json", "--chart", "v", "--grid=-3:2:0.35"]),
     (
         "manifold-extend --derivs",
@@ -624,6 +672,9 @@ def main(argv):
         for name, doc in FIXTURES.items():
             with open(os.path.join(work, name), "w") as fh:
                 json.dump(doc, fh)
+        for name, data in RAW_FIXTURES.items():
+            with open(os.path.join(work, name), "wb") as fh:
+                fh.write(data)
         for label, cmd in INVOCATIONS:
             old, new = run_both((old_src, new_src), cmd, work)
             if old == new:
